@@ -99,14 +99,34 @@ def kf_predict(est: KinematicEstimate, dt: float, q: float) -> KinematicEstimate
 
 
 def innovation_covariance(est: KinematicEstimate, R: np.ndarray) -> np.ndarray:
-    return H @ est.P @ H.T + np.asarray(R, dtype=float)
+    """S = H P H^T + R; with position-only H that is P's position block plus R."""
+    return est.P[:2, :2] + np.asarray(R, dtype=float)
 
 
-def _solve_S(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if not np.isfinite(det) or det <= 0.0:
-        raise np.linalg.LinAlgError(f"degenerate innovation covariance, det={det}")
-    return np.linalg.solve(S, rhs)
+def _det_S(S: np.ndarray) -> np.ndarray:
+    """Determinant of one 2x2 innovation covariance or a stack (..., 2, 2).
+
+    Raises numpy.linalg.LinAlgError unless every determinant is finite
+    and positive.
+    """
+    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    ok = (det > 0.0) & (det < np.inf)
+    if not ok.all():
+        bad = np.asarray(det)[~ok].flat[0]
+        raise np.linalg.LinAlgError(f"degenerate innovation covariance, det={bad}")
+    return det
+
+
+def _inverse_S(S: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a 2x2 innovation covariance."""
+    return np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / _det_S(S)
+
+
+def _mahalanobis2(S: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """nu^T S^-1 nu in closed form, for one pair or a stack of pairs."""
+    n0, n1 = nu[..., 0], nu[..., 1]
+    s00, s01, s10, s11 = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
+    return (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / _det_S(S)
 
 
 def kf_update(
@@ -118,21 +138,21 @@ def kf_update(
     numpy.linalg.LinAlgError when S is singular.
     """
     z = np.asarray(z, dtype=float)
+    R = np.asarray(R, dtype=float)
     S = innovation_covariance(est, R)
-    nu = z - H @ est.x
-    # K = P H^T S^-1, via solve on the symmetric S
-    K = _solve_S(S, H @ est.P).T
+    nu = z - est.x[:2]
+    K = est.P[:, :2] @ _inverse_S(S)
     x = est.x + K @ nu
     I_KH = np.eye(4) - K @ H
-    P = I_KH @ est.P @ I_KH.T + K @ np.asarray(R, dtype=float) @ K.T
+    P = I_KH @ est.P @ I_KH.T + K @ R @ K.T
     return KinematicEstimate(x=x, P=_symmetrize(P)), nu, S
 
 
 def mahalanobis2(z: np.ndarray, est: KinematicEstimate, R: np.ndarray) -> float:
     """Squared Mahalanobis distance of z from the predicted measurement."""
     S = innovation_covariance(est, R)
-    nu = np.asarray(z, dtype=float) - H @ est.x
-    return float(nu @ _solve_S(S, nu))
+    nu = np.asarray(z, dtype=float) - est.x[:2]
+    return float(_mahalanobis2(S, nu))
 
 
 def gate(
@@ -145,30 +165,25 @@ def gate(
     """Detections with squared Mahalanobis distance <= gamma.
 
     R=None uses each detection's own reported covariance; an explicit R
-    overrides it for every detection.
+    overrides it for every detection. All of the frame's detections are
+    scored in one pass with the closed-form 2x2 inverse; raises
+    numpy.linalg.LinAlgError if any detection's S is degenerate.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    indices: list[int] = []
-    ids: list[int] = []
-    d2s: list[float] = []
-    Ss: list[np.ndarray] = []
-    for i, det in enumerate(frame.detections):
-        R_i = det.R if R is None else R
-        S = innovation_covariance(est, R_i)
-        nu = det.z - H @ est.x
-        d2 = float(nu @ _solve_S(S, nu))
-        if d2 <= gamma:
-            indices.append(i)
-            ids.append(det.detection_id)
-            d2s.append(d2)
-            Ss.append(S)
+    R_stack = frame.covariances
+    if R is not None:
+        R_stack = np.broadcast_to(np.asarray(R, dtype=float), R_stack.shape)
+    S = est.P[:2, :2] + R_stack
+    d2 = _mahalanobis2(S, frame.positions - est.x[:2])
+    keep = np.flatnonzero(d2 <= gamma)
+    indices = tuple(keep.tolist())
     return GateResult(
         track_id=track_id,
-        indices=tuple(indices),
-        detection_ids=tuple(ids),
-        d2=tuple(d2s),
-        S=tuple(Ss),
+        indices=indices,
+        detection_ids=tuple(frame.detections[i].detection_id for i in indices),
+        d2=tuple(d2[keep].tolist()),
+        S=tuple(S[keep]),
     )
 
 

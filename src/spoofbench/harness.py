@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -143,6 +144,8 @@ class BenchmarkConfig:
         seeds = _resolve_seeds(d["seeds"])
         params = None
         if "tracker_params" in d:
+            if not isinstance(d["tracker_params"], dict):
+                raise ConfigError("tracker_params must be an object")
             base = {
                 "dt_s": scenario.dt_s,
                 "p_detect": sensor.p_detect,
@@ -374,6 +377,12 @@ def execute_run(
     }
 
 
+def worker_count(jobs: int, n_runs: int, cpus: Optional[int]) -> int:
+    """Worker processes for a grid: the requested jobs, but never more
+    than there are runs or CPUs (cpus=None counts as one), and at least 1."""
+    return max(1, min(jobs, n_runs, cpus or 1))
+
+
 def run_benchmark(
     cfg: BenchmarkConfig, out_dir: Optional[str] = None, jobs: int = 1
 ) -> Path:
@@ -390,6 +399,7 @@ def run_benchmark(
     specs = plan_runs(cfg)
     digest = cfg.digest()
     params = cfg.resolved_params()
+    jobs = worker_count(jobs, len(specs), os.cpu_count())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(

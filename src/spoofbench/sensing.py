@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -111,6 +112,18 @@ class DetectionFrame:
                 "detections",
                 tuple(sorted(self.detections, key=lambda d: d.detection_id)),
             )
+
+    # frames are frozen, so the stacks are built once on first use and
+    # never go stale
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Measured positions stacked in detection order, shape (M, 2)."""
+        return np.array([d.z for d in self.detections], dtype=float).reshape(-1, 2)
+
+    @cached_property
+    def covariances(self) -> np.ndarray:
+        """Reported covariances stacked in detection order, shape (M, 2, 2)."""
+        return np.array([d.R for d in self.detections], dtype=float).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)

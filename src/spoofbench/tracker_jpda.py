@@ -79,12 +79,11 @@ def _composite_update(track, gated: GateResult, beta: BetaVector, frame: Detecti
     """Moment-matched mixture of the prior (miss) and the per-detection
     posteriors, weighted by the association probabilities."""
     prior = track.estimate
-    det_by_id = {d.detection_id: d for d in frame.detections}
     means = [prior.x]
     covs = [prior.P]
     weights = [beta.miss]
-    for det_id in gated.detection_ids:
-        det = det_by_id[det_id]
+    for index, det_id in zip(gated.indices, gated.detection_ids):
+        det = frame.detections[index]
         posterior, _, _ = kf_update(prior, det.z, det.R)
         means.append(posterior.x)
         covs.append(posterior.P)

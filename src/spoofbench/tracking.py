@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +50,9 @@ class TrackerParams:
     hit_threshold: float = 0.5     # JPDA: hit iff 1 - beta_miss >= this
 
     def __post_init__(self) -> None:
+        for key, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ConfigError(f"tracker param {key} must be finite, got {value}")
         if self.dt_s <= 0.0:
             raise ConfigError("dt_s must be positive")
         if self.gamma < 0.0:
@@ -95,10 +99,18 @@ class TrackerParams:
             raise ConfigError(f"unknown tracker param keys: {sorted(unknown)}")
         kwargs: dict = {}
         for key, value in d.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"tracker param {key} must be a number, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ConfigError(f"tracker param {key} out of range: {value!r}") from None
             if key in ("confirm_hits", "confirm_window", "delete_misses"):
-                kwargs[key] = int(value)
+                if not number.is_integer():
+                    raise ConfigError(f"tracker param {key} must be a whole number, got {value!r}")
+                kwargs[key] = int(number)
             else:
-                kwargs[key] = float(value)
+                kwargs[key] = number
         return cls(**kwargs)
 
 

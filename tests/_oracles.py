@@ -34,3 +34,23 @@ def min_cost_by_enumeration(costs, unassigned_cost):
                     nxt[key] = cand
         best = nxt
     return min(best.values()) if best else 0.0
+
+
+# position-only measurement matrix, restated here rather than imported
+H = np.eye(2, 4)
+
+
+def mahalanobis2_by_solve(z, x, P, R):
+    """nu^T S^-1 nu with S = H P H^T + R, by a general linear solve."""
+    S = H @ P @ H.T + R
+    nu = z - H @ x
+    return float(nu @ np.linalg.solve(S, nu))
+
+
+def kf_update_by_solve(x, P, z, R):
+    """Textbook Kalman update: gain by a linear solve, Joseph-form covariance."""
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S, H @ P).T
+    I_KH = np.eye(4) - K @ H
+    P_post = I_KH @ P @ I_KH.T + K @ R @ K.T
+    return x + K @ (z - H @ x), 0.5 * (P_post + P_post.T)

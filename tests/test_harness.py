@@ -13,6 +13,7 @@ from spoofbench.harness import (
     load_benchmark_config,
     plan_runs,
     run_benchmark,
+    worker_count,
 )
 from spoofbench.metrics import RunReport, write_report_json
 from spoofbench.scenario import PlatformSpec, ScenarioConfig
@@ -360,6 +361,41 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     path = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tracker_params",
+    [
+        {"gamma": float("nan")},
+        {"q": float("inf")},
+        {"confirm_hits": "abc"},
+        {"confirm_window": 2.5},
+        {"delete_misses": float("inf")},
+        {"p_birth": True},
+        {"v_max_mps": 10**400},
+        [1],
+    ],
+    ids=[
+        "gamma-nan", "q-inf", "count-string", "count-fraction", "count-inf",
+        "bool", "overflow", "not-an-object",
+    ],
+)
+def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, tracker_params):
+    payload = config_payload()
+    payload["tracker_params"] = tracker_params
+    path = write_config_file(tmp_path, payload)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_worker_count_is_bounded_by_runs_and_cpus():
+    huge = 10**12
+    assert worker_count(huge, 24, 2) == 2
+    assert worker_count(huge, 3, 64) == 3
+    assert worker_count(huge, huge, None) == 1
+    assert worker_count(4, 24, 64) == 4
+    assert worker_count(1, 24, 64) == 1
+    assert worker_count(huge, 0, 64) == 1
 
 
 def test_cli_missing_file_exit_3(tmp_path, capsys):
