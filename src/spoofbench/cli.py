@@ -17,6 +17,7 @@ from .harness import (
     load_benchmark_config,
     plan_runs,
     run_benchmark,
+    seed_range,
 )
 
 
@@ -62,11 +63,19 @@ def _apply_overrides(cfg: BenchmarkConfig, args: argparse.Namespace) -> Benchmar
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError("--seeds must be at least 1")
-        base = cfg.seeds[0]
-        cfg = replace(cfg, seeds=tuple(base + i for i in range(args.seeds)))
+        cells = len(cfg.spoof_grid) * len(cfg.trackers)
+        cfg = replace(cfg, seeds=seed_range(cfg.seeds[0], args.seeds, cells))
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
     return cfg
+
+
+def _print_table(table) -> None:
+    print(f"{'tracker':<10} {'spoof':<12} {'drift_m':>10} {'impact_pct':>10}")
+    for tracker, spoof_name, drift, impact in table.rows():
+        print(f"{tracker:<10} {spoof_name:<12} {drift:>10.2f} {impact:>10.2f}")
+    for gap in table.missing:
+        print(f"missing cell: {gap}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -77,21 +86,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table = compare_trackers(out_path)
     export_plot_data(out_path)
     print(f"wrote {len(plan_runs(cfg))} runs to {out_path}")
-    print(f"{'tracker':<10} {'spoof':<12} {'drift_m':>10} {'impact_pct':>10}")
-    for tracker, spoof_name, drift, impact in table.rows():
-        print(f"{tracker:<10} {spoof_name:<12} {drift:>10.2f} {impact:>10.2f}")
-    for gap in table.missing:
-        print(f"missing cell: {gap}")
+    _print_table(table)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    table = compare_trackers(args.report)
-    print(f"{'tracker':<10} {'spoof':<12} {'drift_m':>10} {'impact_pct':>10}")
-    for tracker, spoof_name, drift, impact in table.rows():
-        print(f"{tracker:<10} {spoof_name:<12} {drift:>10.2f} {impact:>10.2f}")
-    for gap in table.missing:
-        print(f"missing cell: {gap}")
+    _print_table(compare_trackers(args.report))
     return 0
 
 

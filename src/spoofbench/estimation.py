@@ -7,6 +7,7 @@ step so long adversarial runs cannot drift out of PSD.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,18 +57,23 @@ class GateResult:
         return len(self.indices)
 
 
+# F and Q depend only on the tracker params, so each (dt, q) is built
+# once; the cached arrays are shared and therefore read-only
+@functools.lru_cache
 def cv_transition(dt: float) -> np.ndarray:
     F = np.eye(4)
     F[0, 2] = dt
     F[1, 3] = dt
+    F.flags.writeable = False
     return F
 
 
+@functools.lru_cache
 def white_accel_Q(dt: float, q: float) -> np.ndarray:
     """Process noise for piecewise-constant white acceleration, scale q.
 
     Per axis: [[dt^4/4, dt^3/2], [dt^3/2, dt^2]] * q in the (pos, vel)
-    blocks.
+    blocks. The returned array is cached and read-only.
     """
     q11 = 0.25 * dt**4 * q
     q12 = 0.5 * dt**3 * q
@@ -76,6 +82,7 @@ def white_accel_Q(dt: float, q: float) -> np.ndarray:
     Q[0, 0] = Q[1, 1] = q11
     Q[0, 2] = Q[2, 0] = Q[1, 3] = Q[3, 1] = q12
     Q[2, 2] = Q[3, 3] = q22
+    Q.flags.writeable = False
     return Q
 
 

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Axis-aligned box [x_min, x_max] x [y_min, y_max] in metres."""
 
     x_min: float
@@ -20,7 +21,8 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        # a positive area also rules out extents so small their product underflows
+        if not (self.x_min < self.x_max and self.y_min < self.y_max and self.area > 0.0):
             raise ConfigError(
                 f"degenerate region: x [{self.x_min}, {self.x_max}], "
                 f"y [{self.y_min}, {self.y_max}]"
@@ -40,28 +42,3 @@ class Region:
         xs = rng.uniform(self.x_min, self.x_max, size=n)
         ys = rng.uniform(self.y_min, self.y_max, size=n)
         return np.column_stack([xs, ys])
-
-    def as_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Region":
-        if not isinstance(d, dict):
-            raise ConfigError(f"region must be an object, got {type(d).__name__}")
-        keys = {"x_min", "x_max", "y_min", "y_max"}
-        unknown = set(d) - keys
-        if unknown:
-            raise ConfigError(f"unknown region keys: {sorted(unknown)}")
-        missing = keys - set(d)
-        if missing:
-            raise ConfigError(f"region missing keys: {sorted(missing)}")
-        try:
-            vals = {k: float(d[k]) for k in keys}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"region values must be numbers: {exc}") from exc
-        return cls(**vals)

@@ -16,11 +16,12 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .codec import Record, check_keys, decode, encode, load_json
 from .errors import ConfigError
 from .metrics import (
     compute_run_report,
@@ -56,8 +57,37 @@ def _name_slot(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
 
 
+# planned runs (spoofs x trackers x seeds) allowed in one grid; checked
+# before a seed range is built, so a typo cannot allocate a huge grid
+MAX_RUNS = 10_000
+
+
+def check_run_count(n_runs: int) -> None:
+    if n_runs > MAX_RUNS:
+        raise ConfigError(f"grid of {n_runs} runs exceeds the limit of {MAX_RUNS}")
+
+
+def seed_range(base: int, count: int, cells: int) -> tuple:
+    """count seeds from base, bounded before the tuple is built; an empty
+    grid (cells 0) counts as one cell so the count is bounded on its own."""
+    check_run_count(max(cells, 1) * count)
+    return tuple(range(base, base + count))
+
+
+@dataclass(frozen=True)
+class _SeedRange(Record):
+    """The {base_seed, count} shorthand of the seeds key."""
+
+    base_seed: int = 0
+    count: int = 1
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """One benchmark grid. tracker_params=None derives them from the
+    scenario and sensor; after construction it always holds the
+    resolved params."""
+
     scenario: ScenarioConfig
     sensor: SensorConfig
     spoof_grid: tuple  # of (name, SpoofConfig)
@@ -83,28 +113,17 @@ class BenchmarkConfig:
             raise ConfigError(f"duplicate spoof names: {names}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds")
-
-    def resolved_params(self) -> TrackerParams:
-        if self.tracker_params is not None:
-            return self.tracker_params
-        return TrackerParams(
-            dt_s=self.scenario.dt_s,
-            p_detect=self.sensor.p_detect,
-            clutter_density=self.sensor.clutter_rate / self.sensor.fov.area,
-        )
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be non-negative")
+        check_run_count(len(self.spoof_grid) * len(self.trackers) * len(self.seeds))
+        if self.tracker_params is None:
+            params = _resolve_tracker_params(self.scenario, self.sensor, {})
+            object.__setattr__(self, "tracker_params", params)
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.as_dict(),
-            "sensor": self.sensor.as_dict(),
-            "spoof_grid": [
-                {"name": name, **cfg.as_dict()} for name, cfg in self.spoof_grid
-            ],
-            "trackers": list(self.trackers),
-            "seeds": list(self.seeds),
-            "tracker_params": self.resolved_params().as_dict(),
-            "output_dir": self.output_dir,
-        }
+        payload = {f.name: encode(getattr(self, f.name)) for f in fields(self)}
+        payload["spoof_grid"] = [{"name": name, **cfg.as_dict()} for name, cfg in self.spoof_grid]
+        return payload
 
     def digest(self) -> str:
         payload = self.as_dict()
@@ -114,84 +133,62 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("benchmark config must be an object")
-        allowed = {
-            "scenario",
-            "sensor",
-            "spoof_grid",
-            "trackers",
-            "seeds",
-            "tracker_params",
-            "output_dir",
-        }
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown benchmark keys: {sorted(unknown)}")
-        missing = {"scenario", "spoof_grid", "trackers", "seeds"} - set(d)
-        if missing:
-            raise ConfigError(f"benchmark config missing keys: {sorted(missing)}")
-        scenario = ScenarioConfig.from_dict(d["scenario"])
-        sensor = SensorConfig.from_dict(d.get("sensor", {}))
-        if not isinstance(d["spoof_grid"], list) or not d["spoof_grid"]:
-            raise ConfigError("spoof_grid must be a non-empty list")
+        required = ("scenario", "spoof_grid", "trackers", "seeds")
+        check_keys(d, [f.name for f in fields(cls)], required, "benchmark")
+        scenario = ScenarioConfig.from_dict(d["scenario"], "scenario")
+        sensor = SensorConfig.from_dict(d.get("sensor", {}), "sensor")
+        if not isinstance(d["spoof_grid"], list):
+            raise ConfigError("spoof_grid must be a list")
         grid = tuple(
-            _resolve_spoof_template(raw, scenario, sensor) for raw in d["spoof_grid"]
+            _resolve_spoof_template(raw, f"spoof_grid[{i}]", scenario, sensor)
+            for i, raw in enumerate(d["spoof_grid"])
         )
-        trackers = d["trackers"]
-        if not isinstance(trackers, list):
-            raise ConfigError("trackers must be a list")
-        seeds = _resolve_seeds(d["seeds"])
-        params = None
-        if "tracker_params" in d:
-            if not isinstance(d["tracker_params"], dict):
-                raise ConfigError("tracker_params must be an object")
-            base = {
-                "dt_s": scenario.dt_s,
-                "p_detect": sensor.p_detect,
-                "clutter_density": sensor.clutter_rate / sensor.fov.area,
-            }
-            merged = {**base, **d["tracker_params"]}
-            merged["dt_s"] = scenario.dt_s  # the scenario clock always wins
-            params = TrackerParams.from_dict(merged)
+        trackers = decode(tuple[str, ...], d["trackers"], "trackers")
         return cls(
             scenario=scenario,
             sensor=sensor,
             spoof_grid=grid,
-            trackers=tuple(str(t) for t in trackers),
-            seeds=seeds,
-            tracker_params=params,
-            output_dir=d.get("output_dir"),
+            trackers=trackers,
+            seeds=_resolve_seeds(d["seeds"], len(grid) * len(trackers)),
+            tracker_params=_resolve_tracker_params(scenario, sensor, d.get("tracker_params", {})),
+            output_dir=decode(Optional[str], d.get("output_dir"), "output_dir"),
         )
 
 
-def _resolve_seeds(raw) -> tuple:
-    if isinstance(raw, list):
-        if not raw:
-            raise ConfigError("seeds list must not be empty")
-        return tuple(int(s) for s in raw)
-    if isinstance(raw, dict):
-        unknown = set(raw) - {"base_seed", "count"}
-        if unknown:
-            raise ConfigError(f"unknown seed keys: {sorted(unknown)}")
-        base = int(raw.get("base_seed", 0))
-        count = int(raw.get("count", 1))
-        if count < 1:
-            raise ConfigError("seed count must be at least 1")
-        return tuple(base + i for i in range(count))
-    raise ConfigError("seeds must be a list or {base_seed, count}")
+def _resolve_tracker_params(
+    scenario: ScenarioConfig, sensor: SensorConfig, overrides: dict
+) -> TrackerParams:
+    """Tracker params derived from the sensor, under explicit overrides;
+    the scenario clock always wins over an override of dt_s."""
+    if not isinstance(overrides, dict):
+        raise ConfigError("tracker_params must be an object")
+    derived = {
+        "p_detect": sensor.p_detect,
+        "clutter_density": sensor.clutter_rate / sensor.fov.area,
+    }
+    merged = {**derived, **overrides, "dt_s": scenario.dt_s}
+    return TrackerParams.from_dict(merged, "tracker_params")
+
+
+def _resolve_seeds(raw, cells: int) -> tuple:
+    """A seed list, or {base_seed, count} for count consecutive seeds;
+    cells is the spoof x tracker count the run bound applies to."""
+    if not isinstance(raw, dict):
+        return decode(tuple[int, ...], raw, "seeds")
+    seeds = _SeedRange.from_dict(raw, "seeds")
+    return seed_range(seeds.base_seed, seeds.count, cells)
 
 
 def _resolve_spoof_template(
-    raw: dict, scenario: ScenarioConfig, sensor: SensorConfig
+    raw: dict, path: str, scenario: ScenarioConfig, sensor: SensorConfig
 ) -> tuple:
     """Fill scenario/sensor-dependent defaults into one grid entry."""
     if not isinstance(raw, dict):
-        raise ConfigError("spoof grid entries must be objects")
+        raise ConfigError(f"{path} must be an object")
     raw = dict(raw)
-    name = str(raw.pop("name", raw.get("spoof_type", "")))
-    if not name:
-        raise ConfigError("spoof grid entry needs spoof_type or name")
+    name = decode(Optional[str], raw.pop("name", None), f"{path}.name")
+    if name == "":
+        raise ConfigError(f"{path}.name must not be empty")
     if "injection_window" not in raw and raw.get("spoof_type") != "clean":
         # default window: the middle 60% of the scenario
         T = scenario.n_steps
@@ -201,16 +198,12 @@ def _resolve_spoof_template(
         if raw.get("ghost_mode", "uniform") == "uniform" and "ghost_region" not in raw:
             raw["ghost_region"] = sensor.fov.as_dict()
     raw["dt_s"] = scenario.dt_s
-    return name, SpoofConfig.from_dict(raw)
+    spoof = SpoofConfig.from_dict(raw, path)
+    return name or spoof.spoof_type.value, spoof
 
 
 def load_benchmark_config(path) -> BenchmarkConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return BenchmarkConfig.from_dict(raw)
+    return BenchmarkConfig.from_dict(load_json(path))
 
 
 def default_benchmark_config(
@@ -398,24 +391,16 @@ def run_benchmark(
     out_path.mkdir(parents=True, exist_ok=True)
     specs = plan_runs(cfg)
     digest = cfg.digest()
-    params = cfg.resolved_params()
+    run_args = [
+        (spec, cfg.scenario, cfg.sensor, cfg.tracker_params, str(out_path), digest)
+        for spec in specs
+    ]
     jobs = worker_count(jobs, len(specs), os.cpu_count())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(
-                pool.map(
-                    _execute_run_star,
-                    [
-                        (spec, cfg.scenario, cfg.sensor, params, str(out_path), digest)
-                        for spec in specs
-                    ],
-                )
-            )
+            summaries = list(pool.map(_execute_run_star, run_args))
     else:
-        summaries = [
-            execute_run(spec, cfg.scenario, cfg.sensor, params, str(out_path), digest)
-            for spec in specs
-        ]
+        summaries = [execute_run(*args) for args in run_args]
     _write_json(
         out_path / "manifest.json",
         {

@@ -254,7 +254,6 @@ class SpoofStats:
 
 def spoof_stats(
     snapshots: Sequence[SnapshotRecord],
-    spoof_log,
     correspondence: TruthCorrespondence,
     truth: GroundTruth,
     noise_sigma_m: float,
@@ -471,7 +470,6 @@ def compute_run_report(
     purity = cluster_purity(run.snapshots)
     stats = spoof_stats(
         run.snapshots,
-        spoofed_run.spoof_log,
         correspondence,
         truth,
         noise_sigma_m=noise_sigma_m,

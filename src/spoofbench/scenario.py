@@ -7,12 +7,12 @@ bit-identical trajectory table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record, load_json
 from .errors import ConfigError
 from .geometry import Region
 
@@ -21,7 +21,7 @@ DT_MAX_S = 5.0
 
 
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(Record):
     """One platform's identity and waypoint schedule.
 
     Waypoints are (time_s, (x_m, y_m)) pairs with strictly increasing
@@ -65,45 +65,14 @@ class PlatformSpec:
                     f"platform {self.platform_id}: waypoint at t={t} outside region"
                 )
 
-    def as_dict(self) -> dict:
-        return {
-            "platform_id": self.platform_id,
-            "class_id": self.class_id,
-            "stationary": self.stationary,
-            "waypoints": [[t, [p[0], p[1]]] for t, p in self.waypoints],
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlatformSpec":
-        if not isinstance(d, dict):
-            raise ConfigError("platform spec must be an object")
-        allowed = {"platform_id", "class_id", "stationary", "waypoints"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown platform keys: {sorted(unknown)}")
-        if "platform_id" not in d or "waypoints" not in d:
-            raise ConfigError("platform spec needs platform_id and waypoints")
-        try:
-            waypoints = tuple(
-                (float(t), (float(p[0]), float(p[1]))) for t, p in d["waypoints"]
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed waypoints: {exc}") from exc
-        return cls(
-            platform_id=int(d["platform_id"]),
-            waypoints=waypoints,
-            class_id=int(d.get("class_id", 0)),
-            stationary=bool(d.get("stationary", False)),
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(Record):
     duration_s: float
-    dt_s: float
-    platforms: tuple[PlatformSpec, ...]
-    seed: int
+    dt_s: float = 1.0
+    seed: int = 0
     region: Region
+    platforms: tuple[PlatformSpec, ...]
 
     def __post_init__(self) -> None:
         if not (DT_MIN_S <= self.dt_s <= DT_MAX_S):
@@ -125,37 +94,6 @@ class ScenarioConfig:
         # floor with a small epsilon so duration/dt ratios like 100/0.1
         # do not lose a step to float division
         return int(math.floor(self.duration_s / self.dt_s + 1e-9))
-
-    def as_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "dt_s": self.dt_s,
-            "seed": self.seed,
-            "region": self.region.as_dict(),
-            "platforms": [p.as_dict() for p in self.platforms],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("scenario config must be an object")
-        allowed = {"duration_s", "dt_s", "seed", "region", "platforms"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        missing = {"duration_s", "region", "platforms"} - set(d)
-        if missing:
-            raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
-        platforms = d["platforms"]
-        if not isinstance(platforms, list):
-            raise ConfigError("platforms must be a list")
-        return cls(
-            duration_s=float(d["duration_s"]),
-            dt_s=float(d.get("dt_s", 1.0)),
-            platforms=tuple(PlatformSpec.from_dict(p) for p in platforms),
-            seed=int(d.get("seed", 0)),
-            region=Region.from_dict(d["region"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -240,12 +178,7 @@ def truth_state_at(truth: GroundTruth, platform_id: int, k: int) -> KinematicSta
 
 def load_scenario_config(path) -> ScenarioConfig:
     """Read a scenario config from a JSON file; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return ScenarioConfig.from_dict(raw)
+    return ScenarioConfig.from_dict(load_json(path))
 
 
 def default_scenario_config(seed: int = 0) -> ScenarioConfig:

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .codec import Record
 from .errors import ConfigError
 from .geometry import Region
 from .streams import TAG_SENSE, substream
@@ -127,7 +128,7 @@ class DetectionFrame:
 
 
 @dataclass(frozen=True)
-class SensorConfig:
+class SensorConfig(Record):
     p_detect: float = 0.9
     noise_sigma_m: float = 5.0
     clutter_rate: float = 2.0
@@ -141,33 +142,8 @@ class SensorConfig:
             raise ConfigError("noise_sigma_m must be positive")
         if self.clutter_rate < 0.0:
             raise ConfigError("clutter_rate must be non-negative")
-
-    def as_dict(self) -> dict:
-        return {
-            "p_detect": self.p_detect,
-            "noise_sigma_m": self.noise_sigma_m,
-            "clutter_rate": self.clutter_rate,
-            "fov": self.fov.as_dict(),
-            "seed_stream_tag": self.seed_stream_tag,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("sensor config must be an object")
-        allowed = {"p_detect", "noise_sigma_m", "clutter_rate", "fov", "seed_stream_tag"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown sensor keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("p_detect", "noise_sigma_m", "clutter_rate"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "fov" in d:
-            kwargs["fov"] = Region.from_dict(d["fov"])
-        if "seed_stream_tag" in d:
-            kwargs["seed_stream_tag"] = int(d["seed_stream_tag"])
-        return cls(**kwargs)
+        if self.seed_stream_tag < 0:
+            raise ConfigError("seed_stream_tag must be non-negative")
 
 
 def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFrame]:

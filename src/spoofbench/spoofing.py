@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import Record
 from .errors import ConfigError
 from .geometry import Region
 from .sensing import Detection, DetectionFrame, Label
@@ -36,7 +37,7 @@ class SpoofType(str, Enum):
 
 
 @dataclass(frozen=True)
-class SpoofConfig:
+class SpoofConfig(Record):
     """Parameters of one spoof campaign.
 
     target_platform_ids=None targets every platform; an explicit empty
@@ -109,87 +110,6 @@ class SpoofConfig:
 
     def in_window(self, t: int) -> bool:
         return self.injection_window[0] <= t <= self.injection_window[1]
-
-    def as_dict(self) -> dict:
-        return {
-            "spoof_type": self.spoof_type.value,
-            "injection_window": list(self.injection_window),
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "drift_dir": list(self.drift_dir),
-            "mirror_x0": self.mirror_x0,
-            "ghost_rate": self.ghost_rate,
-            "ghost_mode": self.ghost_mode,
-            "ghost_region": None if self.ghost_region is None else self.ghost_region.as_dict(),
-            "ghost_radius_m": self.ghost_radius_m,
-            "ghost_inner_m": self.ghost_inner_m,
-            "ghost_offset_m": self.ghost_offset_m,
-            "ghost_offset_dir": list(self.ghost_offset_dir),
-            "ghost_sigma_m": self.ghost_sigma_m,
-            "target_platform_ids": (
-                None
-                if self.target_platform_ids is None
-                else sorted(self.target_platform_ids)
-            ),
-            "dt_s": self.dt_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpoofConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("spoof config must be an object")
-        allowed = {
-            "spoof_type",
-            "injection_window",
-            "seed",
-            "alpha",
-            "drift_dir",
-            "mirror_x0",
-            "ghost_rate",
-            "ghost_mode",
-            "ghost_region",
-            "ghost_radius_m",
-            "ghost_inner_m",
-            "ghost_offset_m",
-            "ghost_offset_dir",
-            "ghost_sigma_m",
-            "target_platform_ids",
-            "dt_s",
-        }
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown spoof keys: {sorted(unknown)}")
-        if "spoof_type" not in d:
-            raise ConfigError("spoof config needs spoof_type")
-        try:
-            spoof_type = SpoofType(d["spoof_type"])
-        except ValueError as exc:
-            raise ConfigError(f"unknown spoof_type {d['spoof_type']!r}") from exc
-        kwargs: dict = {"spoof_type": spoof_type}
-        if "injection_window" in d:
-            window = d["injection_window"]
-            if not isinstance(window, (list, tuple)) or len(window) != 2:
-                raise ConfigError("injection_window must be [t_start, t_end]")
-            kwargs["injection_window"] = (int(window[0]), int(window[1]))
-        for key in ("alpha", "mirror_x0", "ghost_rate", "ghost_radius_m",
-                    "ghost_inner_m", "ghost_offset_m", "ghost_sigma_m", "dt_s"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "seed" in d:
-            kwargs["seed"] = int(d["seed"])
-        for key in ("drift_dir", "ghost_offset_dir"):
-            if key in d:
-                direction = d[key]
-                if not isinstance(direction, (list, tuple)) or len(direction) != 2:
-                    raise ConfigError(f"{key} must be [vx, vy]")
-                kwargs[key] = (float(direction[0]), float(direction[1]))
-        if "ghost_mode" in d:
-            kwargs["ghost_mode"] = str(d["ghost_mode"])
-        if "ghost_region" in d and d["ghost_region"] is not None:
-            kwargs["ghost_region"] = Region.from_dict(d["ghost_region"])
-        if "target_platform_ids" in d and d["target_platform_ids"] is not None:
-            kwargs["target_platform_ids"] = frozenset(int(i) for i in d["target_platform_ids"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .codec import Record
 from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, KinematicEstimate, estimate_from_detection
 from .sensing import Detection, DetectionFrame
@@ -36,7 +37,7 @@ class TrackStatus(str, Enum):
 
 
 @dataclass
-class TrackerParams:
+class TrackerParams(Record):
     dt_s: float = 1.0
     gamma: float = GAMMA_DEFAULT
     q: float = 1.0                 # process noise scale
@@ -50,9 +51,11 @@ class TrackerParams:
     hit_threshold: float = 0.5     # JPDA: hit iff 1 - beta_miss >= this
 
     def __post_init__(self) -> None:
-        for key, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ConfigError(f"tracker param {key} must be finite, got {value}")
+        # NaN passes every comparison below; a huge int would overflow isfinite
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.dt_s <= 0.0:
             raise ConfigError("dt_s must be positive")
         if self.gamma < 0.0:
@@ -73,45 +76,6 @@ class TrackerParams:
             raise ConfigError("delete_misses must be at least 1")
         if not 0.0 <= self.p_birth <= 1.0:
             raise ConfigError("p_birth must be in [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "dt_s": self.dt_s,
-            "gamma": self.gamma,
-            "q": self.q,
-            "p_detect": self.p_detect,
-            "clutter_density": self.clutter_density,
-            "confirm_hits": self.confirm_hits,
-            "confirm_window": self.confirm_window,
-            "delete_misses": self.delete_misses,
-            "p_birth": self.p_birth,
-            "v_max_mps": self.v_max_mps,
-            "hit_threshold": self.hit_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrackerParams":
-        if not isinstance(d, dict):
-            raise ConfigError("tracker params must be an object")
-        allowed = set(cls().as_dict())
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown tracker param keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, value in d.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"tracker param {key} must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:
-                raise ConfigError(f"tracker param {key} out of range: {value!r}") from None
-            if key in ("confirm_hits", "confirm_window", "delete_misses"):
-                if not number.is_integer():
-                    raise ConfigError(f"tracker param {key} must be a whole number, got {value!r}")
-                kwargs[key] = int(number)
-            else:
-                kwargs[key] = number
-        return cls(**kwargs)
 
 
 @dataclass

@@ -15,6 +15,9 @@ def test_degenerate_rejected():
         Region(0.0, 0.0, -1.0, 1.0)
     with pytest.raises(ConfigError):
         Region(0.0, 1.0, 5.0, 2.0)
+    # ordered extents whose area underflows to zero
+    with pytest.raises(ConfigError):
+        Region(0.0, 5e-324, 0.0, 5e-324)
 
 
 def test_contains_boundary_counts():

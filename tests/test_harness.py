@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -363,29 +365,93 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "tracker_params",
-    [
-        {"gamma": float("nan")},
-        {"q": float("inf")},
-        {"confirm_hits": "abc"},
-        {"confirm_window": 2.5},
-        {"delete_misses": float("inf")},
-        {"p_birth": True},
-        {"v_max_mps": 10**400},
-        [1],
-    ],
-    ids=[
-        "gamma-nan", "q-inf", "count-string", "count-fraction", "count-inf",
-        "bool", "overflow", "not-an-object",
-    ],
-)
-def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, tracker_params):
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
+
+
+def set_path(payload, path, value):
+    """Set the value at a config path such as scenario.platforms[3].stationary,
+    creating a missing object on the way."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = payload
+    for key in keys[:-1]:
+        if isinstance(key, str):
+            node = node.setdefault(key, {})
+        else:
+            node = node[key]
+    node[keys[-1]] = value
+
+
+# (config path, bad value, path the error must name) on the demo config
+BAD_VALUES = [
+    pytest.param("tracker_params.gamma", float("nan"), "tracker_params.gamma", id="gamma-nan"),
+    pytest.param("tracker_params.q", float("inf"), "tracker_params.q", id="q-inf"),
+    pytest.param(
+        "tracker_params.confirm_hits", "abc", "tracker_params.confirm_hits", id="count-string"
+    ),
+    pytest.param(
+        "tracker_params.confirm_window", 2.5, "tracker_params.confirm_window", id="count-fraction"
+    ),
+    pytest.param(
+        "tracker_params.delete_misses", float("inf"), "tracker_params.delete_misses",
+        id="count-inf",
+    ),
+    pytest.param("tracker_params.p_birth", True, "tracker_params.p_birth", id="bool"),
+    pytest.param("tracker_params.v_max_mps", 10**400, "tracker_params.v_max_mps", id="overflow"),
+    pytest.param("tracker_params", [1], "tracker_params", id="not-an-object"),
+    pytest.param("spoof_grid[0].alpha", "x", "spoof_grid[0].alpha", id="spoof_grid[0].alpha"),
+    pytest.param(
+        "spoof_grid[1].injection_window", [5, "z"], "spoof_grid[1].injection_window[1]",
+        id="spoof_grid[1].injection_window",
+    ),
+    pytest.param("seeds", ["a"], "seeds[0]", id="seeds"),
+    pytest.param("seeds.count", "3", "seeds.count", id="seeds.count"),
+    pytest.param(
+        "spoof_grid[0].target_platform_ids", "ab", "spoof_grid[0].target_platform_ids",
+        id="spoof_grid[0].target_platform_ids",
+    ),
+    pytest.param(
+        "scenario.platforms[0].waypoints[1][1][0]", 10**400,
+        "scenario.platforms[0].waypoints[1][1][0]",
+        id="scenario.platforms[0].waypoints",
+    ),
+    pytest.param(
+        "sensor.noise_sigma_m", float("nan"), "sensor.noise_sigma_m", id="sensor.noise_sigma_m"
+    ),
+    pytest.param(
+        "scenario.platforms[3].stationary", "false", "scenario.platforms[3].stationary",
+        id="scenario.platforms[3].stationary",
+    ),
+    pytest.param("scenario.seed", 2.7, "scenario.seed", id="scenario.seed"),
+    pytest.param("output_dir", 5, "output_dir", id="output_dir"),
+    # tracker params derive p_detect from the sensor, and they need p_detect > 0
+    pytest.param("sensor.p_detect", 0, "tracker_params", id="sensor.p_detect"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", BAD_VALUES)
+def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, named):
+    payload = json.loads(DEMO_CONFIG.read_text())
+    set_path(payload, path, value)
+    config = write_config_file(tmp_path, payload)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+def test_grid_size_is_bounded_before_building(tmp_path, capsys):
     payload = config_payload()
-    payload["tracker_params"] = tracker_params
-    path = write_config_file(tmp_path, payload)
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    payload["seeds"] = {"base_seed": 0, "count": 10**12}
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        BenchmarkConfig.from_dict(payload)
+    # an empty grid must not make the bound 0 x count and let the seed
+    # range be built before the empty grid is rejected
+    for emptied in ("spoof_grid", "trackers"):
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            BenchmarkConfig.from_dict({**payload, emptied: []})
+    path = write_config_file(tmp_path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--seeds", str(10**12)])
+    assert code == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_worker_count_is_bounded_by_runs_and_cpus():

@@ -282,7 +282,7 @@ def test_spoof_stats_clean_run():
     ]
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, (), corr, truth, noise_sigma_m=5.0, injection_window=(2, 5)
+        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(2, 5)
     )
     assert stats.inclusion_rate == 0.0
     assert stats.recovery_rate == 1.0
@@ -297,7 +297,7 @@ def test_spoof_inclusion_counts_majority_updates():
         snaps.append(snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: origin}))
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, (), corr, truth, noise_sigma_m=5.0, injection_window=(3, 4)
+        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(3, 4)
     )
     assert stats.inclusion_rate == pytest.approx(0.2)
 
@@ -318,7 +318,7 @@ def test_recovery_requires_sustained_return():
             )
         corr = match_tracks_to_truth(snaps, truth)
         return spoof_stats(
-            snaps, (), corr, truth, noise_sigma_m=5.0, injection_window=(5, 9)
+            snaps, corr, truth, noise_sigma_m=5.0, injection_window=(5, 9)
         )
 
     # returns to truth after the window: recovered
@@ -340,7 +340,7 @@ def test_false_attribution_counts_cross_platform_weight():
         )
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, (), corr, truth, noise_sigma_m=5.0, injection_window=(0, 1)
+        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(0, 1)
     )
     assert stats.false_attribution == pytest.approx(1.0 / 8.0)
 

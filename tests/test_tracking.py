@@ -1,5 +1,6 @@
 """Track lifecycle, births, and the shared run loop."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -135,6 +136,14 @@ def test_params_validation_and_round_trip():
     bad["whatever"] = 1
     with pytest.raises(ConfigError):
         TrackerParams.from_dict(bad)
+
+
+@pytest.mark.parametrize("field", ["gamma", "q", "dt_s", "p_birth", "hit_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_built_directly_reject_non_finite(field, value):
+    # NaN passes every range comparison, so only the finiteness check stops it
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        TrackerParams(**{field: value})
 
 
 def two_platform_frames(duration=40.0, seed=0, clutter=0.0):
