@@ -528,15 +528,6 @@ def compare_trackers(report_dir) -> ComparisonTable:
     return table
 
 
-def _load_run_context(run_dir: Path):
-    with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    scenario = ScenarioConfig.from_dict(manifest["scenario"])
-    truth = build_scenario(scenario)
-    snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
-    return manifest, truth, snapshots
-
-
 def export_plot_data(report_dir) -> list:
     """Write per-run plot-data CSVs: drift matrix (platforms x steps),
     purity timeline, assignment/switch events with spoof-window
@@ -558,33 +549,26 @@ def export_plot_data(report_dir) -> list:
 
 
 def _export_run(run_dir: Path) -> list:
-    manifest, truth, snapshots = _load_run_context(run_dir)
+    with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    truth = build_scenario(ScenarioConfig.from_dict(manifest["scenario"]))
+    snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
     report = read_report_json(run_dir / "report.json")
     correspondence = match_tracks_to_truth(snapshots, truth)
-    by_step: dict = {}
-    for record in snapshots:
-        by_step.setdefault(record.t, {})[record.track_id] = record
     T = truth.n_steps
     written = []
 
+    # the matched distances themselves: the exact samples behind
+    # report.json's per_platform_drift
     path = run_dir / "drift_matrix.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["platform_id"] + [str(t) for t in range(T)])
         for pid in truth.platform_ids:
-            row: list = [pid]
-            for t in range(T):
-                track_id = correspondence.track_of(t, pid)
-                record = by_step.get(t, {}).get(track_id) if track_id is not None else None
-                if record is None:
-                    row.append("")
-                else:
-                    err = float(
-                        ((record.x - truth.positions[pid][t][0]) ** 2
-                         + (record.y - truth.positions[pid][t][1]) ** 2) ** 0.5
-                    )
-                    row.append(repr(err))
-            writer.writerow(row)
+            distances = correspondence.distances.get(pid, {})
+            writer.writerow(
+                [pid] + [repr(distances[t]) if t in distances else "" for t in range(T)]
+            )
     written.append(path)
 
     path = run_dir / "purity_timeline.csv"
@@ -597,25 +581,16 @@ def _export_run(run_dir: Path) -> list:
 
     path = run_dir / "events.csv"
     rows: list = []
-    for t in sorted(by_step):
-        for track_id in sorted(by_step[t]):
-            record = by_step[t][track_id]
-            if record.detection_id is None:
-                continue
-            pid = correspondence.platform_of(t, track_id)
-            rows.append(
-                (t, "assignment", "" if pid is None else pid, track_id,
-                 record.detection_id, "" if record.score is None else repr(record.score))
-            )
-    matched_seq: dict = {}
-    for t in sorted(correspondence.by_step):
-        for track_id, pid in correspondence.by_step[t].items():
-            matched_seq.setdefault(pid, []).append((t, track_id))
-    for pid in sorted(matched_seq):
-        seq = matched_seq[pid]
-        for (_, prev), (t, cur) in zip(seq, seq[1:]):
-            if prev != cur:
-                rows.append((t, "switch", pid, cur, "", f"from={prev}"))
+    for record in snapshots:
+        if record.detection_id is None:
+            continue
+        pid = correspondence.platform_of(record.t, record.track_id)
+        rows.append(
+            (record.t, "assignment", "" if pid is None else pid, record.track_id,
+             record.detection_id, "" if record.score is None else repr(record.score))
+        )
+    for t, pid, previous, track_id in correspondence.switches():
+        rows.append((t, "switch", pid, track_id, "", f"from={previous}"))
     window = manifest["spoof"]["injection_window"]
     if manifest["spoof"]["spoof_type"] != SpoofType.CLEAN.value:
         for t in range(max(0, window[0]), min(T - 1, window[1]) + 1):

@@ -4,14 +4,16 @@ purity, spoof statistics, and normalized impact.
 All metrics are pure post-processing over snapshot records, ground
 truth, and provenance labels. Track-to-truth correspondence is solved
 per timestep as a min-cost one-to-one matching between confirmed track
-positions and true platform positions with a hard distance cutoff.
+positions and true platform positions with a hard distance cutoff; the
+matcher's index (matched records and their distances) is the one source
+every truth-based metric and the plot-data export read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,25 +30,35 @@ D_NORM_M = 500.0
 
 @dataclass(frozen=True)
 class TruthCorrespondence:
-    """Per timestep, the one-to-one mapping confirmed track -> platform."""
+    """The per-step one-to-one mapping confirmed track -> platform.
+
+    by_step: t -> {track_id: platform_id}, track ids ascending.
+    records: (t, platform_id) -> matched SnapshotRecord, in (t, track_id)
+    order. distances: platform_id -> {t: matched distance in meters},
+    steps ascending, for platforms matched at least once.
+    """
 
     by_step: dict
+    records: dict
+    distances: dict
 
     def platform_of(self, t: int, track_id: int) -> Optional[int]:
         return self.by_step.get(t, {}).get(track_id)
 
     def track_of(self, t: int, platform_id: int) -> Optional[int]:
-        for track_id, pid in self.by_step.get(t, {}).items():
-            if pid == platform_id:
-                return track_id
-        return None
+        record = self.records.get((t, platform_id))
+        return None if record is None else record.track_id
 
-
-def _by_step(snapshots: Sequence[SnapshotRecord]) -> dict:
-    steps: dict = {}
-    for record in snapshots:
-        steps.setdefault(record.t, []).append(record)
-    return steps
+    def switches(self) -> Iterator[tuple]:
+        """(t, platform_id, previous track_id, new track_id) wherever a
+        platform's matched track differs from its previous matched step's
+        (coverage gaps neither count nor reset), in step order."""
+        last: dict = {}
+        for (t, pid), record in self.records.items():
+            previous = last.get(pid)
+            if previous is not None and previous != record.track_id:
+                yield t, pid, previous, record.track_id
+            last[pid] = record.track_id
 
 
 def match_tracks_to_truth(
@@ -58,17 +70,19 @@ def match_tracks_to_truth(
 
     Cost is Euclidean distance; pairs beyond cutoff_m stay unmatched.
     The assignment is solved with the same machinery as the tracker,
-    with the cutoff as the no-assignment cost.
+    with the cutoff as the no-assignment cost. A matched pair keeps its
+    cost as the track's distance from truth.
     """
-    by_step = _by_step(snapshots)
-    correspondence: dict = {}
+    confirmed_by_step: dict = {}
+    for record in snapshots:
+        if record.status == TrackStatus.CONFIRMED.value and record.t < truth.n_steps:
+            confirmed_by_step.setdefault(record.t, []).append(record)
+    by_step: dict = {}
+    records: dict = {}
+    distances: dict = {}
     platform_ids = tuple(truth.platform_ids)
-    for t, records in sorted(by_step.items()):
-        confirmed = [
-            r for r in records if r.status == TrackStatus.CONFIRMED.value
-        ]
-        if not confirmed or t >= truth.n_steps:
-            continue
+    column = {pid: j for j, pid in enumerate(platform_ids)}
+    for t, confirmed in sorted(confirmed_by_step.items()):
         confirmed.sort(key=lambda r: r.track_id)
         costs = np.full((len(confirmed), len(platform_ids)), np.inf)
         for i, record in enumerate(confirmed):
@@ -84,9 +98,15 @@ def match_tracks_to_truth(
             unassigned_cost=cutoff_m,
         )
         matched = hungarian(matrix)
-        if matched:
-            correspondence[t] = dict(sorted(matched.items()))
-    return TruthCorrespondence(by_step=correspondence)
+        if not matched:
+            continue
+        by_step[t] = dict(sorted(matched.items()))
+        for i, record in enumerate(confirmed):
+            pid = matched.get(record.track_id)
+            if pid is not None:
+                records[(t, pid)] = record
+                distances.setdefault(pid, {})[t] = float(costs[i, column[pid]])
+    return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
 
 
 @dataclass(frozen=True)
@@ -113,26 +133,12 @@ class DriftReport:
     empty: bool
 
 
-def drift_from_truth(
-    snapshots: Sequence[SnapshotRecord],
-    correspondence: TruthCorrespondence,
-    truth: GroundTruth,
-) -> DriftReport:
-    by_step = _by_step(snapshots)
-    errors: dict = {pid: [] for pid in truth.platform_ids}
-    for t, mapping in correspondence.by_step.items():
-        records = {r.track_id: r for r in by_step.get(t, [])}
-        for track_id, pid in mapping.items():
-            record = records.get(track_id)
-            if record is None:
-                continue
-            pos = np.array([record.x, record.y])
-            errors[pid].append(float(np.linalg.norm(pos - truth.positions[pid][t])))
+def drift_from_truth(correspondence: TruthCorrespondence, truth: GroundTruth) -> DriftReport:
     per_platform: dict = {}
     pooled: list[float] = []
     T = truth.n_steps
     for pid in truth.platform_ids:
-        samples = errors[pid]
+        samples = list(correspondence.distances.get(pid, {}).values())
         pooled.extend(samples)
         per_platform[pid] = PlatformDrift(
             mean_m=float(np.mean(samples)) if samples else None,
@@ -155,6 +161,10 @@ def _collapse_origin(origin: str) -> str:
     return "spoof" if origin.startswith("spoof") else origin
 
 
+def _spoof_weight(record: SnapshotRecord) -> float:
+    return sum(w for d, w in record.weights.items() if record.origins[d].startswith("spoof"))
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     switch_count: int
@@ -162,35 +172,27 @@ class DivergenceReport:
     confusion: dict
 
 
-def assignment_divergence(
-    snapshots: Sequence[SnapshotRecord], correspondence: TruthCorrespondence
-) -> DivergenceReport:
+def assignment_divergence(correspondence: TruthCorrespondence) -> DivergenceReport:
     """Identity switches and detection-origin confusion.
 
     A switch is a change of matched track id between consecutive matched
-    steps of one platform (coverage gaps neither count nor reset).
+    steps of one platform (coverage gaps neither count nor reset); every
+    platform matched at least once has a switch count.
     Confusion row r holds the fraction of detection weight, consumed by
     tracks matched to platform r, that originated from each source;
     rows sum to 1.
     """
-    by_step = _by_step(snapshots)
-    track_seq: dict = {}
+    per_platform = dict.fromkeys(correspondence.distances, 0)
+    for _, pid, _, _ in correspondence.switches():
+        per_platform[pid] += 1
     weight_rows: dict = {}
-    for t in sorted(correspondence.by_step):
-        records = {r.track_id: r for r in by_step.get(t, [])}
-        for track_id, pid in correspondence.by_step[t].items():
-            track_seq.setdefault(pid, []).append(track_id)
-            record = records.get(track_id)
-            if record is None or not record.weights:
-                continue
-            row = weight_rows.setdefault(pid, {})
-            for det_id, weight in record.weights.items():
-                source = _collapse_origin(record.origins[det_id])
-                row[source] = row.get(source, 0.0) + weight
-    per_platform = {
-        pid: sum(a != b for a, b in zip(seq, seq[1:]))
-        for pid, seq in track_seq.items()
-    }
+    for (_, pid), record in correspondence.records.items():
+        if not record.weights:
+            continue
+        row = weight_rows.setdefault(pid, {})
+        for det_id, weight in record.weights.items():
+            source = _collapse_origin(record.origins[det_id])
+            row[source] = row.get(source, 0.0) + weight
     confusion: dict = {}
     for pid, row in weight_rows.items():
         total = sum(row.values())
@@ -218,31 +220,27 @@ def cluster_purity(snapshots: Sequence[SnapshotRecord]) -> list[PurityPoint]:
     (total consumed weight), averaged over tracks that consumed weight.
     Steps where no track consumed anything are absent from the timeline.
     """
-    timeline: list[PurityPoint] = []
-    for t, records in sorted(_by_step(snapshots).items()):
-        purities: list[float] = []
-        spoof_major = 0
-        for record in records:
-            total = sum(record.weights.values())
-            if total <= 0.0:
-                continue
-            sums: dict = {}
-            for det_id, weight in record.weights.items():
-                origin = record.origins[det_id]
-                sums[origin] = sums.get(origin, 0.0) + weight
-            majority = max(sorted(sums), key=lambda k: sums[k])
-            purities.append(sums[majority] / total)
-            if majority.startswith("spoof"):
-                spoof_major += 1
-        if purities:
-            timeline.append(
-                PurityPoint(
-                    t=t,
-                    purity=float(np.mean(purities)),
-                    spoof_majority_fraction=spoof_major / len(purities),
-                )
-            )
-    return timeline
+    steps: dict = {}  # t -> ([purity per track], [spoof-majority flag per track])
+    for record in snapshots:
+        total = sum(record.weights.values())
+        if total <= 0.0:
+            continue
+        sums: dict = {}
+        for det_id, weight in record.weights.items():
+            origin = record.origins[det_id]
+            sums[origin] = sums.get(origin, 0.0) + weight
+        majority = max(sorted(sums), key=lambda k: sums[k])
+        purities, spoof_major = steps.setdefault(record.t, ([], []))
+        purities.append(sums[majority] / total)
+        spoof_major.append(majority.startswith("spoof"))
+    return [
+        PurityPoint(
+            t=t,
+            purity=float(np.mean(purities)),
+            spoof_majority_fraction=sum(spoof_major) / len(purities),
+        )
+        for t, (purities, spoof_major) in sorted(steps.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,18 +261,17 @@ def spoof_stats(
 ) -> SpoofStats:
     """Spoof inclusion, post-window recovery, and false attribution.
 
-    inclusion: fraction of track updates whose consumed weight is
-    majority spoof-labeled. recovery: fraction of spoof-affected
-    platforms (their matched track consumed spoof weight inside the
-    window) whose matched track returns within eps = 3 * noise_sigma_m
-    of truth for at least min_recovery_steps consecutive steps after the
-    window; vacuously 1 when nothing was affected. false_attribution:
-    weight share of clean detections consumed by tracks matched to a
-    different platform.
+    inclusion: fraction of all track updates (every step, every track)
+    whose consumed weight is majority spoof-labeled. recovery: fraction
+    of spoof-affected platforms (their matched track consumed spoof
+    weight inside the window) whose matched distance returns within
+    eps = 3 * noise_sigma_m for at least min_recovery_steps consecutive
+    steps after the window; vacuously 1 when nothing was affected.
+    false_attribution: weight share of clean detections consumed by
+    tracks matched to a different platform.
     """
     eps = 3.0 * noise_sigma_m if recovery_eps_m is None else recovery_eps_m
-    t_end = injection_window[1]
-    by_step = _by_step(snapshots)
+    t_start, t_end = injection_window
 
     updates = 0
     spoof_dominated = 0
@@ -283,67 +280,37 @@ def spoof_stats(
         if total <= 0.0:
             continue
         updates += 1
-        spoof_weight = sum(
-            w for d, w in record.weights.items() if record.origins[d].startswith("spoof")
-        )
-        if spoof_weight > 0.5 * total:
+        if _spoof_weight(record) > 0.5 * total:
             spoof_dominated += 1
     inclusion = spoof_dominated / updates if updates else 0.0
 
-    affected: set[int] = set()
-    for t, mapping in correspondence.by_step.items():
-        if not injection_window[0] <= t <= t_end:
-            continue
-        records = {r.track_id: r for r in by_step.get(t, [])}
-        for track_id, pid in mapping.items():
-            record = records.get(track_id)
-            if record is None:
-                continue
-            spoof_weight = sum(
-                w
-                for d, w in record.weights.items()
-                if record.origins[d].startswith("spoof")
-            )
-            if spoof_weight > 0.0:
-                affected.add(pid)
-
+    affected = {
+        pid
+        for (t, pid), record in correspondence.records.items()
+        if t_start <= t <= t_end and _spoof_weight(record) > 0.0
+    }
     recovered = 0
-    for pid in sorted(affected):
+    for pid in affected:
+        distances = correspondence.distances[pid]
         run_length = 0
-        ok = False
         for t in range(t_end + 1, truth.n_steps):
-            track_id = correspondence.track_of(t, pid)
-            record = None
-            if track_id is not None:
-                record = next(
-                    (r for r in by_step.get(t, []) if r.track_id == track_id), None
-                )
-            in_band = False
-            if record is not None:
-                pos = np.array([record.x, record.y])
-                in_band = float(np.linalg.norm(pos - truth.positions[pid][t])) <= eps
+            in_band = distances.get(t, np.inf) <= eps
             run_length = run_length + 1 if in_band else 0
             if run_length >= min_recovery_steps:
-                ok = True
+                recovered += 1
                 break
-        recovered += int(ok)
     recovery = recovered / len(affected) if affected else 1.0
 
     clean_weight = 0.0
     misattributed = 0.0
-    for t, mapping in correspondence.by_step.items():
-        records = {r.track_id: r for r in by_step.get(t, [])}
-        for track_id, pid in mapping.items():
-            record = records.get(track_id)
-            if record is None:
+    for (_, pid), record in correspondence.records.items():
+        for det_id, weight in record.weights.items():
+            origin = record.origins[det_id]
+            if not origin.startswith("platform:"):
                 continue
-            for det_id, weight in record.weights.items():
-                origin = record.origins[det_id]
-                if not origin.startswith("platform:"):
-                    continue
-                clean_weight += weight
-                if int(origin.split(":", 1)[1]) != pid:
-                    misattributed += weight
+            clean_weight += weight
+            if int(origin.split(":", 1)[1]) != pid:
+                misattributed += weight
     false_attribution = misattributed / clean_weight if clean_weight > 0.0 else 0.0
 
     return SpoofStats(
@@ -465,8 +432,8 @@ def compute_run_report(
 ) -> RunReport:
     """Assemble the full metric bundle for one finished run."""
     correspondence = match_tracks_to_truth(run.snapshots, truth)
-    drift = drift_from_truth(run.snapshots, correspondence, truth)
-    divergence = assignment_divergence(run.snapshots, correspondence)
+    drift = drift_from_truth(correspondence, truth)
+    divergence = assignment_divergence(correspondence)
     purity = cluster_purity(run.snapshots)
     stats = spoof_stats(
         run.snapshots,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -72,6 +73,9 @@ class TrackerParams(Record):
             raise ConfigError("clutter_density must be non-negative")
         if not 1 <= self.confirm_hits <= self.confirm_window:
             raise ConfigError("need 1 <= confirm_hits <= confirm_window")
+        if self.confirm_window > sys.maxsize:
+            # the hit history is a deque of this maxlen
+            raise ConfigError(f"confirm_window must be at most {sys.maxsize}")
         if self.delete_misses < 1:
             raise ConfigError("delete_misses must be at least 1")
         if not 0.0 <= self.p_birth <= 1.0:

@@ -285,7 +285,7 @@ def _mean_drift_under_ghosts(truth, sensor, params, step_fn, slot, seed):
         include_beta=False,
     )
     corr = match_tracks_to_truth(run.snapshots, truth)
-    drift = drift_from_truth(run.snapshots, corr, truth)
+    drift = drift_from_truth(corr, truth)
     assert drift.mean_m is not None
     return drift.mean_m
 
@@ -594,8 +594,8 @@ def test_criterion_9_clean_scenario_sanity():
                 include_beta=False,
             )
             corr = match_tracks_to_truth(run.snapshots, truth)
-            drift = drift_from_truth(run.snapshots, corr, truth)
-            divergence = assignment_divergence(run.snapshots, corr)
+            drift = drift_from_truth(corr, truth)
+            divergence = assignment_divergence(corr)
             if (
                 divergence.switch_count == 0
                 and drift.mean_m is not None

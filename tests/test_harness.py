@@ -1,7 +1,10 @@
+import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spoofbench.cli import main
@@ -24,6 +27,7 @@ from spoofbench.spoofing import SpoofConfig, SpoofType
 
 
 REGION = Region(x_min=0.0, x_max=400.0, y_min=0.0, y_max=400.0)
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
 
 
 def tiny_config(trackers=("gnn",), seeds=(0,), spoofs=None, clutter=0.5, out=None):
@@ -327,6 +331,45 @@ def test_export_overlay_blocks(tmp_path):
     assert len(truth_rows) == 20  # one platform, T=20
 
 
+@pytest.fixture(scope="module")
+def exported_demo_run(tmp_path_factory):
+    """The drift-gnn-s0 folder of the demo config, run alone and exported."""
+    cfg = load_benchmark_config(DEMO_CONFIG)
+    cfg = replace(
+        cfg,
+        spoof_grid=tuple(e for e in cfg.spoof_grid if e[0] == "drift"),
+        trackers=("gnn",),
+        seeds=(0,),
+    )
+    out = run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("demo"))
+    export_plot_data(out)
+    run_dir = out / "drift-gnn-s0"
+    return run_dir, json.loads((run_dir / "report.json").read_text())
+
+
+def test_drift_matrix_rows_are_the_report_samples(exported_demo_run):
+    run_dir, report = exported_demo_run
+    with open(run_dir / "drift_matrix.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == list(report["per_platform_drift"])
+    for row in rows:
+        samples = [float(cell) for cell in row[1:] if cell]
+        want = report["per_platform_drift"][row[0]]
+        assert len(samples) == want["matched_steps"]
+        assert float(np.mean(samples)) == want["mean_m"]
+        assert max(samples) == want["max_m"]
+
+
+def test_switch_events_match_report_counts(exported_demo_run):
+    run_dir, report = exported_demo_run
+    with open(run_dir / "events.csv", encoding="utf-8", newline="") as fh:
+        switches = [r["platform_id"] for r in csv.DictReader(fh) if r["kind"] == "switch"]
+    counts = report["per_platform_switches"]
+    assert sum(counts.values()) > 0
+    assert {pid: switches.count(pid) for pid in counts} == counts
+    assert len(switches) == report["switch_count"]
+
+
 def test_load_benchmark_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -365,9 +408,6 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
-
-
 def set_path(payload, path, value):
     """Set the value at a config path such as scenario.platforms[3].stationary,
     creating a missing object on the way."""
@@ -394,6 +434,9 @@ BAD_VALUES = [
     pytest.param(
         "tracker_params.delete_misses", float("inf"), "tracker_params.delete_misses",
         id="count-inf",
+    ),
+    pytest.param(
+        "tracker_params.confirm_window", 10**20, "tracker_params", id="confirm_window-huge"
     ),
     pytest.param("tracker_params.p_birth", True, "tracker_params.p_birth", id="bool"),
     pytest.param("tracker_params.v_max_mps", 10**400, "tracker_params.v_max_mps", id="overflow"),

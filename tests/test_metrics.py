@@ -125,13 +125,15 @@ def test_match_agrees_with_brute_force():
             if s.track_id in got_mapping
         ) + MATCH_CUTOFF_M * (n_t - len(got_mapping))
         assert got == pytest.approx(best, abs=1e-9)
+        for track_id in got_mapping:
+            assert corr.track_of(0, corr.platform_of(0, track_id)) == track_id
 
 
 def test_drift_zero_when_on_truth():
     truth = truth_of({0: (5.0, 5.0)}, T=4)
     snaps = [snap(t, 1, 5.0, 5.0) for t in range(4)]
     corr = match_tracks_to_truth(snaps, truth)
-    drift = drift_from_truth(snaps, corr, truth)
+    drift = drift_from_truth(corr, truth)
     assert drift.mean_m == 0.0
     assert drift.max_m == 0.0
     assert drift.matched_steps == 4
@@ -142,7 +144,7 @@ def test_drift_constant_offset():
     truth = truth_of({0: (0.0, 0.0)}, T=5)
     snaps = [snap(t, 1, 3.0, 4.0) for t in range(5)]
     corr = match_tracks_to_truth(snaps, truth)
-    drift = drift_from_truth(snaps, corr, truth)
+    drift = drift_from_truth(corr, truth)
     assert drift.mean_m == pytest.approx(5.0)
     assert drift.max_m == pytest.approx(5.0)
     assert drift.per_platform[0].gap_steps == 0
@@ -152,7 +154,7 @@ def test_drift_mixed_offsets():
     truth = truth_of({0: (0.0, 0.0)}, T=3)
     snaps = [snap(0, 1, 0.0, 0.0), snap(1, 1, 0.0, 0.0), snap(2, 1, 10.0, 0.0)]
     corr = match_tracks_to_truth(snaps, truth)
-    drift = drift_from_truth(snaps, corr, truth)
+    drift = drift_from_truth(corr, truth)
     assert drift.mean_m == pytest.approx(10.0 / 3.0)
     assert drift.max_m == pytest.approx(10.0)
 
@@ -165,15 +167,15 @@ def test_drift_translation_invariance():
     shifted = truth_of({0: shift}, T=6)
     snaps_a = [snap(t, 1, *offsets[t]) for t in range(6)]
     snaps_b = [snap(t, 1, *(shift + offsets[t])) for t in range(6)]
-    d_a = drift_from_truth(snaps_a, match_tracks_to_truth(snaps_a, base), base)
-    d_b = drift_from_truth(snaps_b, match_tracks_to_truth(snaps_b, shifted), shifted)
+    d_a = drift_from_truth(match_tracks_to_truth(snaps_a, base), base)
+    d_b = drift_from_truth(match_tracks_to_truth(snaps_b, shifted), shifted)
     assert d_a.mean_m == pytest.approx(d_b.mean_m, abs=1e-9)
     assert d_a.max_m == pytest.approx(d_b.max_m, abs=1e-9)
 
 
 def test_drift_empty_flag():
     truth = truth_of({0: (0.0, 0.0)}, T=2)
-    drift = drift_from_truth([], match_tracks_to_truth([], truth), truth)
+    drift = drift_from_truth(match_tracks_to_truth([], truth), truth)
     assert drift.empty
     assert drift.mean_m is None
     assert drift.max_m is None
@@ -183,7 +185,7 @@ def test_switches_stable_zero():
     truth = truth_of({0: (0.0, 0.0)}, T=4)
     snaps = [snap(t, 9, 0.5, 0.0) for t in range(4)]
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(snaps, corr)
+    div = assignment_divergence(corr)
     assert div.switch_count == 0
 
 
@@ -197,7 +199,8 @@ def test_switches_counts_identity_change():
         snap(3, 2, 0.0, 0.0),
     ]
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(snaps, corr)
+    assert list(corr.switches()) == [(2, 0, 1, 2)]
+    div = assignment_divergence(corr)
     assert div.switch_count == 1
     assert div.per_platform_switches[0] == 1
 
@@ -211,7 +214,7 @@ def test_confusion_fractions():
             snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: origin})
         )
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(snaps, corr)
+    div = assignment_divergence(corr)
     row = div.confusion[0]
     assert row["platform:0"] == pytest.approx(0.8)
     assert row["spoof"] == pytest.approx(0.2)
@@ -231,7 +234,7 @@ def test_confusion_rows_sum_to_one_random():
             origins = {i: sources[int(rng.integers(len(sources)))] for i in range(k)}
             snaps.append(snap(t, tid, px, 0.0, weights=weights, origins=origins))
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(snaps, corr)
+    div = assignment_divergence(corr)
     assert div.confusion
     for row in div.confusion.values():
         assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
