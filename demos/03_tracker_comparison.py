@@ -44,8 +44,7 @@ def one_run(frames, truth, spoofed_run, sensor, scenario, step_fn, name):
         p_detect=sensor.p_detect,
         clutter_density=sensor.clutter_rate / sensor.fov.area,
     )
-    run = run_tracker(frames, params, step_fn, birth_seed=0, tracker_name=name,
-                      include_beta=name == "jpda")
+    run = run_tracker(frames, params, step_fn, birth_seed=0)
     return compute_run_report(
         run, truth, spoofed_run,
         tracker_name=name, spoof_name="ghost", seed=0,

@@ -26,9 +26,6 @@ from .spoofing import (
     SpoofType,
     SpoofedRun,
     apply_spoof,
-    inject_drift,
-    inject_ghost,
-    inject_mirror,
 )
 from .estimation import (
     GateResult,
@@ -94,9 +91,6 @@ __all__ = [
     "SpoofType",
     "SpoofedRun",
     "apply_spoof",
-    "inject_drift",
-    "inject_ghost",
-    "inject_mirror",
     "GateResult",
     "KinematicEstimate",
     "estimate_from_detection",

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure.
+Exit codes: 0 success, 2 invalid config or arguments, or a malformed
+report.json (the error names the file and the JSON path), 3 I/O failure.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Strict JSON codec for the config dataclasses.
+"""Strict JSON codec for the config and report dataclasses.
 
 A Record's as_dict() and from_dict() follow its field annotations, so
-every config class decodes the same way: numbers must be finite, ints
+every record decodes the same way: numbers must be finite, ints
 whole, bools and strings of exactly that JSON type, enums are looked up
 by value, and unknown keys or missing keys of fields without a default
 are errors. Every ConfigError names the JSON path of the offending
@@ -38,16 +38,42 @@ def check_keys(d, allowed, required, where: str) -> None:
 
 def decode(tp, raw, path: str):
     """Decode the JSON value raw as type tp: float, int, bool, str, an
-    Enum, a Record, Optional[X], tuple[X, ...], tuple[X, Y] or
-    frozenset[X]. path names the value in errors."""
+    Enum, a Record, a NamedTuple (a list in field order), Optional[X],
+    list[X], tuple[X, ...], tuple[X, Y], frozenset[X] or dict[K, V] (an
+    object; int keys in canonical decimal). path names the value in
+    errors."""
+    # numbers first: they are most of the leaves, and get_origin is slow
+    if tp is float or tp is int:
+        if type(raw) is bool or not isinstance(raw, (int, float)):
+            kind = "whole number" if tp is int else "number"
+            raise ConfigError(f"{path} must be a {kind}, got {type(raw).__name__}")
+        if tp is int:
+            if isinstance(raw, float) and not raw.is_integer():
+                raise ConfigError(f"{path} must be a whole number, got {raw!r}")
+            return int(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            raise ConfigError(f"{path} is out of range") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+        return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
         return None if raw is None else decode(inner, raw, path)
-    if origin in (tuple, frozenset):
+    if origin is dict:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must be an object")
+        key_tp, value_tp = args
+        return {
+            _decode_key(key_tp, key, path): decode(value_tp, value, f"{path}.{key}")
+            for key, value in raw.items()
+        }
+    if origin in (list, tuple, frozenset):
         if not isinstance(raw, list):
             raise ConfigError(f"{path} must be a list")
-        if origin is frozenset or args[-1] is Ellipsis:
+        if origin is not tuple or args[-1] is Ellipsis:
             args = (args[0],) * len(raw)
         elif len(raw) != len(args):
             raise ConfigError(f"{path} must be a list of {len(args)} items")
@@ -60,36 +86,48 @@ def decode(tp, raw, path: str):
         except (ValueError, TypeError):
             choices = [m.value for m in tp]
             raise ConfigError(f"{path} must be one of {choices}, got {raw!r}") from None
-    if tp in (bool, str):
+    if issubclass(tp, tuple):
+        return tp(*decode(_named_tuple_shape(tp), raw, path))
+    if tp is bool or tp is str:
         if type(raw) is not tp:
             raise ConfigError(f"{path} must be a {'bool' if tp is bool else 'string'}")
         return raw
-    if type(raw) is bool or not isinstance(raw, (int, float)):
-        kind = "whole number" if tp is int else "number"
-        raise ConfigError(f"{path} must be a {kind}, got {type(raw).__name__}")
-    if tp is int:
-        if isinstance(raw, float) and not raw.is_integer():
-            raise ConfigError(f"{path} must be a whole number, got {raw!r}")
-        return int(raw)
+    raise TypeError(f"cannot decode {tp!r}")
+
+
+def _decode_key(tp, key: str, path: str):
+    """An object key as tp: a str as is, an int only from its canonical
+    decimal form, so "01" and "x" are errors."""
+    if tp is str:
+        return key
     try:
-        value = float(raw)
-    except OverflowError:
-        raise ConfigError(f"{path} is out of range") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or str(value) != key:
+        raise ConfigError(f"{path} key {key!r} must be a decimal integer")
     return value
 
 
+@functools.cache
+def _named_tuple_shape(tp):
+    """tuple[X, Y, ...] of a NamedTuple's field types, in field order."""
+    return tuple[tuple(typing.get_type_hints(tp).values())]
+
+
 def encode(value):
-    """The JSON form of a decoded value; frozensets become sorted lists."""
+    """The JSON form of a decoded value; frozensets become sorted lists
+    and dicts objects in ascending key order."""
     if isinstance(value, Record):
         return value.as_dict()
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, frozenset):
         return sorted(encode(v) for v in value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in sorted(value.items())}
     return value
 
 
@@ -113,7 +151,7 @@ def _schema(cls) -> dict:
 
 
 class Record:
-    """Base of a config dataclass whose JSON form follows its fields."""
+    """Base of a dataclass whose JSON form follows its fields."""
 
     def as_dict(self) -> dict:
         return {name: encode(getattr(self, name)) for name in _schema(type(self))}

@@ -311,8 +311,6 @@ def execute_run(
         params,
         TRACKER_STEPS[spec.tracker],
         birth_seed=birth_seed,
-        tracker_name=spec.tracker,
-        include_beta=spec.tracker == "jpda",
     )
     report = compute_run_report(
         run,

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .codec import Record, load_json
+from .errors import ConfigError
 from .scenario import GroundTruth
 from .tracker_gnn import CostMatrix, hungarian
 from .tracking import SnapshotRecord, TrackStatus
@@ -110,7 +112,7 @@ def match_tracks_to_truth(
 
 
 @dataclass(frozen=True)
-class PlatformDrift:
+class PlatformDrift(Record):
     mean_m: Optional[float]
     max_m: Optional[float]
     matched_steps: int
@@ -205,10 +207,10 @@ def assignment_divergence(correspondence: TruthCorrespondence) -> DivergenceRepo
     )
 
 
-@dataclass(frozen=True)
-class PurityPoint:
+class PurityPoint(NamedTuple):
     """Track-averaged purity at one step; spoof_majority_fraction is the
-    share of contributing tracks whose majority source is a spoof."""
+    share of contributing tracks whose majority source is a spoof.
+    report.json writes it as the list [t, purity, spoof_majority_fraction]."""
 
     t: int
     purity: float
@@ -328,8 +330,9 @@ def normalized_impact(mean_drift_m: float, d_norm_m: float = D_NORM_M) -> float:
 
 
 @dataclass
-class RunReport:
-    """Metric bundle of one (tracker, spoof, seed) run."""
+class RunReport(Record):
+    """Metric bundle of one (tracker, spoof, seed) run; report.json is
+    its as_dict(), int keys written as decimal strings."""
 
     tracker: str
     spoof_type: str
@@ -339,84 +342,14 @@ class RunReport:
     max_drift_m: Optional[float]
     normalized_impact_pct: Optional[float]
     matched_steps: int
-    per_platform_drift: dict
+    per_platform_drift: dict[int, PlatformDrift]
     switch_count: int
-    per_platform_switches: dict
-    confusion: dict
-    purity_timeline: list
+    per_platform_switches: dict[int, int]
+    confusion: dict[int, dict[str, float]]
+    purity_timeline: list[PurityPoint]
     spoof_inclusion_rate: float
     recovery_rate: float
     false_association_ratio: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tracker": self.tracker,
-            "spoof_type": self.spoof_type,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "mean_drift_m": self.mean_drift_m,
-            "max_drift_m": self.max_drift_m,
-            "normalized_impact_pct": self.normalized_impact_pct,
-            "matched_steps": self.matched_steps,
-            "per_platform_drift": {
-                str(pid): {
-                    "mean_m": d.mean_m,
-                    "max_m": d.max_m,
-                    "matched_steps": d.matched_steps,
-                    "gap_steps": d.gap_steps,
-                }
-                for pid, d in sorted(self.per_platform_drift.items())
-            },
-            "switch_count": self.switch_count,
-            "per_platform_switches": {
-                str(pid): count
-                for pid, count in sorted(self.per_platform_switches.items())
-            },
-            "confusion": {
-                str(pid): row for pid, row in sorted(self.confusion.items())
-            },
-            "purity_timeline": [
-                [p.t, p.purity, p.spoof_majority_fraction] for p in self.purity_timeline
-            ],
-            "spoof_inclusion_rate": self.spoof_inclusion_rate,
-            "recovery_rate": self.recovery_rate,
-            "false_association_ratio": self.false_association_ratio,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            tracker=d["tracker"],
-            spoof_type=d["spoof_type"],
-            seed=int(d["seed"]),
-            config_digest=d["config_digest"],
-            mean_drift_m=d["mean_drift_m"],
-            max_drift_m=d["max_drift_m"],
-            normalized_impact_pct=d["normalized_impact_pct"],
-            matched_steps=int(d["matched_steps"]),
-            per_platform_drift={
-                int(pid): PlatformDrift(
-                    mean_m=row["mean_m"],
-                    max_m=row["max_m"],
-                    matched_steps=int(row["matched_steps"]),
-                    gap_steps=int(row["gap_steps"]),
-                )
-                for pid, row in d["per_platform_drift"].items()
-            },
-            switch_count=int(d["switch_count"]),
-            per_platform_switches={
-                int(pid): int(count)
-                for pid, count in d["per_platform_switches"].items()
-            },
-            confusion={int(pid): row for pid, row in d["confusion"].items()},
-            purity_timeline=[
-                PurityPoint(t=int(t), purity=p, spoof_majority_fraction=s)
-                for t, p, s in d["purity_timeline"]
-            ],
-            spoof_inclusion_rate=float(d["spoof_inclusion_rate"]),
-            recovery_rate=float(d["recovery_rate"]),
-            false_association_ratio=float(d["false_association_ratio"]),
-        )
 
 
 def compute_run_report(
@@ -467,10 +400,15 @@ def compute_run_report(
 
 def write_report_json(path, report: RunReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
+        json.dump(report.as_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def read_report_json(path) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunReport.from_json_dict(json.load(fh))
+    """Strict read: a malformed report is a ConfigError naming the file
+    and the JSON path of the bad value."""
+    raw = load_json(path)
+    try:
+        return RunReport.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

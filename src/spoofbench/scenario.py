@@ -97,14 +97,6 @@ class ScenarioConfig(Record):
 
 
 @dataclass(frozen=True)
-class KinematicState:
-    """True position (m) and velocity (m/s) of one platform at one step."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """Per-platform trajectories sampled on the scenario clock.
 
@@ -161,18 +153,6 @@ def build_scenario(config: ScenarioConfig) -> GroundTruth:
         platform_ids=tuple(p.platform_id for p in config.platforms),
         positions=positions,
         velocities=velocities,
-    )
-
-
-def truth_state_at(truth: GroundTruth, platform_id: int, k: int) -> KinematicState:
-    """Stored state of one platform at timestep k (pure lookup)."""
-    if platform_id not in truth.positions:
-        raise KeyError(f"unknown platform id {platform_id}")
-    if not 0 <= k < truth.n_steps:
-        raise IndexError(f"timestep {k} outside [0, {truth.n_steps})")
-    return KinematicState(
-        position=truth.positions[platform_id][k].copy(),
-        velocity=truth.velocities[platform_id][k].copy(),
     )
 
 

@@ -140,6 +140,12 @@ def reflect_across_axis(position, x0: float) -> np.ndarray:
 def _drift_frame(
     frame: DetectionFrame, cfg: SpoofConfig, t_rel: float
 ) -> tuple[DetectionFrame, list[SpoofLogEntry]]:
+    """Move targeted clean detections by alpha * t_rel along drift_dir.
+
+    t_rel is seconds since injection start; the offset grows linearly
+    from zero at the start of the window. Labels become spoof:drift and
+    detection ids are preserved (the true detection itself is moved).
+    """
     offset = cfg.alpha * t_rel * np.asarray(cfg.drift_dir, dtype=float)
     detections: list[Detection] = []
     entries: list[SpoofLogEntry] = []
@@ -165,19 +171,16 @@ def _drift_frame(
     return DetectionFrame(t=frame.t, detections=tuple(detections)), entries
 
 
-def inject_drift(frame: DetectionFrame, cfg: SpoofConfig, t_rel: float) -> DetectionFrame:
-    """Move targeted clean detections by alpha * t_rel along drift_dir.
-
-    t_rel is seconds since injection start; the offset grows linearly
-    from zero at the start of the window. Labels become spoof:drift and
-    detection ids are preserved (the true detection itself is moved).
-    """
-    return _drift_frame(frame, cfg, t_rel)[0]
-
-
 def _ghost_frame(
     frame: DetectionFrame, cfg: SpoofConfig, rng: np.random.Generator, next_id: int
 ) -> tuple[DetectionFrame, list[SpoofLogEntry], int]:
+    """Append Poisson(ghost_rate) detections with no platform origin.
+
+    Placement is uniform over ghost_region, or, in near_track mode,
+    uniform in the annulus [ghost_inner_m, ghost_radius_m] around a
+    randomly chosen clean detection of the frame, shifted by
+    ghost_offset_m. Existing detections are untouched.
+    """
     count = int(rng.poisson(cfg.ghost_rate))
     if count == 0:
         return frame, [], next_id
@@ -224,22 +227,11 @@ def _ghost_frame(
     return out, entries, next_id
 
 
-def inject_ghost(
-    frame: DetectionFrame, cfg: SpoofConfig, rng_state: np.random.Generator
-) -> DetectionFrame:
-    """Append Poisson(ghost_rate) detections with no platform origin.
-
-    Placement is uniform over ghost_region, or, in near_track mode,
-    uniform in a disc of ghost_radius_m around a randomly chosen clean
-    detection of the frame. Existing detections are untouched.
-    """
-    next_id = max((d.detection_id for d in frame.detections), default=-1) + 1
-    return _ghost_frame(frame, cfg, rng_state, next_id)[0]
-
-
 def _mirror_frame(
     frame: DetectionFrame, cfg: SpoofConfig, next_id: int
 ) -> tuple[DetectionFrame, list[SpoofLogEntry], int]:
+    """Append, for each targeted clean detection, its reflection across
+    x = mirror_x0. Originals are retained; echoes get fresh ids."""
     added: list[Detection] = []
     entries: list[SpoofLogEntry] = []
     for det in frame.detections:
@@ -266,13 +258,6 @@ def _mirror_frame(
         next_id += 1
     out = DetectionFrame(t=frame.t, detections=frame.detections + tuple(added))
     return out, entries, next_id
-
-
-def inject_mirror(frame: DetectionFrame, cfg: SpoofConfig) -> DetectionFrame:
-    """Append, for each targeted clean detection, its reflection across
-    x = mirror_x0. Originals are retained; echoes get fresh ids."""
-    next_id = max((d.detection_id for d in frame.detections), default=-1) + 1
-    return _mirror_frame(frame, cfg, next_id)[0]
 
 
 def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> SpoofedRun:

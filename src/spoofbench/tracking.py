@@ -174,8 +174,11 @@ class StepResult:
 class SnapshotRecord:
     """Per (step, track) record; the JSONL rows of a run come from these.
 
-    weights/origins/miss_weight stay in memory for the metrics and are
-    not serialized; beta is serialized for soft associators.
+    weights/origins stay in memory for the metrics and are not
+    serialized; beta is serialized for soft associators. The JSON form
+    is hand-written, not a codec Record: it skips the in-memory fields,
+    has beta only for soft associators, and rows are encoded inside the
+    timed run, where a strict per-row decode took twice as long.
     """
 
     t: int
@@ -188,7 +191,6 @@ class SnapshotRecord:
     detection_id: Optional[int]
     score: Optional[float]
     weights: dict = field(default_factory=dict)
-    miss_weight: float = 1.0
     origins: dict = field(default_factory=dict)
     beta: Optional[dict] = None
 
@@ -228,17 +230,12 @@ class SnapshotRecord:
 class TrackerRun:
     """Everything one tracker produced over one detection stream."""
 
-    tracker: str
     steps: list
     snapshots: list
-    params: TrackerParams
 
 
 def _snapshot_step(
-    result: StepResult,
-    frame: DetectionFrame,
-    dead: Sequence[Track],
-    include_beta: bool,
+    result: StepResult, frame: DetectionFrame, dead: Sequence[Track]
 ) -> list[SnapshotRecord]:
     origin_by_id = {d.detection_id: d.origin_key() for d in frame.detections}
     outcome_by_id = {a.track_id: a for a in result.assignments}
@@ -250,7 +247,6 @@ def _snapshot_step(
         if outcome is not None:
             detection_id, score = outcome.detection_id, outcome.score
             weights = dict(outcome.weights)
-            miss_weight = outcome.miss_weight
             beta = outcome.beta
         else:
             # birth this step: the spawning detection is informational,
@@ -258,7 +254,6 @@ def _snapshot_step(
             _, det_id, score = track.assignment_history[-1]
             detection_id = det_id
             weights = {}
-            miss_weight = 0.0
             beta = None
         records.append(
             SnapshotRecord(
@@ -271,8 +266,7 @@ def _snapshot_step(
                 vy=float(track.estimate.x[3]),
                 detection_id=detection_id,
                 score=score,
-                weights={k: v for k, v in weights.items()},
-                miss_weight=miss_weight,
+                weights=weights,
                 origins={k: origin_by_id[k] for k in weights},
                 beta=beta,
             )
@@ -288,8 +282,6 @@ def run_tracker(
     params: TrackerParams,
     step_fn: StepFn,
     birth_seed: int = 0,
-    tracker_name: str = "",
-    include_beta: bool = False,
 ) -> TrackerRun:
     """Drive a step function over a detection stream.
 
@@ -306,9 +298,9 @@ def run_tracker(
         result = step_fn(live, frame, params, birth_rng=rng, id_source=id_source)
         dead = [before[tid] for tid in result.deletions]
         steps.append(result)
-        snapshots.extend(_snapshot_step(result, frame, dead, include_beta))
+        snapshots.extend(_snapshot_step(result, frame, dead))
         live = result.tracks
-    return TrackerRun(tracker=tracker_name, steps=steps, snapshots=snapshots, params=params)
+    return TrackerRun(steps=steps, snapshots=snapshots)
 
 
 def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:

@@ -281,8 +281,6 @@ def _mean_drift_under_ghosts(truth, sensor, params, step_fn, slot, seed):
         params,
         step_fn,
         birth_seed=derive_seed(seed, 202, slot),
-        tracker_name="x",
-        include_beta=False,
     )
     corr = match_tracks_to_truth(run.snapshots, truth)
     drift = drift_from_truth(corr, truth)
@@ -590,8 +588,6 @@ def test_criterion_9_clean_scenario_sanity():
                 params,
                 step_fn,
                 birth_seed=derive_seed(seed, 202, slot),
-                tracker_name=name,
-                include_beta=False,
             )
             corr = match_tracks_to_truth(run.snapshots, truth)
             drift = drift_from_truth(corr, truth)

@@ -1,13 +1,14 @@
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spoofbench.cli import main
-from spoofbench.codec import decode
+from spoofbench.codec import decode, encode
 from spoofbench.errors import ConfigError
 from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import ScenarioConfig, default_scenario_config
@@ -42,6 +43,46 @@ def test_leaf_decoding():
                     (float, math.inf), (bool, "false"), (str, 5)):
         with pytest.raises(ConfigError, match="^v "):
             decode(tp, raw, "v")
+
+
+def test_dict_keys_and_order():
+    # int keys parse only from their canonical decimal form
+    got = decode(dict[int, float], {"10": 1, "2": 2.5, "-3": 0}, "d")
+    assert got == {10: 1.0, 2: 2.5, -3: 0.0}
+    assert list(encode(got)) == ["-3", "2", "10"]
+    assert decode(dict[str, int], {"b": 1, "a": 2}, "d") == {"b": 1, "a": 2}
+    for raw in ({"x": 1.0}, {"01": 1.0}, {"-0": 1.0}, {" 1": 1.0}, {"1_0": 1.0}):
+        with pytest.raises(ConfigError, match="^d key .* must be a decimal integer"):
+            decode(dict[int, float], raw, "d")
+    with pytest.raises(ConfigError, match=r"^d\.2 must be a number"):
+        decode(dict[int, float], {"2": "1"}, "d")
+    with pytest.raises(ConfigError, match="^d must be an object"):
+        decode(dict[int, float], [1.0], "d")
+
+
+def test_list_items():
+    got = decode(list[int], [1, 2.0], "v")
+    assert got == [1, 2] and type(got) is list
+    assert decode(list[int], [], "v") == []
+    with pytest.raises(ConfigError, match=r"^v\[1\] must be a whole number"):
+        decode(list[int], [1, 2.5], "v")
+    with pytest.raises(ConfigError, match="^v must be a list"):
+        decode(list[int], {"0": 1}, "v")
+
+
+class _Sample(NamedTuple):
+    t: int
+    value: float
+
+
+def test_named_tuple_is_a_list_in_field_order():
+    got = decode(_Sample, [3, 2], "p")
+    assert got == _Sample(t=3, value=2.0) and type(got) is _Sample
+    assert encode(got) == [3, 2.0]
+    with pytest.raises(ConfigError, match="^p must be a list of 2 items"):
+        decode(_Sample, [3], "p")
+    with pytest.raises(ConfigError, match=r"^p\[1\] must be a number, got bool"):
+        decode(_Sample, [3, True], "p")
 
 
 def test_record_defaults_and_missing_keys():

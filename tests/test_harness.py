@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -522,6 +523,55 @@ def test_cli_run_then_compare_and_export(tmp_path, capsys):
     assert (out / "drift-gnn-s0" / "overlay.csv").exists()
     assert main(["compare", "--report", str(out)]) == 0
     assert main(["export", "--report", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def one_run_report(tmp_path_factory):
+    """A one-run report directory (drift, gnn, seed 0) to corrupt copies of."""
+    cfg = tiny_config(spoofs=tiny_config().spoof_grid[:1])
+    return run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("one") / "rep")
+
+
+def _rename_key(report, where, old, new):
+    report[where] = {new if k == old else k: v for k, v in report[where].items()}
+
+
+# (case, edit of the parsed report or None for truncation, named in the error)
+MALFORMED_REPORTS = [
+    ("missing-key", lambda r: r.pop("purity_timeline"), "purity_timeline"),
+    ("unknown-key", lambda r: r.update(extra=1), "extra"),
+    ("platform-key-x", lambda r: _rename_key(r, "per_platform_drift", "0", "x"),
+     "per_platform_drift key 'x'"),
+    ("platform-key-01", lambda r: _rename_key(r, "per_platform_switches", "0", "01"),
+     "per_platform_switches key '01'"),
+    ("purity-two-items", lambda r: r["purity_timeline"][0].pop(), "purity_timeline[0]"),
+    ("float-true", lambda r: r.update(recovery_rate=True), "recovery_rate"),
+    ("float-nan", lambda r: r.update(spoof_inclusion_rate=float("nan")), "spoof_inclusion_rate"),
+    ("truncated", None, "invalid JSON"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,named", [c[1:] for c in MALFORMED_REPORTS], ids=[c[0] for c in MALFORMED_REPORTS]
+)
+def test_malformed_report_exits_2(tmp_path, capsys, one_run_report, edit, named):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    report_file = out / "drift-gnn-s0" / "report.json"
+    text = report_file.read_text(encoding="utf-8")
+    if edit is None:
+        text = text[: len(text) // 2]
+    else:
+        report = json.loads(text)
+        edit(report)
+        text = json.dumps(report)
+    report_file.write_text(text, encoding="utf-8")
+    for command in ("compare", "export"):
+        assert main([command, "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(report_file) in err
+        assert named in err
 
 
 def test_cli_run_overrides(tmp_path):

@@ -50,7 +50,6 @@ def snap(t, track_id, x, y, status="confirmed", weights=None, origins=None):
         detection_id=None,
         score=None,
         weights=weights or {},
-        miss_weight=1.0 if not weights else 0.0,
         origins=origins or {},
     )
 
@@ -380,4 +379,81 @@ def test_run_report_json_round_trip(tmp_path):
     )
     path = tmp_path / "report.json"
     write_report_json(path, report)
+    assert read_report_json(path) == report
+
+
+REPORT_TEXT = """{
+  "tracker": "jpda",
+  "spoof_type": "ghost",
+  "seed": 7,
+  "config_digest": "d1",
+  "mean_drift_m": 3.5,
+  "max_drift_m": 9.25,
+  "normalized_impact_pct": 0.7,
+  "matched_steps": 12,
+  "per_platform_drift": {
+    "2": {
+      "mean_m": 3.5,
+      "max_m": 9.25,
+      "matched_steps": 12,
+      "gap_steps": 8
+    },
+    "10": {
+      "mean_m": null,
+      "max_m": null,
+      "matched_steps": 0,
+      "gap_steps": 20
+    }
+  },
+  "switch_count": 1,
+  "per_platform_switches": {
+    "2": 1,
+    "10": 0
+  },
+  "confusion": {
+    "2": {
+      "platform:2": 0.75,
+      "spoof": 0.25
+    }
+  },
+  "purity_timeline": [
+    [
+      4,
+      0.5,
+      1.0
+    ]
+  ],
+  "spoof_inclusion_rate": 0.125,
+  "recovery_rate": 1.0,
+  "false_association_ratio": 0.0
+}
+"""
+
+
+def test_report_json_text_is_pinned(tmp_path):
+    # platform ids 10 and 2: keys are written in numeric, not string, order
+    report = RunReport(
+        tracker="jpda",
+        spoof_type="ghost",
+        seed=7,
+        config_digest="d1",
+        mean_drift_m=3.5,
+        max_drift_m=9.25,
+        normalized_impact_pct=0.7,
+        matched_steps=12,
+        per_platform_drift={
+            10: PlatformDrift(mean_m=None, max_m=None, matched_steps=0, gap_steps=20),
+            2: PlatformDrift(mean_m=3.5, max_m=9.25, matched_steps=12, gap_steps=8),
+        },
+        switch_count=1,
+        per_platform_switches={10: 0, 2: 1},
+        confusion={2: {"platform:2": 0.75, "spoof": 0.25}},
+        purity_timeline=[PurityPoint(t=4, purity=0.5, spoof_majority_fraction=1.0)],
+        spoof_inclusion_rate=0.125,
+        recovery_rate=1.0,
+        false_association_ratio=0.0,
+    )
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    assert path.read_text(encoding="utf-8") == REPORT_TEXT
     assert read_report_json(path) == report

@@ -11,7 +11,6 @@ from spoofbench.scenario import (
     build_scenario,
     default_scenario_config,
     load_scenario_config,
-    truth_state_at,
 )
 
 WIDE = Region(-1000.0, 1000.0, -1000.0, 1000.0)
@@ -76,19 +75,6 @@ def test_build_deterministic():
     for pid in a.platform_ids:
         assert (a.positions[pid] == b.positions[pid]).all()
         assert (a.velocities[pid] == b.velocities[pid]).all()
-
-
-def test_truth_state_at_boundaries():
-    cfg = default_scenario_config()
-    truth = build_scenario(cfg)
-    first = truth_state_at(truth, 0, 0)
-    np.testing.assert_allclose(first.position, truth.positions[0][0])
-    last = truth_state_at(truth, 0, truth.n_steps - 1)
-    np.testing.assert_allclose(last.position, truth.positions[0][-1])
-    with pytest.raises(KeyError):
-        truth_state_at(truth, 999, 0)
-    with pytest.raises(IndexError):
-        truth_state_at(truth, 0, truth.n_steps)
 
 
 def test_rejects_non_monotone_waypoints():

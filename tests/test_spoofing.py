@@ -11,14 +11,10 @@ from spoofbench.spoofing import (
     SpoofConfig,
     SpoofType,
     apply_spoof,
-    inject_drift,
-    inject_ghost,
-    inject_mirror,
     read_spoof_log_csv,
     reflect_across_axis,
     write_spoof_log_csv,
 )
-from spoofbench.streams import substream
 
 REGION = Region(-600.0, 600.0, -600.0, 600.0)
 
@@ -35,6 +31,11 @@ def frame_with(points, t=0):
         for i, p in enumerate(points)
     )
     return DetectionFrame(t=t, detections=dets)
+
+
+def spoof_one(frame, cfg):
+    """The spoofed frame of a one-frame stream."""
+    return apply_spoof([frame], cfg).spoofed_frames[0]
 
 
 def clean_run(duration=50.0, seed=0, n_platforms=2):
@@ -70,19 +71,20 @@ def frames_equal(a, b):
 
 
 def test_drift_zero_alpha_identity():
-    frame = frame_with([(10.0, 20.0), (-5.0, 3.0)])
+    frame = frame_with([(10.0, 20.0), (-5.0, 3.0)], t=4)
     cfg = SpoofConfig(spoof_type=SpoofType.DRIFT, injection_window=(0, 10), alpha=0.0)
-    out = inject_drift(frame, cfg, t_rel=4.0)
+    out = spoof_one(frame, cfg)
     for before, after in zip(frame.detections, out.detections):
         assert (before.z == after.z).all()
 
 
 def test_drift_hand_value():
-    frame = frame_with([(10.0, 20.0)])
+    # 3 s into the window
+    frame = frame_with([(10.0, 20.0)], t=3)
     cfg = SpoofConfig(
         spoof_type=SpoofType.DRIFT, injection_window=(0, 10), alpha=2.0, drift_dir=(1.0, 0.0)
     )
-    out = inject_drift(frame, cfg, t_rel=3.0)
+    out = spoof_one(frame, cfg)
     np.testing.assert_allclose(out.detections[0].z, [16.0, 20.0])
     assert out.detections[0].label.kind == "spoof"
     assert out.detections[0].label.spoof_type == "drift"
@@ -141,20 +143,17 @@ def test_ghost_zero_rate_identity():
     cfg = SpoofConfig(
         spoof_type=SpoofType.GHOST, injection_window=(0, 10), ghost_rate=0.0, ghost_region=REGION
     )
-    out = inject_ghost(frame, cfg, substream(0, 9))
+    out = spoof_one(frame, cfg)
     assert len(out.detections) == len(frame.detections)
 
 
 def test_ghost_poisson_rate():
-    frame = frame_with([(0.0, 0.0)])
+    frames = [frame_with([(0.0, 0.0)], t=t) for t in range(1000)]
     cfg = SpoofConfig(
-        spoof_type=SpoofType.GHOST, injection_window=(0, 10), ghost_rate=5.0, ghost_region=REGION
+        spoof_type=SpoofType.GHOST, injection_window=(0, 999), ghost_rate=5.0, ghost_region=REGION
     )
-    rng = substream(1, 2)
-    added = []
-    for _ in range(1000):
-        out = inject_ghost(frame, cfg, rng)
-        added.append(len(out.detections) - len(frame.detections))
+    run = apply_spoof(frames, cfg)
+    added = [len(out.detections) - 1 for out in run.spoofed_frames]
     mean = sum(added) / len(added)
     assert 4.6 <= mean <= 5.4
 
@@ -164,7 +163,7 @@ def test_ghost_label_contract():
     cfg = SpoofConfig(
         spoof_type=SpoofType.GHOST, injection_window=(0, 10), ghost_rate=8.0, ghost_region=REGION
     )
-    out = inject_ghost(frame, cfg, substream(3, 4))
+    out = spoof_one(frame, cfg)
     for det in out.detections[len(frame.detections):]:
         assert det.label.kind == "spoof"
         assert det.label.spoof_type == "ghost"
@@ -182,7 +181,7 @@ def test_ghost_near_track_stays_in_annulus():
         ghost_inner_m=10.0,
     )
     anchor = frame.detections[0].z
-    out = inject_ghost(frame, cfg, substream(5, 6))
+    out = spoof_one(frame, cfg)
     ghosts = out.detections[1:]
     assert len(ghosts) > 0
     for det in ghosts:
@@ -201,7 +200,7 @@ def test_ghost_offset_cloud_center():
         ghost_offset_m=50.0,
         ghost_offset_dir=(0.0, 1.0),
     )
-    out = inject_ghost(frame, cfg, substream(7, 8))
+    out = spoof_one(frame, cfg)
     ghosts = np.array([d.z for d in out.detections[1:]])
     center = ghosts.mean(axis=0)
     assert abs(center[0]) < 5.0
@@ -225,7 +224,7 @@ def test_ghost_near_track_empty_frame_skips():
         ghost_rate=10.0,
         ghost_mode="near_track",
     )
-    out = inject_ghost(empty, cfg, substream(1, 1))
+    out = spoof_one(empty, cfg)
     assert len(out.detections) == 0
 
 
@@ -240,7 +239,7 @@ def test_reflection_fixed_point():
 def test_mirror_hand_value():
     frame = frame_with([(30.0, 40.0)])
     cfg = SpoofConfig(spoof_type=SpoofType.MIRROR, injection_window=(0, 10), mirror_x0=100.0)
-    out = inject_mirror(frame, cfg)
+    out = spoof_one(frame, cfg)
     assert len(out.detections) == 2
     echo = out.detections[1]
     np.testing.assert_allclose(echo.z, [170.0, 40.0])

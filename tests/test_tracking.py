@@ -169,7 +169,7 @@ def two_platform_frames(duration=40.0, seed=0, clutter=0.0):
 @pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
 def test_track_ids_unique_never_reused(step_fn, name):
     _, frames = two_platform_frames(clutter=2.0)
-    run = run_tracker(frames, params(), step_fn, birth_seed=5, tracker_name=name)
+    run = run_tracker(frames, params(), step_fn, birth_seed=5)
     born = [t for step in run.steps for t in step.births]
     ids = [t.track_id for t in born]
     assert len(ids) == len(set(ids))
@@ -182,7 +182,7 @@ def test_confirmed_count_settles_to_platforms(step_fn, name):
     ok = 0
     for seed in range(20):
         _, frames = two_platform_frames(seed=seed)
-        run = run_tracker(frames, params(gamma=18.4), step_fn, birth_seed=seed, tracker_name=name)
+        run = run_tracker(frames, params(gamma=18.4), step_fn, birth_seed=seed)
         by_t = {}
         for snap in run.snapshots:
             if snap.status == TrackStatus.CONFIRMED.value:
@@ -195,8 +195,7 @@ def test_confirmed_count_settles_to_platforms(step_fn, name):
 
 def test_snapshots_jsonl_round_trip(tmp_path):
     _, frames = two_platform_frames(clutter=1.0)
-    run = run_tracker(frames, params(), jpda_step, birth_seed=3, tracker_name="jpda",
-                      include_beta=True)
+    run = run_tracker(frames, params(), jpda_step, birth_seed=3)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=True)
     again = read_snapshots_jsonl(path)
@@ -212,7 +211,7 @@ def test_snapshots_jsonl_round_trip(tmp_path):
 
 def test_deleted_tracks_get_final_snapshot():
     _, frames = two_platform_frames(clutter=3.0, seed=4)
-    run = run_tracker(frames, params(), gnn_step, birth_seed=1, tracker_name="gnn")
+    run = run_tracker(frames, params(), gnn_step, birth_seed=1)
     deleted_ids = {tid for step in run.steps for tid in step.deletions}
     assert deleted_ids, "expected clutter births to die"
     snapshot_by_track = {}
