@@ -9,8 +9,6 @@ The second half of the demo isolates that mechanism with a single
 track and a growing pile of equally-plausible detections.
 """
 
-import itertools
-
 import numpy as np
 
 from spoofbench import (
@@ -33,7 +31,6 @@ from spoofbench import (
     jpda_step,
     run_tracker,
 )
-from spoofbench.tracking import birth_tracks
 
 WINDOW = (10, 90)
 
@@ -99,7 +96,6 @@ def main():
     params = TrackerParams(clutter_density=2.0 / 1200.0 ** 2)
     seed_det = Detection(t=0, detection_id=0, z=np.array([0.0, 0.0]),
                          R=np.eye(2) * 25.0, label=Label.clutter())
-    [track] = birth_tracks([seed_det], params, id_source=iter([0]))
     predicted = estimate_from_detection(seed_det.z, seed_det.R)
     for k in (1, 2, 4, 8):
         dets = [
@@ -107,9 +103,8 @@ def main():
                       R=np.eye(2) * 25.0, label=Label.clutter())
             for i in range(k)
         ]
-        gated = gate(DetectionFrame(t=1, detections=tuple(dets)), predicted,
-                     track_id=track.track_id)
-        beta = association_probabilities(track, gated, params)
+        gated = gate(DetectionFrame(t=1, detections=tuple(dets)), predicted)
+        beta = association_probabilities(gated, params)
         top = max(beta.betas.values())
         print(f"  {k} detections in gate: top beta {top:.3f}, miss {beta.miss:.3f}, "
               f"sum {top * k + beta.miss:.3f}")

@@ -44,6 +44,8 @@ def decode(tp, raw, path: str):
     errors."""
     # numbers first: they are most of the leaves, and get_origin is slow
     if tp is float or tp is int:
+        if type(raw) is tp and -math.inf < raw < math.inf:  # the common case
+            return raw
         if type(raw) is bool or not isinstance(raw, (int, float)):
             kind = "whole number" if tp is int else "number"
             raise ConfigError(f"{path} must be a {kind}, got {type(raw).__name__}")
@@ -138,6 +140,16 @@ def load_json(path):
             return json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8, or an int too long to parse
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_record(cls: type[R], path) -> R:
+    """Strict read of a JSON file holding one Record; a malformed file
+    is a ConfigError naming the file and the JSON path of the bad value."""
+    raw = load_json(path)
+    try:
+        return cls.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @functools.cache

@@ -47,7 +47,6 @@ class GateResult:
     covariance used for each pair.
     """
 
-    track_id: int
     indices: tuple[int, ...]
     detection_ids: tuple[int, ...]
     d2: tuple[float, ...]
@@ -167,7 +166,6 @@ def gate(
     est: KinematicEstimate,
     R: Optional[np.ndarray] = None,
     gamma: float = GAMMA_DEFAULT,
-    track_id: int = -1,
 ) -> GateResult:
     """Detections with squared Mahalanobis distance <= gamma.
 
@@ -186,7 +184,6 @@ def gate(
     keep = np.flatnonzero(d2 <= gamma)
     indices = tuple(keep.tolist())
     return GateResult(
-        track_id=track_id,
         indices=indices,
         detection_ids=tuple(frame.detections[i].detection_id for i in indices),
         d2=tuple(d2[keep].tolist()),

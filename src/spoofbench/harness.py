@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .codec import Record, check_keys, decode, encode, load_json
+from .codec import Record, check_keys, decode, encode, load_json, load_record
 from .errors import ConfigError
 from .metrics import (
     compute_run_report,
@@ -280,6 +280,62 @@ def plan_runs(cfg: BenchmarkConfig) -> list[RunSpec]:
     return specs
 
 
+@dataclass(frozen=True)
+class RunSummary(Record):
+    """One run's entry in the top-level manifest."""
+
+    run_id: str
+    tracker: str
+    spoof_name: str
+    spoof_type: SpoofType
+    seed: int
+    mean_drift_m: Optional[float]
+    switch_count: int
+
+
+@dataclass(frozen=True)
+class SpoofEntry(Record):
+    name: str
+    spoof_type: SpoofType
+
+
+@dataclass(frozen=True)
+class BenchmarkManifest(Record):
+    """manifest.json at the top of a report directory: the grid and its runs."""
+
+    config_digest: str
+    created_utc: str
+    trackers: list[str]
+    spoofs: list[SpoofEntry]
+    seeds: list[int]
+    runs: list[RunSummary]
+
+
+@dataclass(frozen=True)
+class DerivedSeeds(Record):
+    sensing: int
+    spoof: int
+    birth: int
+
+
+@dataclass(frozen=True)
+class RunManifest(Record):
+    """manifest.json of one run folder: everything needed to rebuild it."""
+
+    run_id: str
+    tracker: str
+    spoof_name: str
+    spoof_type: SpoofType
+    seed: int
+    config_digest: str
+    created_utc: str
+    derived_seeds: DerivedSeeds
+    scenario: ScenarioConfig
+    sensor: SensorConfig
+    spoof: SpoofConfig
+    tracker_params: TrackerParams
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -297,7 +353,7 @@ def execute_run(
     params: TrackerParams,
     out_dir: str,
     config_digest: str,
-) -> dict:
+) -> RunSummary:
     """Build, spoof, track, measure, and write one run folder.
 
     Top-level function so worker pools can pickle it.
@@ -336,36 +392,30 @@ def execute_run(
         run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
     )
     write_report_json(run_dir / "report.json", report)
-    _write_json(
-        run_dir / "manifest.json",
-        {
-            "run_id": spec.run_id,
-            "tracker": spec.tracker,
-            "spoof_name": spec.spoof_name,
-            "spoof_type": spec.spoof_cfg.spoof_type.value,
-            "seed": spec.seed,
-            "config_digest": config_digest,
-            "created_utc": _utc_now(),
-            "derived_seeds": {
-                "sensing": spec.seed,
-                "spoof": spec.spoof_cfg.seed,
-                "birth": birth_seed,
-            },
-            "scenario": scenario.as_dict(),
-            "sensor": sensor.as_dict(),
-            "spoof": spec.spoof_cfg.as_dict(),
-            "tracker_params": params.as_dict(),
-        },
+    manifest = RunManifest(
+        run_id=spec.run_id,
+        tracker=spec.tracker,
+        spoof_name=spec.spoof_name,
+        spoof_type=spec.spoof_cfg.spoof_type,
+        seed=spec.seed,
+        config_digest=config_digest,
+        created_utc=_utc_now(),
+        derived_seeds=DerivedSeeds(sensing=spec.seed, spoof=spec.spoof_cfg.seed, birth=birth_seed),
+        scenario=scenario,
+        sensor=sensor,
+        spoof=spec.spoof_cfg,
+        tracker_params=params,
     )
-    return {
-        "run_id": spec.run_id,
-        "tracker": spec.tracker,
-        "spoof_name": spec.spoof_name,
-        "spoof_type": spec.spoof_cfg.spoof_type.value,
-        "seed": spec.seed,
-        "mean_drift_m": report.mean_drift_m,
-        "switch_count": report.switch_count,
-    }
+    _write_json(run_dir / "manifest.json", manifest.as_dict())
+    return RunSummary(
+        run_id=spec.run_id,
+        tracker=spec.tracker,
+        spoof_name=spec.spoof_name,
+        spoof_type=spec.spoof_cfg.spoof_type,
+        seed=spec.seed,
+        mean_drift_m=report.mean_drift_m,
+        switch_count=report.switch_count,
+    )
 
 
 def worker_count(jobs: int, n_runs: int, cpus: Optional[int]) -> int:
@@ -399,24 +449,26 @@ def run_benchmark(
             summaries = list(pool.map(_execute_run_star, run_args))
     else:
         summaries = [execute_run(*args) for args in run_args]
-    _write_json(
-        out_path / "manifest.json",
-        {
-            "config_digest": digest,
-            "created_utc": _utc_now(),
-            "trackers": list(cfg.trackers),
-            "spoofs": [
-                {"name": name, "spoof_type": c.spoof_type.value}
-                for name, c in cfg.spoof_grid
-            ],
-            "seeds": list(cfg.seeds),
-            "runs": summaries,
-        },
+    manifest = BenchmarkManifest(
+        config_digest=digest,
+        created_utc=_utc_now(),
+        trackers=list(cfg.trackers),
+        spoofs=[SpoofEntry(name, c.spoof_type) for name, c in cfg.spoof_grid],
+        seeds=list(cfg.seeds),
+        runs=summaries,
     )
+    _write_json(out_path / "manifest.json", manifest.as_dict())
     return out_path
 
 
-def _execute_run_star(args) -> dict:
+def _read_manifest(report_path: Path) -> BenchmarkManifest:
+    manifest_file = report_path / "manifest.json"
+    if not manifest_file.exists():
+        raise ConfigError(f"no manifest.json under {report_path}")
+    return load_record(BenchmarkManifest, manifest_file)
+
+
+def _execute_run_star(args) -> RunSummary:
     return execute_run(*args)
 
 
@@ -456,25 +508,18 @@ def compare_trackers(report_dir) -> ComparisonTable:
     comparison.csv next to the manifest. Missing or drift-less cells are
     reported in the table's missing list, never silently dropped."""
     report_path = Path(report_dir)
-    manifest_file = report_path / "manifest.json"
-    if not manifest_file.exists():
-        raise ConfigError(f"no manifest.json under {report_path}")
-    with open(manifest_file, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    trackers = list(manifest["trackers"])
-    spoofs = [(s["name"], s["spoof_type"]) for s in manifest["spoofs"]]
+    manifest = _read_manifest(report_path)
+    trackers = manifest.trackers
+    spoofs = [(s.name, s.spoof_type) for s in manifest.spoofs]
     drifts: dict = {}
-    for entry in manifest["runs"]:
-        run_dir = report_path / entry["run_id"]
-        report_file = run_dir / "report.json"
+    for entry in manifest.runs:
+        report_file = report_path / entry.run_id / "report.json"
         if not report_file.exists():
             continue
         report = read_report_json(report_file)
         if report.mean_drift_m is None:
             continue
-        drifts.setdefault((entry["tracker"], entry["spoof_name"]), []).append(
-            report.mean_drift_m
-        )
+        drifts.setdefault((entry.tracker, entry.spoof_name), []).append(report.mean_drift_m)
     cells: dict = {}
     missing: list = []
     for tracker in trackers:
@@ -491,7 +536,7 @@ def compare_trackers(report_dir) -> ComparisonTable:
                 impact_pct=normalized_impact(drift),
                 n_runs=len(values),
             )
-    spoofed_names = [name for name, stype in spoofs if stype != SpoofType.CLEAN.value]
+    spoofed_names = [name for name, stype in spoofs if stype is not SpoofType.CLEAN]
     tracker_averages: dict = {}
     for tracker in trackers:
         members = [
@@ -532,14 +577,10 @@ def export_plot_data(report_dir) -> list:
     annotations, and the trajectory overlay. Returns the written paths.
     """
     report_path = Path(report_dir)
-    manifest_file = report_path / "manifest.json"
-    if not manifest_file.exists():
-        raise ConfigError(f"no manifest.json under {report_path}")
-    with open(manifest_file, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(report_path)
     written: list = []
-    for entry in manifest["runs"]:
-        run_dir = report_path / entry["run_id"]
+    for entry in manifest.runs:
+        run_dir = report_path / entry.run_id
         if not (run_dir / "manifest.json").exists():
             continue
         written.extend(_export_run(run_dir))
@@ -547,9 +588,8 @@ def export_plot_data(report_dir) -> list:
 
 
 def _export_run(run_dir: Path) -> list:
-    with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    truth = build_scenario(ScenarioConfig.from_dict(manifest["scenario"]))
+    manifest = load_record(RunManifest, run_dir / "manifest.json")
+    truth = build_scenario(manifest.scenario)
     snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
     report = read_report_json(run_dir / "report.json")
     correspondence = match_tracks_to_truth(snapshots, truth)
@@ -589,10 +629,10 @@ def _export_run(run_dir: Path) -> list:
         )
     for t, pid, previous, track_id in correspondence.switches():
         rows.append((t, "switch", pid, track_id, "", f"from={previous}"))
-    window = manifest["spoof"]["injection_window"]
-    if manifest["spoof"]["spoof_type"] != SpoofType.CLEAN.value:
+    window = manifest.spoof.injection_window
+    if manifest.spoof.spoof_type is not SpoofType.CLEAN:
         for t in range(max(0, window[0]), min(T - 1, window[1]) + 1):
-            rows.append((t, "spoof_window", "", "", "", manifest["spoof_name"]))
+            rows.append((t, "spoof_window", "", "", "", manifest.spoof_name))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), str(r[3])))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -17,8 +17,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, load_json
-from .errors import ConfigError
+from .codec import Record, load_record
 from .scenario import GroundTruth
 from .tracker_gnn import CostMatrix, hungarian
 from .tracking import SnapshotRecord, TrackStatus
@@ -407,8 +406,4 @@ def write_report_json(path, report: RunReport) -> None:
 def read_report_json(path) -> RunReport:
     """Strict read: a malformed report is a ConfigError naming the file
     and the JSON path of the bad value."""
-    raw = load_json(path)
-    try:
-        return RunReport.from_dict(raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return load_record(RunReport, path)

@@ -8,7 +8,6 @@ never updates two tracks in one step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -18,12 +17,12 @@ from scipy.optimize import linear_sum_assignment
 from .estimation import gate, kf_predict, kf_update
 from .sensing import DetectionFrame
 from .tracking import (
-    AssignmentOutcome,
     StepResult,
     TrackerParams,
-    TrackStatus,
     birth_tracks,
     lifecycle_update,
+    snapshot_record,
+    step_result,
 )
 
 # stand-in for +inf inside the solver; sums over <= a few dozen entries
@@ -53,7 +52,7 @@ def build_cost_matrix(tracks, frame: DetectionFrame, params: TrackerParams) -> C
     det_ids = tuple(d.detection_id for d in frame.detections)
     costs = np.full((len(tracks), len(det_ids)), np.inf)
     for row, track in enumerate(tracks):
-        gated = gate(frame, track.estimate, None, params.gamma, track_id=track.track_id)
+        gated = gate(frame, track.estimate, None, params.gamma)
         for idx, d2 in zip(gated.indices, gated.d2):
             costs[row, idx] = d2
     return CostMatrix(
@@ -103,7 +102,8 @@ def gnn_step(
     frame: DetectionFrame,
     params: TrackerParams,
     birth_rng: Optional[np.random.Generator] = None,
-    id_source: Optional[Iterator[int]] = None,
+    *,
+    id_source: Iterator[int],
 ) -> StepResult:
     """One predict-gate-assign-update cycle over a frame.
 
@@ -111,56 +111,28 @@ def gnn_step(
     lifecycle hit; unassigned tracks coast on their prediction and take
     a miss. Detections left unassigned spawn tentative tracks.
     """
-    if id_source is None:
-        id_source = itertools.count(
-            max((tr.track_id for tr in tracks), default=-1) + 1
-        )
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
     cm = build_cost_matrix(tracks, frame, params)
     assignment = hungarian(cm)
     det_by_id = {d.detection_id: d for d in frame.detections}
-    row_of = {tid: i for i, tid in enumerate(cm.track_ids)}
     col_of = {did: j for j, did in enumerate(cm.detection_ids)}
 
-    outcomes: list[AssignmentOutcome] = []
-    deletions: list[int] = []
-    for track in tracks:
+    records = []
+    for row, track in enumerate(tracks):
         det_id = assignment.get(track.track_id)
         if det_id is not None:
             det = det_by_id[det_id]
             track.estimate, _, _ = kf_update(track.estimate, det.z, det.R)
             lifecycle_update(track, True, params)
-            cost = float(cm.costs[row_of[track.track_id], col_of[det_id]])
-            outcomes.append(
-                AssignmentOutcome(
-                    track_id=track.track_id,
-                    detection_id=det_id,
-                    score=cost,
-                    weights={det_id: 1.0},
-                    miss_weight=0.0,
-                )
-            )
+            cost = float(cm.costs[row, col_of[det_id]])
+            records.append(snapshot_record(frame.t, track, det_id, cost, {det_id: 1.0}))
         else:
             lifecycle_update(track, False, params)
-            outcomes.append(
-                AssignmentOutcome(
-                    track_id=track.track_id,
-                    detection_id=None,
-                    score=None,
-                    weights={},
-                    miss_weight=1.0,
-                )
-            )
-        track.assignment_history.append((frame.t, det_id, outcomes[-1].score))
-        if track.status is TrackStatus.DELETED:
-            deletions.append(track.track_id)
+            records.append(snapshot_record(frame.t, track, None, None, {}))
 
     assigned_ids = set(assignment.values())
     unassigned = [d for d in frame.detections if d.detection_id not in assigned_ids]
-    births = birth_tracks(unassigned, params, birth_rng, id_source)
-    live = [tr for tr in tracks if tr.status is not TrackStatus.DELETED] + births
-    return StepResult(
-        t=frame.t, tracks=live, assignments=outcomes, births=births, deletions=deletions
-    )
+    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    return step_result(frame.t, tracks, records, births)

@@ -9,7 +9,6 @@ detection may contribute weight to several tracks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -19,12 +18,12 @@ import numpy as np
 from .estimation import GateResult, gate, kf_predict, kf_update
 from .sensing import DetectionFrame
 from .tracking import (
-    AssignmentOutcome,
     StepResult,
     TrackerParams,
-    TrackStatus,
     birth_tracks,
     lifecycle_update,
+    snapshot_record,
+    step_result,
 )
 
 
@@ -36,7 +35,6 @@ class BetaVector:
     mass on the no-detection hypothesis. Sums to 1 by construction.
     """
 
-    track_id: int
     miss: float
     betas: dict
 
@@ -50,9 +48,7 @@ class BetaVector:
         return vector
 
 
-def association_probabilities(
-    track, gated: GateResult, params: TrackerParams
-) -> BetaVector:
+def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaVector:
     """Per-track association probabilities over the gated detections.
 
     Likelihood of detection i is the Gaussian innovation density
@@ -62,7 +58,7 @@ def association_probabilities(
     mass on the miss hypothesis.
     """
     if len(gated) == 0:
-        return BetaVector(track_id=track.track_id, miss=1.0, betas={})
+        return BetaVector(miss=1.0, betas={})
     C = params.clutter_density * (1.0 - params.p_detect) / params.p_detect
     likes: list[float] = []
     for d2, S in zip(gated.d2, gated.S):
@@ -72,7 +68,7 @@ def association_probabilities(
     betas = {
         det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)
     }
-    return BetaVector(track_id=track.track_id, miss=C / denom, betas=betas)
+    return BetaVector(miss=C / denom, betas=betas)
 
 
 def _composite_update(track, gated: GateResult, beta: BetaVector, frame: DetectionFrame):
@@ -105,7 +101,8 @@ def jpda_step(
     frame: DetectionFrame,
     params: TrackerParams,
     birth_rng: Optional[np.random.Generator] = None,
-    id_source: Optional[Iterator[int]] = None,
+    *,
+    id_source: Iterator[int],
 ) -> StepResult:
     """One predict-gate-weight-update cycle over a frame.
 
@@ -114,50 +111,28 @@ def jpda_step(
     iff 1 - beta_miss >= hit_threshold. Detections gated by no track
     spawn tentative tracks.
     """
-    if id_source is None:
-        id_source = itertools.count(
-            max((tr.track_id for tr in tracks), default=-1) + 1
-        )
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
 
     gated_ids: set[int] = set()
-    outcomes: list[AssignmentOutcome] = []
-    deletions: list[int] = []
+    records = []
     for track in tracks:
-        gated = gate(frame, track.estimate, None, params.gamma, track_id=track.track_id)
+        gated = gate(frame, track.estimate, None, params.gamma)
         gated_ids.update(gated.detection_ids)
-        beta = association_probabilities(track, gated, params)
+        beta = association_probabilities(gated, params)
         if len(gated) > 0:
             _composite_update(track, gated, beta, frame)
         evidence = 1.0 - beta.miss
         hit = evidence >= params.hit_threshold
         lifecycle_update(track, hit, params)
-        if beta.betas:
-            # argmax beta, lowest detection_id on ties
-            best = min(beta.betas, key=lambda k: (-beta.betas[k], k))
-            detection_id = int(best) if hit else None
-        else:
-            detection_id = None
+        # a hit names the argmax beta, lowest detection_id on ties
+        best = min(beta.betas, key=lambda k: (-beta.betas[k], k)) if hit and beta.betas else None
         score = evidence if len(gated) > 0 else None
-        outcomes.append(
-            AssignmentOutcome(
-                track_id=track.track_id,
-                detection_id=detection_id,
-                score=score,
-                weights=dict(beta.betas),
-                miss_weight=beta.miss,
-                beta=beta.as_json_dict(),
-            )
+        records.append(
+            snapshot_record(frame.t, track, best, score, beta.betas, beta.as_json_dict())
         )
-        track.assignment_history.append((frame.t, detection_id, score))
-        if track.status is TrackStatus.DELETED:
-            deletions.append(track.track_id)
 
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
-    births = birth_tracks(unassigned, params, birth_rng, id_source)
-    live = [tr for tr in tracks if tr.status is not TrackStatus.DELETED] + births
-    return StepResult(
-        t=frame.t, tracks=live, assignments=outcomes, births=births, deletions=deletions
-    )
+    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    return step_result(frame.t, tracks, records, births)

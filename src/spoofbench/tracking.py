@@ -2,9 +2,11 @@
 
 Both trackers drive the same machinery: a step function consumes the
 live track list and one detection frame, and returns a StepResult with
-updated tracks, per-track assignment outcomes, births, and deletions.
-Confirmation is M-of-N on the hit history; deletion is a consecutive
-miss streak.
+the live tracks, one SnapshotRecord per pre-existing track (built by
+snapshot_record as the track leaves the step), births, and deletions.
+run_tracker adds a row per birth and the detections' provenance, so
+trackers never read labels. Confirmation is M-of-N on the hit history;
+deletion is a consecutive miss streak.
 """
 
 from __future__ import annotations
@@ -20,16 +22,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, check_keys, decode
 from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, KinematicEstimate, estimate_from_detection
 from .sensing import Detection, DetectionFrame
 from .streams import TAG_BIRTH, substream
-
-# sentinel recorded in assignment history when a step had no assigned
-# detection
-MISS = None
-
 
 class TrackStatus(str, Enum):
     TENTATIVE = "tentative"
@@ -89,8 +86,7 @@ class Track:
     status: TrackStatus
     hit_history: deque            # booleans over the last confirm_window steps
     miss_streak: int
-    assignment_history: list      # (t, detection_id or MISS, score)
-    birth_t: int
+    birth_detection_id: int       # the detection that spawned the track
 
 
 def lifecycle_update(track: Track, hit: bool, params: TrackerParams) -> Track:
@@ -113,15 +109,13 @@ def birth_tracks(
     unassigned: Sequence[Detection],
     params: TrackerParams,
     rng: Optional[np.random.Generator] = None,
-    id_source: Optional[Iterator[int]] = None,
+    *,
+    id_source: Iterator[int],
 ) -> list[Track]:
     """Spawn a tentative track per unassigned detection with p_birth.
 
-    The spawning detection counts as the new track's first hit and is
-    recorded in its assignment history.
+    The spawning detection counts as the new track's first hit.
     """
-    if id_source is None:
-        id_source = itertools.count()
     births: list[Track] = []
     for det in sorted(unassigned, key=lambda d: d.detection_id):
         if params.p_birth < 1.0:
@@ -136,38 +130,10 @@ def birth_tracks(
                 status=TrackStatus.TENTATIVE,
                 hit_history=history,
                 miss_streak=0,
-                assignment_history=[(det.t, det.detection_id, None)],
-                birth_t=det.t,
+                birth_detection_id=det.detection_id,
             )
         )
     return births
-
-
-@dataclass
-class AssignmentOutcome:
-    """What one live track consumed during one step.
-
-    weights maps detection_id to consumed weight: the single assignment
-    (weight 1) for a hard associator, the association probabilities for
-    a soft one. miss_weight is the leftover mass on the no-detection
-    hypothesis.
-    """
-
-    track_id: int
-    detection_id: Optional[int]
-    score: Optional[float]
-    weights: dict = field(default_factory=dict)
-    miss_weight: float = 1.0
-    beta: Optional[dict] = None   # full probability vector, soft associator only
-
-
-@dataclass
-class StepResult:
-    t: int
-    tracks: list                  # live tracks after the step (survivors + births)
-    assignments: list             # AssignmentOutcome per pre-existing track
-    births: list
-    deletions: list               # track ids deleted this step
 
 
 @dataclass
@@ -178,7 +144,8 @@ class SnapshotRecord:
     serialized; beta is serialized for soft associators. The JSON form
     is hand-written, not a codec Record: it skips the in-memory fields,
     has beta only for soft associators, and rows are encoded inside the
-    timed run, where a strict per-row decode took twice as long.
+    timed run, where a whole-row codec decode took twice as long as the
+    leaf checks below.
     """
 
     t: int
@@ -195,35 +162,89 @@ class SnapshotRecord:
     beta: Optional[dict] = None
 
     def to_json_dict(self, include_beta: bool) -> dict:
-        record = {
-            "t": self.t,
-            "track_id": self.track_id,
-            "status": self.status,
-            "x": self.x,
-            "y": self.y,
-            "vx": self.vx,
-            "vy": self.vy,
-            "detection_id": self.detection_id,
-            "score": self.score,
-        }
+        record = {key: getattr(self, key) for key in _ROW_KEYS}
         if include_beta:
             record["beta"] = self.beta
         return record
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SnapshotRecord":
+    def from_json_dict(cls, d) -> "SnapshotRecord":
+        """Strict inverse of to_json_dict; a bad row is a ConfigError."""
+        if type(d) is not dict or (d.keys() != _ROW_KEY_SET and d.keys() != _BETA_ROW_KEY_SET):
+            check_keys(d, _BETA_ROW_KEY_SET, _ROW_KEYS, "row")  # raises
+        if d["status"] not in _STATUSES:
+            raise ConfigError(f"status must be one of {list(_STATUSES)}")
+        beta = d.get("beta")
+        if not isinstance(beta, (dict, type(None))):
+            raise ConfigError("beta must be an object or null")
+        for key, value in (beta or {}).items():
+            decode(float, value, f"beta.{key}")
+        det, score = d["detection_id"], d["score"]
         return cls(
-            t=int(d["t"]),
-            track_id=int(d["track_id"]),
-            status=str(d["status"]),
-            x=float(d["x"]),
-            y=float(d["y"]),
-            vx=float(d["vx"]),
-            vy=float(d["vy"]),
-            detection_id=d.get("detection_id"),
-            score=d.get("score"),
-            beta=d.get("beta"),
+            t=decode(int, d["t"], "t"),
+            track_id=decode(int, d["track_id"], "track_id"),
+            status=d["status"],
+            x=decode(float, d["x"], "x"),
+            y=decode(float, d["y"], "y"),
+            vx=decode(float, d["vx"], "vx"),
+            vy=decode(float, d["vy"], "vy"),
+            detection_id=None if det is None else decode(int, det, "detection_id"),
+            score=None if score is None else decode(float, score, "score"),
+            beta=beta,
         )
+
+
+_ROW_KEYS = ("t", "track_id", "status", "x", "y", "vx", "vy", "detection_id", "score")
+_ROW_KEY_SET = frozenset(_ROW_KEYS)
+_BETA_ROW_KEY_SET = _ROW_KEY_SET | {"beta"}
+_STATUSES = tuple(s.value for s in TrackStatus)  # a tuple: rows may hold unhashables
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+# one decoder for every row: json.loads with a keyword builds a new one per call
+_ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+@dataclass
+class StepResult:
+    t: int
+    tracks: list                  # live tracks after the step (survivors + births)
+    assignments: list             # SnapshotRecord per pre-existing track, by track id
+    births: list
+    deletions: list               # track ids deleted this step
+
+
+def snapshot_record(
+    t: int,
+    track: Track,
+    detection_id: Optional[int],
+    score: Optional[float],
+    weights: dict,
+    beta: Optional[dict] = None,
+) -> SnapshotRecord:
+    """The row of a track as it leaves step t. weights maps detection_id
+    to the weight the track consumed: 1 for a hard assignment, the
+    association probabilities for a soft one."""
+    x, y, vx, vy = track.estimate.x.tolist()
+    return SnapshotRecord(
+        t, track.track_id, track.status.value, x, y, vx, vy, detection_id, score,
+        weights=weights, beta=beta,
+    )
+
+
+def step_result(t: int, tracks: list, assignments: list, births: list) -> StepResult:
+    """Close a step over tracks that have finished their lifecycle
+    update: the deleted ones leave the live list, births join it."""
+    return StepResult(
+        t=t,
+        tracks=[tr for tr in tracks if tr.status is not TrackStatus.DELETED] + births,
+        assignments=assignments,
+        births=births,
+        deletions=[tr.track_id for tr in tracks if tr.status is TrackStatus.DELETED],
+    )
 
 
 @dataclass
@@ -234,53 +255,10 @@ class TrackerRun:
     snapshots: list
 
 
-def _snapshot_step(
-    result: StepResult, frame: DetectionFrame, dead: Sequence[Track]
-) -> list[SnapshotRecord]:
-    origin_by_id = {d.detection_id: d.origin_key() for d in frame.detections}
-    outcome_by_id = {a.track_id: a for a in result.assignments}
-    records: list[SnapshotRecord] = []
-    for track in sorted(
-        list(result.tracks) + list(dead), key=lambda tr: tr.track_id
-    ):
-        outcome = outcome_by_id.get(track.track_id)
-        if outcome is not None:
-            detection_id, score = outcome.detection_id, outcome.score
-            weights = dict(outcome.weights)
-            beta = outcome.beta
-        else:
-            # birth this step: the spawning detection is informational,
-            # not a consumed update
-            _, det_id, score = track.assignment_history[-1]
-            detection_id = det_id
-            weights = {}
-            beta = None
-        records.append(
-            SnapshotRecord(
-                t=result.t,
-                track_id=track.track_id,
-                status=track.status.value,
-                x=float(track.estimate.x[0]),
-                y=float(track.estimate.x[1]),
-                vx=float(track.estimate.x[2]),
-                vy=float(track.estimate.x[3]),
-                detection_id=detection_id,
-                score=score,
-                weights=weights,
-                origins={k: origin_by_id[k] for k in weights},
-                beta=beta,
-            )
-        )
-    return records
-
-
-StepFn = Callable[..., StepResult]
-
-
 def run_tracker(
     frames: Sequence[DetectionFrame],
     params: TrackerParams,
-    step_fn: StepFn,
+    step_fn: Callable[..., StepResult],
     birth_seed: int = 0,
 ) -> TrackerRun:
     """Drive a step function over a detection stream.
@@ -294,11 +272,17 @@ def run_tracker(
     snapshots: list[SnapshotRecord] = []
     for frame in frames:
         rng = substream(birth_seed, TAG_BIRTH, frame.t)
-        before = {tr.track_id: tr for tr in live}
         result = step_fn(live, frame, params, birth_rng=rng, id_source=id_source)
-        dead = [before[tid] for tid in result.deletions]
         steps.append(result)
-        snapshots.extend(_snapshot_step(result, frame, dead))
+        origin_by_id = {d.detection_id: d.origin_key() for d in frame.detections}
+        for record in result.assignments:
+            record.origins = {k: origin_by_id[k] for k in record.weights}
+        snapshots.extend(result.assignments)
+        # a birth's spawning detection is informational, not a consumed update
+        snapshots.extend(
+            snapshot_record(frame.t, tr, tr.birth_detection_id, None, {})
+            for tr in result.births
+        )
         live = result.tracks
     return TrackerRun(steps=steps, snapshots=snapshots)
 
@@ -319,10 +303,16 @@ def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:
 
 
 def read_snapshots_jsonl(path) -> list[SnapshotRecord]:
+    """The rows of a snapshots.jsonl file. Any bad row (invalid JSON, a
+    NaN/Infinity token, a missing or unknown key, a wrong or non-finite
+    value) is a ConfigError naming the file and line."""
     records: list[SnapshotRecord] = []
+    number = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(SnapshotRecord.from_json_dict(json.loads(line)))
+        try:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(SnapshotRecord.from_json_dict(_ROW_DECODER.decode(line)))
+        except ValueError as exc:  # ConfigError, JSONDecodeError, bad UTF-8
+            raise ConfigError(f"{path}: line {number}: {exc}") from None
     return records

@@ -133,7 +133,7 @@ def test_criterion_2_association_normalization_and_dilution():
             DetectionFrame(t=1, detections=tuple(dets)), track.estimate, gamma=params.gamma
         )
         assert len(gated) == len(dets)
-        beta = association_probabilities(track, gated, params)
+        beta = association_probabilities(gated, params)
         worst_gap = max(worst_gap, abs(beta.total() - 1.0))
 
         intruder = Detection(
@@ -145,7 +145,7 @@ def test_criterion_2_association_normalization_and_dilution():
         )
         diluted_frame = DetectionFrame(t=1, detections=tuple(dets) + (intruder,))
         diluted = association_probabilities(
-            track, gate(diluted_frame, track.estimate, gamma=params.gamma), params
+            gate(diluted_frame, track.estimate, gamma=params.gamma), params
         )
         worst_gap = max(worst_gap, abs(diluted.total() - 1.0))
         if all(diluted.betas[d.detection_id] < beta.betas[d.detection_id] for d in dets):
@@ -349,7 +349,8 @@ def _reference_report_dir(tmp_path):
     for (tracker, spoof), (drift, _) in sorted(REFERENCE_CELLS.items()):
         run_id = f"{spoof}-{tracker}-s0"
         runs.append(
-            {"run_id": run_id, "tracker": tracker, "spoof_name": spoof, "seed": 0}
+            {"run_id": run_id, "tracker": tracker, "spoof_name": spoof,
+             "spoof_type": spoof, "seed": 0, "mean_drift_m": drift, "switch_count": 0}
         )
         run_dir = tmp_path / run_id
         run_dir.mkdir()

@@ -207,7 +207,8 @@ def fake_report_dir(tmp_path, drifts):
         for seed, value in enumerate(values):
             run_id = f"{spoof}-{tracker}-s{seed}"
             runs.append(
-                {"run_id": run_id, "tracker": tracker, "spoof_name": spoof, "seed": seed}
+                {"run_id": run_id, "tracker": tracker, "spoof_name": spoof,
+                 "spoof_type": spoof, "seed": seed, "mean_drift_m": value, "switch_count": 0}
             )
             if value is None:
                 continue
@@ -572,6 +573,91 @@ def test_malformed_report_exits_2(tmp_path, capsys, one_run_report, edit, named)
         assert err.startswith("config error:")
         assert str(report_file) in err
         assert named in err
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+# (case, manifest relative to the report dir, edit, commands that read it,
+# named in the error)
+MALFORMED_MANIFESTS = [
+    ("top-missing-runs", "manifest.json", _drop("runs"), ("compare", "export"), "runs"),
+    ("top-bad-tracker", "manifest.json", lambda m: m.update(trackers=[1]),
+     ("compare", "export"), "trackers[0]"),
+    ("top-bad-spoof-type", "manifest.json", lambda m: m["runs"][0].update(spoof_type="x"),
+     ("compare", "export"), "runs[0].spoof_type"),
+    ("run-missing-spoof", "drift-gnn-s0/manifest.json", _drop("spoof"), ("export",), "spoof"),
+    ("run-bad-params", "drift-gnn-s0/manifest.json",
+     lambda m: m["tracker_params"].update(q="x"), ("export",), "tracker_params.q"),
+]
+
+
+@pytest.mark.parametrize(
+    "manifest,edit,commands,named",
+    [c[1:] for c in MALFORMED_MANIFESTS],
+    ids=[c[0] for c in MALFORMED_MANIFESTS],
+)
+def test_malformed_manifest_exits_2(
+    tmp_path, capsys, one_run_report, manifest, edit, commands, named
+):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    manifest_file = out / manifest
+    payload = json.loads(manifest_file.read_text(encoding="utf-8"))
+    edit(payload)
+    manifest_file.write_text(json.dumps(payload), encoding="utf-8")
+    for command in commands:
+        assert main([command, "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(manifest_file) in err
+        assert named in err
+
+
+def _edit_row(key, value):
+    return lambda row: row.update({key: value})
+
+
+# (case, edit of the third row or None for a file cut inside its second
+# row, named in the error); NaN and Infinity are written as bare tokens,
+# and HUGE becomes 1e999, which json reads as inf
+MALFORMED_SNAPSHOTS = [
+    ("truncated", None, "line 2"),
+    ("nan-token", _edit_row("x", float("nan")), "NaN"),
+    ("infinity-token", _edit_row("score", float("inf")), "Infinity"),
+    ("huge-number", _edit_row("vy", "HUGE"), "vy must be finite"),
+    ("missing-key", _drop("x"), "missing keys: ['x']"),
+    ("unknown-key", _edit_row("extra", 1), "unknown row keys: ['extra']"),
+    ("string-number", _edit_row("y", "1.0"), "y must be a number"),
+    ("bool-number", _edit_row("vx", True), "vx must be a number"),
+    ("string-score", _edit_row("score", "0.5"), "score must be a number"),
+    ("fractional-t", _edit_row("t", 1.5), "t must be a whole number"),
+    ("unknown-status", _edit_row("status", "lost"), "status must be one of"),
+    ("string-beta", _edit_row("beta", {"miss": "x"}), "beta.miss must be a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,named", [c[1:] for c in MALFORMED_SNAPSHOTS], ids=[c[0] for c in MALFORMED_SNAPSHOTS]
+)
+def test_malformed_snapshots_exits_2(tmp_path, capsys, one_run_report, edit, named):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    snapshots_file = out / "drift-gnn-s0" / "snapshots.jsonl"
+    lines = snapshots_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    if edit is None:
+        lines[1:] = [lines[1][:10]]
+    else:
+        row = json.loads(lines[2])
+        edit(row)
+        lines[2] = json.dumps(row).replace('"HUGE"', "1e999") + "\n"
+    snapshots_file.write_text("".join(lines), encoding="utf-8")
+    assert main(["export", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{snapshots_file}: line {2 if edit is None else 3}:" in err
+    assert named in err
 
 
 def test_cli_run_overrides(tmp_path):

@@ -30,7 +30,7 @@ def test_single_detection_no_clutter_beta_one():
     params = TrackerParams(clutter_density=0.0)
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([det(3, 1.0, 1.0, t=1)], t=1), track.estimate, gamma=params.gamma)
-    beta = association_probabilities(track, gated, params)
+    beta = association_probabilities(gated, params)
     assert beta.betas[3] == pytest.approx(1.0)
     assert beta.miss == pytest.approx(0.0)
     assert beta.total() == pytest.approx(1.0)
@@ -44,7 +44,7 @@ def test_equal_distance_equal_beta():
         track.estimate,
         gamma=params.gamma,
     )
-    beta = association_probabilities(track, gated, params)
+    beta = association_probabilities(gated, params)
     assert beta.betas[1] == pytest.approx(beta.betas[2])
 
 
@@ -68,7 +68,7 @@ def test_likelihood_ratio_example():
     )
     gated = gate(frame, track.estimate, gamma=9.21)
     np.testing.assert_allclose(sorted(gated.d2), [0.0, 2.0], atol=1e-12)
-    beta = association_probabilities(track, gated, params)
+    beta = association_probabilities(gated, params)
     want = 1.0 / (1.0 + math.exp(-1.0))
     assert beta.betas[0] == pytest.approx(want, abs=1e-12)
     assert beta.betas[1] == pytest.approx(1.0 - want, abs=1e-12)
@@ -78,7 +78,7 @@ def test_empty_gate_all_miss():
     params = TrackerParams()
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([], t=1), track.estimate, gamma=params.gamma)
-    beta = association_probabilities(track, gated, params)
+    beta = association_probabilities(gated, params)
     assert beta.miss == 1.0
     assert beta.betas == {}
 
@@ -94,7 +94,7 @@ def test_beta_sums_to_one_random():
             det(i, *(center + rng.normal(0, 6, 2)), t=1) for i in range(k)
         ]
         gated = gate(frame_of(dets, t=1), track.estimate, gamma=params.gamma)
-        beta = association_probabilities(track, gated, params)
+        beta = association_probabilities(gated, params)
         assert beta.total() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -111,8 +111,8 @@ def test_dilution_monotone():
         g2 = gate(frame_of([first, intruder], t=1), track.estimate, gamma=params.gamma)
         if len(g2) != 2:
             continue
-        b1 = association_probabilities(track, g1, params)
-        b2 = association_probabilities(track, g2, params)
+        b1 = association_probabilities(g1, params)
+        b2 = association_probabilities(g2, params)
         assert b2.betas[0] < b1.betas[0]
 
 
@@ -140,8 +140,18 @@ def test_step_empty_gate_coasts():
     result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
     [outcome] = result.assignments
     assert outcome.detection_id is None
-    assert outcome.miss_weight == 1.0
+    assert outcome.beta == {"miss": 1.0}
     np.testing.assert_allclose(result.tracks[0].estimate.x, predicted)
+
+
+def test_step_empty_gate_names_no_detection_at_zero_hit_threshold():
+    # every step is a hit at threshold 0, even one with nothing in the gate
+    params = TrackerParams(hit_threshold=0.0)
+    track = predicted_track(0.0, 0.0, params)
+    result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
+    [outcome] = result.assignments
+    assert outcome.detection_id is None
+    assert result.tracks[0].miss_streak == 0
 
 
 def test_step_symmetric_pair_lands_midway():
