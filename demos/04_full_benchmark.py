@@ -9,24 +9,30 @@ The CLI drives the same code path from a JSON config:
     spoofbench export --report reports
 """
 
+import dataclasses
 import shutil
 from pathlib import Path
 
+import spoofbench
 from spoofbench import (
     compare_trackers,
-    default_benchmark_config,
     export_plot_data,
+    load_benchmark_config,
     run_benchmark,
 )
 
 OUT = Path(__file__).resolve().parent / "out" / "bench"
+# the stock grid of the source checkout, found from the package so the
+# demo also runs from a copy outside demos/
+CONFIG = Path(spoofbench.__file__).resolve().parents[2] / "demos" / "benchmark_config.json"
 
 
 def main():
     if OUT.exists():
         shutil.rmtree(OUT)
 
-    cfg = default_benchmark_config(seeds=(0, 1), output_dir=str(OUT))
+    cfg = load_benchmark_config(CONFIG)
+    cfg = dataclasses.replace(cfg, seeds=(0, 1), output_dir=str(OUT))
     n = len(cfg.spoof_grid) * len(cfg.trackers) * len(cfg.seeds)
     print(f"grid: {len(cfg.spoof_grid)} spoofs x {len(cfg.trackers)} trackers "
           f"x {len(cfg.seeds)} seeds = {n} runs")

@@ -63,7 +63,6 @@ from .harness import (
     BenchmarkConfig,
     ComparisonTable,
     compare_trackers,
-    default_benchmark_config,
     export_plot_data,
     load_benchmark_config,
     run_benchmark,
@@ -123,7 +122,6 @@ __all__ = [
     "BenchmarkConfig",
     "ComparisonTable",
     "compare_trackers",
-    "default_benchmark_config",
     "export_plot_data",
     "load_benchmark_config",
     "run_benchmark",

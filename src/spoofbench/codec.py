@@ -1,4 +1,5 @@
-"""Strict JSON codec for the config and report dataclasses.
+"""Strict codecs for the config and report dataclasses (JSON) and for
+the artifact tables (CSV).
 
 A Record's as_dict() and from_dict() follow its field annotations, so
 every record decodes the same way: numbers must be finite, ints
@@ -6,10 +7,15 @@ whole, bools and strings of exactly that JSON type, enums are looked up
 by value, and unknown keys or missing keys of fields without a default
 are errors. Every ConfigError names the JSON path of the offending
 value, e.g. ``scenario.platforms[3].stationary must be a bool``.
+
+Every CSV artifact is written by write_csv and read back by read_csv
+into a NamedTuple row type. A number is written as its shortest
+round-trip text (repr of the float) and None as an empty cell.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
@@ -184,3 +190,85 @@ class Record:
             if not path:
                 raise
             raise ConfigError(f"{path}: {exc}") from None
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON value as an indented file ending in a newline;
+    NaN and infinities are refused."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one CSV artifact: the header, then one line per row ending
+    in "\n"; a float cell is its shortest round-trip text and None an
+    empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # csv writes None as "" and other cells with str(), which is not
+        # the shortest round-trip text for np.float64, a float subclass
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+@functools.cache
+def _csv_columns(row_type) -> tuple:
+    """(name, type, optional) per field of a NamedTuple row type."""
+    columns = []
+    for name, tp in typing.get_type_hints(row_type).items():
+        optional = typing.get_origin(tp) in (typing.Union, types.UnionType)
+        columns.append((name, typing.get_args(tp)[0] if optional else tp, optional))
+    return tuple(columns)
+
+
+def _parse_cell(text: str, name: str, tp, optional: bool):
+    if text == "":
+        if optional:
+            return None
+        raise ConfigError(f"{name} must not be empty")
+    if tp is str:
+        return text
+    try:
+        value = tp(text)
+    except ValueError:
+        value = None
+    if tp is int:
+        if value is None or str(value) != text:
+            raise ConfigError(f"{name} must be a decimal integer, got {text!r}")
+    elif value is None or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {text!r}")
+    return value
+
+
+def read_csv(path, row_type, check=None) -> list:
+    """Strict inverse of write_csv for a NamedTuple row type whose fields
+    are int, float, str or Optional of one of them. The header must be
+    the field names and every row must have one cell per field; an int
+    must be in canonical decimal, a float finite, and an empty cell is
+    None in an Optional field only. check(row), if given, may raise a
+    ConfigError about a whole row. Any fault is a ConfigError naming the
+    file, the line and the column."""
+    columns = _csv_columns(row_type)
+    names = [name for name, _, _ in columns]
+    rows: list = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != names:
+                raise ConfigError(f"header must be {names}, got {header}")
+            for cells in reader:
+                if len(cells) != len(names):
+                    raise ConfigError(f"expected {len(names)} cells, got {len(cells)}")
+                row = row_type._make(
+                    [_parse_cell(text, *column) for text, column in zip(cells, columns)]
+                )
+                if check is not None:
+                    check(row)
+                rows.append(row)
+        except (ValueError, csv.Error) as exc:  # ConfigError, bad UTF-8, bad quoting
+            raise ConfigError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from None
+    return rows

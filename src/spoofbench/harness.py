@@ -11,7 +11,6 @@ bit-identical detection streams. Timestamps appear only in manifests.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -19,18 +18,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-from .codec import Record, check_keys, decode, encode, load_json, load_record
+from .codec import Record, check_keys, decode, encode, load_json, load_record, write_csv
+from .codec import write_json as _write_json
 from .errors import ConfigError
 from .metrics import (
+    PurityPoint,
     compute_run_report,
     match_tracks_to_truth,
     normalized_impact,
     read_report_json,
     write_report_json,
 )
-from .scenario import ScenarioConfig, build_scenario, default_scenario_config
+from .scenario import ScenarioConfig, build_scenario
 from .sensing import SensorConfig, generate_clean_run, read_detection_csv, write_detection_csv
 from .spoofing import SpoofConfig, SpoofType, apply_spoof, write_spoof_log_csv
 from .streams import derive_seed
@@ -206,53 +207,6 @@ def load_benchmark_config(path) -> BenchmarkConfig:
     return BenchmarkConfig.from_dict(load_json(path))
 
 
-def default_benchmark_config(
-    seeds: Sequence[int] = (0, 1, 2), output_dir: Optional[str] = None
-) -> BenchmarkConfig:
-    """Stock benchmark: the default scenario under all three spoof types
-    plus a clean cell, both trackers."""
-    scenario = default_scenario_config()
-    sensor = SensorConfig()
-    T = scenario.n_steps
-    window = (int(T * 0.2), int(T * 0.8))
-    grid = (
-        ("drift", SpoofConfig(
-            spoof_type=SpoofType.DRIFT,
-            injection_window=window,
-            alpha=3.0,
-            drift_dir=(1.0, 0.0),
-            dt_s=scenario.dt_s,
-        )),
-        ("ghost", SpoofConfig(
-            spoof_type=SpoofType.GHOST,
-            injection_window=window,
-            ghost_rate=6.0,
-            ghost_mode="near_track",
-            ghost_region=sensor.fov,
-            ghost_radius_m=8.0,
-            ghost_offset_m=15.0,
-            ghost_offset_dir=(1.0, 0.0),
-            ghost_sigma_m=sensor.noise_sigma_m,
-            dt_s=scenario.dt_s,
-        )),
-        ("mirror", SpoofConfig(
-            spoof_type=SpoofType.MIRROR,
-            injection_window=window,
-            mirror_x0=0.0,
-            dt_s=scenario.dt_s,
-        )),
-        ("clean", SpoofConfig(spoof_type=SpoofType.CLEAN, dt_s=scenario.dt_s)),
-    )
-    return BenchmarkConfig(
-        scenario=scenario,
-        sensor=sensor,
-        spoof_grid=grid,
-        trackers=("gnn", "jpda"),
-        seeds=tuple(seeds),
-        output_dir=output_dir,
-    )
-
-
 @dataclass(frozen=True)
 class RunSpec:
     run_id: str
@@ -338,12 +292,6 @@ class RunManifest(Record):
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 def execute_run(
@@ -563,11 +511,8 @@ def compare_trackers(report_dir) -> ComparisonTable:
         spoof_averages=spoof_averages,
         missing=missing,
     )
-    with open(report_path / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tracker", "spoof_type", "drift_m", "impact_pct"])
-        for tracker, spoof_name, drift, impact in table.rows():
-            writer.writerow([tracker, spoof_name, repr(drift), repr(impact)])
+    header = ["tracker", "spoof_type", "drift_m", "impact_pct"]
+    write_csv(report_path / "comparison.csv", header, table.rows())
     return table
 
 
@@ -580,10 +525,12 @@ def export_plot_data(report_dir) -> list:
     manifest = _read_manifest(report_path)
     written: list = []
     for entry in manifest.runs:
-        run_dir = report_path / entry.run_id
-        if not (run_dir / "manifest.json").exists():
-            continue
-        written.extend(_export_run(run_dir))
+        run_manifest = report_path / entry.run_id / "manifest.json"
+        if not run_manifest.exists():
+            # run_benchmark writes the top-level manifest after every run
+            # folder, so a listed run without one is a damaged directory
+            raise ConfigError(f"{run_manifest}: missing for listed run {entry.run_id}")
+        written.extend(_export_run(run_manifest.parent))
     return written
 
 
@@ -599,22 +546,15 @@ def _export_run(run_dir: Path) -> list:
     # the matched distances themselves: the exact samples behind
     # report.json's per_platform_drift
     path = run_dir / "drift_matrix.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["platform_id"] + [str(t) for t in range(T)])
-        for pid in truth.platform_ids:
-            distances = correspondence.distances.get(pid, {})
-            writer.writerow(
-                [pid] + [repr(distances[t]) if t in distances else "" for t in range(T)]
-            )
+    matrix = (
+        [pid] + [correspondence.distances.get(pid, {}).get(t) for t in range(T)]
+        for pid in truth.platform_ids
+    )
+    write_csv(path, ["platform_id"] + [str(t) for t in range(T)], matrix)
     written.append(path)
 
     path = run_dir / "purity_timeline.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "purity", "spoof_majority_fraction"])
-        for point in report.purity_timeline:
-            writer.writerow([point.t, repr(point.purity), repr(point.spoof_majority_fraction)])
+    write_csv(path, PurityPoint._fields, report.purity_timeline)
     written.append(path)
 
     path = run_dir / "events.csv"
@@ -625,7 +565,7 @@ def _export_run(run_dir: Path) -> list:
         pid = correspondence.platform_of(record.t, record.track_id)
         rows.append(
             (record.t, "assignment", "" if pid is None else pid, record.track_id,
-             record.detection_id, "" if record.score is None else repr(record.score))
+             record.detection_id, record.score)
         )
     for t, pid, previous, track_id in correspondence.switches():
         rows.append((t, "switch", pid, track_id, "", f"from={previous}"))
@@ -634,33 +574,24 @@ def _export_run(run_dir: Path) -> list:
         for t in range(max(0, window[0]), min(T - 1, window[1]) + 1):
             rows.append((t, "spoof_window", "", "", "", manifest.spoof_name))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), str(r[3])))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "kind", "platform_id", "track_id", "detection_id", "info"])
-        writer.writerows(rows)
+    write_csv(path, ["t", "kind", "platform_id", "track_id", "detection_id", "info"], rows)
     written.append(path)
 
     path = run_dir / "overlay.csv"
-    _, clean_frames = read_detection_csv(run_dir / "clean.csv")
-    _, spoofed_frames = read_detection_csv(run_dir / "spoofed.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "t", "id", "x", "y", "label"])
-        for pid in truth.platform_ids:
-            for t in range(T):
-                pos = truth.positions[pid][t]
-                writer.writerow(["truth", t, pid, repr(float(pos[0])), repr(float(pos[1])), ""])
-        for kind, frames in (("clean_detection", clean_frames), ("spoofed_detection", spoofed_frames)):
-            for frame in frames:
-                for det in frame.detections:
-                    writer.writerow(
-                        [kind, det.t, det.detection_id,
-                         repr(float(det.z[0])), repr(float(det.z[1])), det.label.encode()]
-                    )
-        for record in snapshots:
-            writer.writerow(
-                ["estimate", record.t, record.track_id,
-                 repr(record.x), repr(record.y), record.status]
-            )
+    rows = [
+        ("truth", t, pid, *truth.positions[pid][t], None)
+        for pid in truth.platform_ids
+        for t in range(T)
+    ]
+    for kind, name in (("clean_detection", "clean.csv"), ("spoofed_detection", "spoofed.csv")):
+        rows.extend(
+            (kind, d.t, d.detection_id, d.x, d.y, d.label)
+            for d in read_detection_csv(run_dir / name)
+        )
+    rows.extend(
+        ("estimate", record.t, record.track_id, record.x, record.y, record.status)
+        for record in snapshots
+    )
+    write_csv(path, ["kind", "t", "id", "x", "y", "label"], rows)
     written.append(path)
     return written

@@ -11,13 +11,12 @@ every truth-based metric and the plot-data export read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, load_record
+from .codec import Record, load_record, write_json
 from .scenario import GroundTruth
 from .tracker_gnn import CostMatrix, hungarian
 from .tracking import SnapshotRecord, TrackStatus
@@ -27,6 +26,9 @@ MATCH_CUTOFF_M = 100.0
 
 # drift normalization distance for the impact percentage, meters
 D_NORM_M = 500.0
+
+# consecutive in-band steps after the window that count as a recovery
+MIN_RECOVERY_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,10 @@ class TruthCorrespondence:
 def match_tracks_to_truth(
     snapshots: Sequence[SnapshotRecord],
     truth: GroundTruth,
-    cutoff_m: float = MATCH_CUTOFF_M,
 ) -> TruthCorrespondence:
     """Assign confirmed tracks to platforms per timestep.
 
-    Cost is Euclidean distance; pairs beyond cutoff_m stay unmatched.
+    Cost is Euclidean distance; pairs beyond MATCH_CUTOFF_M stay unmatched.
     The assignment is solved with the same machinery as the tracker,
     with the cutoff as the no-assignment cost. A matched pair keeps its
     cost as the track's distance from truth.
@@ -90,13 +91,13 @@ def match_tracks_to_truth(
             pos = np.array([record.x, record.y])
             for j, pid in enumerate(platform_ids):
                 dist = float(np.linalg.norm(pos - truth.positions[pid][t]))
-                if dist <= cutoff_m:
+                if dist <= MATCH_CUTOFF_M:
                     costs[i, j] = dist
         matrix = CostMatrix(
             costs=costs,
             track_ids=tuple(r.track_id for r in confirmed),
             detection_ids=platform_ids,
-            unassigned_cost=cutoff_m,
+            unassigned_cost=MATCH_CUTOFF_M,
         )
         matched = hungarian(matrix)
         if not matched:
@@ -257,8 +258,6 @@ def spoof_stats(
     truth: GroundTruth,
     noise_sigma_m: float,
     injection_window: tuple[int, int],
-    recovery_eps_m: Optional[float] = None,
-    min_recovery_steps: int = 5,
 ) -> SpoofStats:
     """Spoof inclusion, post-window recovery, and false attribution.
 
@@ -266,12 +265,12 @@ def spoof_stats(
     whose consumed weight is majority spoof-labeled. recovery: fraction
     of spoof-affected platforms (their matched track consumed spoof
     weight inside the window) whose matched distance returns within
-    eps = 3 * noise_sigma_m for at least min_recovery_steps consecutive
+    eps = 3 * noise_sigma_m for at least MIN_RECOVERY_STEPS consecutive
     steps after the window; vacuously 1 when nothing was affected.
     false_attribution: weight share of clean detections consumed by
     tracks matched to a different platform.
     """
-    eps = 3.0 * noise_sigma_m if recovery_eps_m is None else recovery_eps_m
+    eps = 3.0 * noise_sigma_m
     t_start, t_end = injection_window
 
     updates = 0
@@ -297,7 +296,7 @@ def spoof_stats(
         for t in range(t_end + 1, truth.n_steps):
             in_band = distances.get(t, np.inf) <= eps
             run_length = run_length + 1 if in_band else 0
-            if run_length >= min_recovery_steps:
+            if run_length >= MIN_RECOVERY_STEPS:
                 recovered += 1
                 break
     recovery = recovered / len(affected) if affected else 1.0
@@ -321,11 +320,11 @@ def spoof_stats(
     )
 
 
-def normalized_impact(mean_drift_m: float, d_norm_m: float = D_NORM_M) -> float:
-    """Mean drift as a percentage of the normalization distance."""
+def normalized_impact(mean_drift_m: float) -> float:
+    """Mean drift as a percentage of D_NORM_M."""
     if mean_drift_m < 0.0:
         raise ValueError("mean drift must be non-negative")
-    return 100.0 * mean_drift_m / d_norm_m
+    return 100.0 * mean_drift_m / D_NORM_M
 
 
 @dataclass
@@ -360,7 +359,6 @@ def compute_run_report(
     seed: int,
     config_digest: str,
     noise_sigma_m: float,
-    d_norm_m: float = D_NORM_M,
 ) -> RunReport:
     """Assemble the full metric bundle for one finished run."""
     correspondence = match_tracks_to_truth(run.snapshots, truth)
@@ -374,9 +372,7 @@ def compute_run_report(
         noise_sigma_m=noise_sigma_m,
         injection_window=spoofed_run.config.injection_window,
     )
-    impact = (
-        normalized_impact(drift.mean_m, d_norm_m) if drift.mean_m is not None else None
-    )
+    impact = normalized_impact(drift.mean_m) if drift.mean_m is not None else None
     return RunReport(
         tracker=tracker_name,
         spoof_type=spoof_name,
@@ -398,9 +394,7 @@ def compute_run_report(
 
 
 def write_report_json(path, report: RunReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report.as_dict(), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, report.as_dict())
 
 
 def read_report_json(path) -> RunReport:

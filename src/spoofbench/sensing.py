@@ -7,14 +7,13 @@ the draws of other frames or platforms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import Region
 from .streams import TAG_SENSE, substream
@@ -62,18 +61,6 @@ class Label:
         if self.kind == LABEL_SPOOF:
             return f"spoof:{self.spoof_type}"
         return self.kind
-
-    @classmethod
-    def decode(cls, text: str, truth_id: Optional[int]) -> "Label":
-        if text == LABEL_CLEAN:
-            if truth_id is None:
-                raise ValueError("clean label requires truth_id")
-            return cls.clean(truth_id)
-        if text == LABEL_CLUTTER:
-            return cls.clutter()
-        if text.startswith("spoof:"):
-            return cls.spoof(text.split(":", 1)[1], truth_id)
-        raise ConfigError(f"unknown label encoding {text!r}")
 
 
 @dataclass(frozen=True)
@@ -195,74 +182,45 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
     return frames
 
 
-DETECTION_CSV_HEADER = [
-    "run_id",
-    "t",
-    "detection_id",
-    "x",
-    "y",
-    "r_xx",
-    "r_xy",
-    "r_yy",
-    "label",
-    "truth_id",
-]
+class DetectionRow(NamedTuple):
+    """One row of clean.csv or spoofed.csv: a detection, its reported
+    covariance and its encoded label."""
+
+    run_id: str
+    t: int
+    detection_id: int
+    x: float
+    y: float
+    r_xx: float
+    r_xy: float
+    r_yy: float
+    label: str
+    truth_id: Optional[int]
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest round-trip form, which keeps
-    # the files byte-stable across runs
-    return repr(float(value))
+DETECTION_CSV_HEADER = list(DetectionRow._fields)
+
+_LABELS = (LABEL_CLEAN, LABEL_CLUTTER, "spoof:drift", "spoof:ghost", "spoof:mirror")
 
 
 def write_detection_csv(path, frames: Iterable[DetectionFrame], run_id: str) -> None:
     """Serialize frames to CSV, one row per detection."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DETECTION_CSV_HEADER)
-        for frame in frames:
-            for det in frame.detections:
-                writer.writerow(
-                    [
-                        run_id,
-                        det.t,
-                        det.detection_id,
-                        _fmt(det.z[0]),
-                        _fmt(det.z[1]),
-                        _fmt(det.R[0, 0]),
-                        _fmt(det.R[0, 1]),
-                        _fmt(det.R[1, 1]),
-                        det.label.encode(),
-                        "" if det.label.truth_id is None else det.label.truth_id,
-                    ]
-                )
+    rows = (
+        (run_id, d.t, d.detection_id, *d.z.tolist(), d.R[0, 0], d.R[0, 1], d.R[1, 1],
+         d.label.encode(), d.label.truth_id)
+        for frame in frames
+        for d in frame.detections
+    )
+    write_csv(path, DETECTION_CSV_HEADER, rows)
 
 
-def read_detection_csv(path) -> tuple[str, list[DetectionFrame]]:
-    """Inverse of write_detection_csv; returns (run_id, frames)."""
-    by_step: dict[int, list[Detection]] = {}
-    run_id = ""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != DETECTION_CSV_HEADER:
-            raise ConfigError(f"unexpected detection CSV header: {header}")
-        for row in reader:
-            run_id = row[0]
-            t = int(row[1])
-            truth_id = int(row[9]) if row[9] != "" else None
-            r_xx, r_xy, r_yy = float(row[5]), float(row[6]), float(row[7])
-            det = Detection(
-                t=t,
-                detection_id=int(row[2]),
-                z=np.array([float(row[3]), float(row[4])]),
-                R=np.array([[r_xx, r_xy], [r_xy, r_yy]]),
-                label=Label.decode(row[8], truth_id),
-            )
-            by_step.setdefault(t, []).append(det)
-    if not by_step:
-        return run_id, []
-    t_max = max(by_step)
-    return run_id, [
-        DetectionFrame(t=k, detections=tuple(by_step.get(k, ()))) for k in range(t_max + 1)
-    ]
+def _check_label(row: DetectionRow) -> None:
+    if row.label not in _LABELS:
+        raise ConfigError(f"label must be one of {list(_LABELS)}, got {row.label!r}")
+    if row.label == LABEL_CLEAN and row.truth_id is None:
+        raise ConfigError("truth_id must not be empty in a clean row")
+
+
+def read_detection_csv(path) -> list[DetectionRow]:
+    """Strict inverse of write_detection_csv: the rows in file order."""
+    return read_csv(path, DetectionRow, _check_label)

@@ -9,15 +9,14 @@ that preserves the original position where one exists.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import Region
 from .sensing import Detection, DetectionFrame, Label
@@ -112,8 +111,10 @@ class SpoofConfig(Record):
         return self.injection_window[0] <= t <= self.injection_window[1]
 
 
-@dataclass(frozen=True)
-class SpoofLogEntry:
+class SpoofLogEntry(NamedTuple):
+    """One row of spoof_log.csv: a spoofed detection and, where it came
+    from a real one, that detection's original position."""
+
     t: int
     detection_id: int
     spoof_type: str
@@ -158,13 +159,7 @@ def _drift_frame(
             )
             detections.append(moved)
             entries.append(
-                SpoofLogEntry(
-                    t=frame.t,
-                    detection_id=det.detection_id,
-                    spoof_type=SpoofType.DRIFT.value,
-                    orig_x=float(det.z[0]),
-                    orig_y=float(det.z[1]),
-                )
+                SpoofLogEntry(frame.t, det.detection_id, SpoofType.DRIFT.value, *det.z.tolist())
             )
         else:
             detections.append(det)
@@ -213,15 +208,7 @@ def _ghost_frame(
                 label=Label.spoof(SpoofType.GHOST.value, None),
             )
         )
-        entries.append(
-            SpoofLogEntry(
-                t=frame.t,
-                detection_id=next_id,
-                spoof_type=SpoofType.GHOST.value,
-                orig_x=None,
-                orig_y=None,
-            )
-        )
+        entries.append(SpoofLogEntry(frame.t, next_id, SpoofType.GHOST.value, None, None))
         next_id += 1
     out = DetectionFrame(t=frame.t, detections=frame.detections + tuple(added))
     return out, entries, next_id
@@ -247,13 +234,7 @@ def _mirror_frame(
             )
         )
         entries.append(
-            SpoofLogEntry(
-                t=frame.t,
-                detection_id=next_id,
-                spoof_type=SpoofType.MIRROR.value,
-                orig_x=float(det.z[0]),
-                orig_y=float(det.z[1]),
-            )
+            SpoofLogEntry(frame.t, next_id, SpoofType.MIRROR.value, *det.z.tolist())
         )
         next_id += 1
     out = DetectionFrame(t=frame.t, detections=frame.detections + tuple(added))
@@ -298,40 +279,10 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
     return SpoofedRun(clean_frames, tuple(spoofed), tuple(log), cfg)
 
 
-SPOOF_LOG_CSV_HEADER = ["t", "detection_id", "spoof_type", "orig_x", "orig_y"]
-
-
 def write_spoof_log_csv(path, log: Sequence[SpoofLogEntry]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SPOOF_LOG_CSV_HEADER)
-        for entry in log:
-            writer.writerow(
-                [
-                    entry.t,
-                    entry.detection_id,
-                    entry.spoof_type,
-                    "" if entry.orig_x is None else repr(float(entry.orig_x)),
-                    "" if entry.orig_y is None else repr(float(entry.orig_y)),
-                ]
-            )
+    write_csv(path, SpoofLogEntry._fields, log)
 
 
 def read_spoof_log_csv(path) -> tuple[SpoofLogEntry, ...]:
-    entries: list[SpoofLogEntry] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SPOOF_LOG_CSV_HEADER:
-            raise ConfigError(f"unexpected spoof log header: {header}")
-        for row in reader:
-            entries.append(
-                SpoofLogEntry(
-                    t=int(row[0]),
-                    detection_id=int(row[1]),
-                    spoof_type=row[2],
-                    orig_x=float(row[3]) if row[3] != "" else None,
-                    orig_y=float(row[4]) if row[4] != "" else None,
-                )
-            )
-    return tuple(entries)
+    """Strict inverse of write_spoof_log_csv."""
+    return tuple(read_csv(path, SpoofLogEntry))

@@ -84,19 +84,6 @@ def hungarian(costs: CostMatrix) -> dict[int, int]:
     return assignment
 
 
-def assignment_cost(costs: CostMatrix, assignment: dict[int, int]) -> float:
-    """Objective value of an assignment under the padding convention."""
-    total = 0.0
-    row_of = {tid: i for i, tid in enumerate(costs.track_ids)}
-    col_of = {did: j for j, did in enumerate(costs.detection_ids)}
-    for track_id in costs.track_ids:
-        if track_id in assignment:
-            total += float(costs.costs[row_of[track_id], col_of[assignment[track_id]]])
-        else:
-            total += costs.unassigned_cost
-    return total
-
-
 def gnn_step(
     tracks: list,
     frame: DetectionFrame,

@@ -36,6 +36,21 @@ def min_cost_by_enumeration(costs, unassigned_cost):
     return min(best.values()) if best else 0.0
 
 
+
+def assignment_cost(costs, assignment):
+    """Objective value of an assignment {track_id: detection_id} over a
+    CostMatrix under its padding convention: assigned costs plus
+    unassigned_cost per unassigned track."""
+    total = 0.0
+    row_of = {tid: i for i, tid in enumerate(costs.track_ids)}
+    col_of = {did: j for j, did in enumerate(costs.detection_ids)}
+    for track_id in costs.track_ids:
+        if track_id in assignment:
+            total += float(costs.costs[row_of[track_id], col_of[assignment[track_id]]])
+        else:
+            total += costs.unassigned_cost
+    return total
+
 # position-only measurement matrix, restated here rather than imported
 H = np.eye(2, 4)
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from _oracles import min_cost_by_enumeration
+from _oracles import assignment_cost, min_cost_by_enumeration
 
 from spoofbench.cli import main
 from spoofbench.estimation import (
@@ -40,7 +40,7 @@ from spoofbench.scenario import build_scenario, default_scenario_config
 from spoofbench.sensing import Detection, DetectionFrame, Label, SensorConfig, generate_clean_run
 from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof, reflect_across_axis
 from spoofbench.streams import TAG_BIRTH, TAG_SPOOF, derive_seed, substream
-from spoofbench.tracker_gnn import CostMatrix, assignment_cost, gnn_step, hungarian
+from spoofbench.tracker_gnn import CostMatrix, gnn_step, hungarian
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
 from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker
 

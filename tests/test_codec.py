@@ -1,14 +1,15 @@
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spoofbench.cli import main
-from spoofbench.codec import decode, encode
+from spoofbench.codec import decode, encode, read_csv, write_csv
 from spoofbench.errors import ConfigError
 from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import ScenarioConfig, default_scenario_config
@@ -155,3 +156,61 @@ def test_validate_never_raises_on_mutated_config(tmp_path, payload):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(payload))
     assert main(["validate", "--config", str(path)]) in (0, 2)
+
+
+class _CsvRow(NamedTuple):
+    n: int
+    x: float
+    name: str
+    gap: Optional[float]
+
+
+def test_csv_round_trip_and_text(tmp_path):
+    rows = [
+        _CsvRow(0, 0.1, "a", None),
+        _CsvRow(-3, 1e-07, "b,c", 1e16),
+        _CsvRow(12, -0.0, "d", np.float64(1.0) / 3.0),
+        _CsvRow(7, np.float64(2.5), "", 0.0),
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(path, _CsvRow._fields, rows[:3])
+    # floats as their shortest round-trip text, None as an empty cell
+    assert path.read_bytes() == (
+        b"n,x,name,gap\n"
+        b"0,0.1,a,\n"
+        b'-3,1e-07,"b,c",1e+16\n'
+        b"12,-0.0,d,0.3333333333333333\n"
+    )
+    again = read_csv(path, _CsvRow)
+    assert again == rows[:3] and all(type(r) is _CsvRow for r in again)
+    assert math.copysign(1.0, again[2].x) == -1.0
+    assert [type(v) for v in again[2]] == [int, float, str, float]
+    # an empty cell is None in an Optional field only
+    write_csv(path, _CsvRow._fields, rows[3:])
+    assert path.read_text().splitlines()[1] == "7,2.5,,0.0"
+    with pytest.raises(ConfigError, match=r"rows.csv: line 2: name must not be empty"):
+        read_csv(path, _CsvRow)
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("n,x,name\n", "line 1: header must be ['n', 'x', 'name', 'gap']"),
+        ("", "line 1: header must be"),
+        ("n,x,name,gap\n1,2.0,a\n", "line 2: expected 4 cells, got 3"),
+        ("n,x,name,gap\n1,2.0,a,,\n", "line 2: expected 4 cells, got 5"),
+        ("n,x,name,gap\n1,2.0,a,\n01,2.0,a,\n", "line 3: n must be a decimal integer, got '01'"),
+        ("n,x,name,gap\n2.5,2.0,a,\n", "line 2: n must be a decimal integer"),
+        ("n,x,name,gap\n1,abc,a,\n", "line 2: x must be a finite number, got 'abc'"),
+        ("n,x,name,gap\n1,nan,a,\n", "x must be a finite number"),
+        ("n,x,name,gap\n1,1.0,a,1e999\n", "gap must be a finite number, got '1e999'"),
+        ("n,,name,gap\n", "line 1: header must be"),
+    ],
+)
+def test_read_csv_rejects(tmp_path, text, named):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        read_csv(path, _CsvRow)
+    assert str(info.value).startswith(f"{path}: line ")
+    assert named in str(info.value)

@@ -14,7 +14,6 @@ from spoofbench.geometry import Region
 from spoofbench.harness import (
     BenchmarkConfig,
     compare_trackers,
-    default_benchmark_config,
     export_plot_data,
     load_benchmark_config,
     plan_runs,
@@ -380,7 +379,7 @@ def test_load_benchmark_config_errors(tmp_path):
 
 
 def test_default_config_shape():
-    cfg = default_benchmark_config(seeds=(0,))
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(0,))
     names = [name for name, _ in cfg.spoof_grid]
     assert names == ["drift", "ghost", "mirror", "clean"]
     assert cfg.trackers == ("gnn", "jpda")
@@ -658,6 +657,75 @@ def test_malformed_snapshots_exits_2(tmp_path, capsys, one_run_report, edit, nam
     assert err.startswith("config error:")
     assert f"{snapshots_file}: line {2 if edit is None else 3}:" in err
     assert named in err
+
+
+def _edit_cell(column, value):
+    def edit(lines):
+        header = lines[0].rstrip("\n").split(",")
+        cells = lines[2].rstrip("\n").split(",")
+        cells[header.index(column)] = value
+        lines[2] = ",".join(cells) + "\n"
+    return edit
+
+
+def _cut_mid_row(lines):
+    lines[2:] = [lines[2][:12]]
+
+
+def _extra_cell(lines):
+    lines[2] = lines[2].rstrip("\n") + ",7\n"
+
+
+def _clean_row_without_truth_id(lines):
+    row = next(i for i, line in enumerate(lines) if ",clean," in line)
+    lines[row] = lines[row].rstrip("\n").rsplit(",", 1)[0] + ",\n"
+    return row + 1
+
+
+# (case, file, edit of its lines that returns the number of the edited
+# line, or None for line 3, named in the error)
+MALFORMED_DETECTIONS = [
+    ("non-numeric-x", "clean.csv", _edit_cell("x", "abc"), "x must be a finite number, got 'abc'"),
+    ("nan-x", "spoofed.csv", _edit_cell("x", "NaN"), "x must be a finite number, got 'NaN'"),
+    ("inf-y", "clean.csv", _edit_cell("y", "inf"), "y must be a finite number, got 'inf'"),
+    ("huge-r", "spoofed.csv", _edit_cell("r_xx", "1e999"), "r_xx must be a finite number"),
+    ("fractional-t", "clean.csv", _edit_cell("t", "2.5"), "t must be a decimal integer"),
+    ("padded-id", "spoofed.csv", _edit_cell("detection_id", "01"),
+     "detection_id must be a decimal integer, got '01'"),
+    ("cut-mid-row", "spoofed.csv", _cut_mid_row, "expected 10 cells"),
+    ("extra-cell", "clean.csv", _extra_cell, "expected 10 cells, got 11"),
+    ("clean-without-truth-id", "clean.csv", _clean_row_without_truth_id,
+     "truth_id must not be empty in a clean row"),
+    ("unknown-label", "spoofed.csv", _edit_cell("label", "spoof:bogus"), "label must be one of"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit,named",
+    [c[1:] for c in MALFORMED_DETECTIONS],
+    ids=[c[0] for c in MALFORMED_DETECTIONS],
+)
+def test_malformed_detection_csv_exits_2(tmp_path, capsys, one_run_report, name, edit, named):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    csv_file = out / "drift-gnn-s0" / name
+    lines = csv_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    line = edit(lines) or 3
+    csv_file.write_text("".join(lines), encoding="utf-8")
+    assert main(["export", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {csv_file}: line {line}: ")
+    assert named in err
+
+
+def test_export_rejects_a_listed_run_without_manifest(tmp_path, capsys, one_run_report):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    run_manifest = out / "drift-gnn-s0" / "manifest.json"
+    run_manifest.unlink()
+    assert main(["export", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {run_manifest}: missing")
 
 
 def test_cli_run_overrides(tmp_path):

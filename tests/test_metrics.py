@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spoofbench.metrics import (
+    D_NORM_M,
     MATCH_CUTOFF_M,
     PlatformDrift,
     PurityPoint,
@@ -351,7 +352,8 @@ def test_normalized_impact_values():
     assert normalized_impact(77.10) == pytest.approx(15.42)
     assert normalized_impact(0.0) == 0.0
     assert normalized_impact(500.0) == pytest.approx(100.0)
-    assert normalized_impact(75.0, d_norm_m=300.0) == pytest.approx(25.0)
+    assert D_NORM_M == 500.0
+    assert normalized_impact(0.25 * D_NORM_M) == pytest.approx(25.0)
     with pytest.raises(ValueError):
         normalized_impact(-1.0)
 

@@ -11,12 +11,17 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import kf_update_by_solve, mahalanobis2_by_solve, min_cost_by_enumeration
+from _oracles import (
+    assignment_cost,
+    kf_update_by_solve,
+    mahalanobis2_by_solve,
+    min_cost_by_enumeration,
+)
 
 from spoofbench.estimation import KinematicEstimate, gate, kf_predict, kf_update
 from spoofbench.sensing import Detection, DetectionFrame, Label
 from spoofbench.tracking import TrackerParams, birth_tracks
-from spoofbench.tracker_gnn import CostMatrix, assignment_cost, build_cost_matrix, gnn_step, hungarian
+from spoofbench.tracker_gnn import CostMatrix, build_cost_matrix, gnn_step, hungarian
 
 INF = float("inf")
 
