@@ -12,8 +12,10 @@ bit-identical detection streams. Timestamps appear only in manifests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -294,82 +296,100 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def execute_run(
-    spec: RunSpec,
+def run_group(
+    specs: list,
     scenario: ScenarioConfig,
     sensor: SensorConfig,
     params: TrackerParams,
     out_dir: str,
     config_digest: str,
-) -> RunSummary:
-    """Build, spoof, track, measure, and write one run folder.
+) -> list:
+    """Build, spoof and write one (spoof, seed) stream, then track,
+    measure and write one run folder per spec on it; returns the specs'
+    summaries in order.
 
     Top-level function so worker pools can pickle it.
     """
+    first = specs[0]
     truth = build_scenario(scenario)
-    clean_frames = generate_clean_run(truth, sensor, seed=spec.seed)
-    spoofed_run = apply_spoof(clean_frames, spec.spoof_cfg)
-    birth_seed = derive_seed(spec.seed, _BIRTH_STREAM_TAG, _TRACKER_SLOT[spec.tracker])
-    run = run_tracker(
-        spoofed_run.spoofed_frames,
-        params,
-        TRACKER_STEPS[spec.tracker],
-        birth_seed=birth_seed,
-    )
-    report = compute_run_report(
-        run,
-        truth,
-        spoofed_run,
-        tracker_name=spec.tracker,
-        spoof_name=spec.spoof_name,
-        seed=spec.seed,
-        config_digest=config_digest,
-        noise_sigma_m=sensor.noise_sigma_m,
-    )
-    run_dir = Path(out_dir) / spec.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+    clean_frames = generate_clean_run(truth, sensor, seed=first.seed)
+    spoofed_run = apply_spoof(clean_frames, first.spoof_cfg)
     # detection CSVs are keyed by stream, not by benchmark cell: the clean
     # stream of a spoofed run must byte-equal the clean-only run's CSV,
-    # and both trackers share one spoofed stream
-    write_detection_csv(run_dir / "clean.csv", spoofed_run.clean_frames, f"sense-s{spec.seed}")
+    # and every tracker of the group shares one spoofed stream, so the
+    # group's other folders get byte copies of the first one's
+    stream_dir = Path(out_dir) / first.run_id
+    stream_dir.mkdir(parents=True, exist_ok=True)
+    write_detection_csv(stream_dir / "clean.csv", spoofed_run.clean_frames, f"sense-s{first.seed}")
     write_detection_csv(
-        run_dir / "spoofed.csv", spoofed_run.spoofed_frames, f"{spec.spoof_name}-s{spec.seed}"
+        stream_dir / "spoofed.csv", spoofed_run.spoofed_frames, f"{first.spoof_name}-s{first.seed}"
     )
-    write_spoof_log_csv(run_dir / "spoof_log.csv", spoofed_run.spoof_log)
-    write_snapshots_jsonl(
-        run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
-    )
-    write_report_json(run_dir / "report.json", report)
-    manifest = RunManifest(
-        run_id=spec.run_id,
-        tracker=spec.tracker,
-        spoof_name=spec.spoof_name,
-        spoof_type=spec.spoof_cfg.spoof_type,
-        seed=spec.seed,
-        config_digest=config_digest,
-        created_utc=_utc_now(),
-        derived_seeds=DerivedSeeds(sensing=spec.seed, spoof=spec.spoof_cfg.seed, birth=birth_seed),
-        scenario=scenario,
-        sensor=sensor,
-        spoof=spec.spoof_cfg,
-        tracker_params=params,
-    )
-    _write_json(run_dir / "manifest.json", manifest.as_dict())
-    return RunSummary(
-        run_id=spec.run_id,
-        tracker=spec.tracker,
-        spoof_name=spec.spoof_name,
-        spoof_type=spec.spoof_cfg.spoof_type,
-        seed=spec.seed,
-        mean_drift_m=report.mean_drift_m,
-        switch_count=report.switch_count,
-    )
+    write_spoof_log_csv(stream_dir / "spoof_log.csv", spoofed_run.spoof_log)
+    summaries: list = []
+    for spec in specs:
+        run_dir = Path(out_dir) / spec.run_id
+        if run_dir != stream_dir:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            for name in ("clean.csv", "spoofed.csv", "spoof_log.csv"):
+                shutil.copyfile(stream_dir / name, run_dir / name)
+        birth_seed = derive_seed(spec.seed, _BIRTH_STREAM_TAG, _TRACKER_SLOT[spec.tracker])
+        run = run_tracker(
+            spoofed_run.spoofed_frames,
+            params,
+            TRACKER_STEPS[spec.tracker],
+            birth_seed=birth_seed,
+        )
+        report = compute_run_report(
+            run,
+            truth,
+            spoofed_run,
+            tracker_name=spec.tracker,
+            spoof_name=spec.spoof_name,
+            seed=spec.seed,
+            config_digest=config_digest,
+            noise_sigma_m=sensor.noise_sigma_m,
+        )
+        write_snapshots_jsonl(
+            run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
+        )
+        write_report_json(run_dir / "report.json", report)
+        manifest = RunManifest(
+            run_id=spec.run_id,
+            tracker=spec.tracker,
+            spoof_name=spec.spoof_name,
+            spoof_type=spec.spoof_cfg.spoof_type,
+            seed=spec.seed,
+            config_digest=config_digest,
+            created_utc=_utc_now(),
+            derived_seeds=DerivedSeeds(sensing=spec.seed, spoof=spec.spoof_cfg.seed, birth=birth_seed),
+            scenario=scenario,
+            sensor=sensor,
+            spoof=spec.spoof_cfg,
+            tracker_params=params,
+        )
+        _write_json(run_dir / "manifest.json", manifest.as_dict())
+        summaries.append(
+            RunSummary(
+                run_id=spec.run_id,
+                tracker=spec.tracker,
+                spoof_name=spec.spoof_name,
+                spoof_type=spec.spoof_cfg.spoof_type,
+                seed=spec.seed,
+                mean_drift_m=report.mean_drift_m,
+                switch_count=report.switch_count,
+            )
+        )
+        # release this tracker's run before the next one starts, so a
+        # group peaks no higher than one run
+        del run, report
+    return summaries
 
 
-def worker_count(jobs: int, n_runs: int, cpus: Optional[int]) -> int:
+def worker_count(jobs: int, n_groups: int, cpus: Optional[int]) -> int:
     """Worker processes for a grid: the requested jobs, but never more
-    than there are runs or CPUs (cpus=None counts as one), and at least 1."""
-    return max(1, min(jobs, n_runs, cpus or 1))
+    than there are (spoof, seed) groups or CPUs (cpus=None counts as
+    one), and at least 1."""
+    return max(1, min(jobs, n_groups, cpus or 1))
 
 
 def run_benchmark(
@@ -387,16 +407,20 @@ def run_benchmark(
     out_path.mkdir(parents=True, exist_ok=True)
     specs = plan_runs(cfg)
     digest = cfg.digest()
-    run_args = [
-        (spec, cfg.scenario, cfg.sensor, cfg.tracker_params, str(out_path), digest)
-        for spec in specs
-    ]
-    jobs = worker_count(jobs, len(specs), os.cpu_count())
+    # one task per (spoof, seed) stream, its specs in plan order
+    by_stream: dict = {}
+    for spec in specs:
+        by_stream.setdefault((spec.spoof_name, spec.seed), []).append(spec)
+    groups = list(by_stream.values())
+    common = (cfg.scenario, cfg.sensor, cfg.tracker_params, str(out_path), digest)
+    jobs = worker_count(jobs, len(groups), os.cpu_count())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_execute_run_star, run_args))
+            done = list(pool.map(run_group, groups, *(itertools.repeat(a) for a in common)))
     else:
-        summaries = [execute_run(*args) for args in run_args]
+        done = [run_group(group, *common) for group in groups]
+    by_id = {summary.run_id: summary for summary in itertools.chain.from_iterable(done)}
+    summaries = [by_id[spec.run_id] for spec in specs]
     manifest = BenchmarkManifest(
         config_digest=digest,
         created_utc=_utc_now(),
@@ -414,10 +438,6 @@ def _read_manifest(report_path: Path) -> BenchmarkManifest:
     if not manifest_file.exists():
         raise ConfigError(f"no manifest.json under {report_path}")
     return load_record(BenchmarkManifest, manifest_file)
-
-
-def _execute_run_star(args) -> RunSummary:
-    return execute_run(*args)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ every truth-based metric and the plot-data export read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,40 +75,61 @@ def match_tracks_to_truth(
     The assignment is solved with the same machinery as the tracker,
     with the cutoff as the no-assignment cost. A matched pair keeps its
     cost as the track's distance from truth.
+
+    All distances of a run come from one array. A step in which no track
+    and no platform has two candidates, and every candidate lies strictly
+    inside the cutoff, has its candidate pairs as its unique optimum and
+    skips the solver.
     """
-    confirmed_by_step: dict = {}
-    for record in snapshots:
-        if record.status == TrackStatus.CONFIRMED.value and record.t < truth.n_steps:
-            confirmed_by_step.setdefault(record.t, []).append(record)
     by_step: dict = {}
     records: dict = {}
     distances: dict = {}
     platform_ids = tuple(truth.platform_ids)
-    column = {pid: j for j, pid in enumerate(platform_ids)}
-    for t, confirmed in sorted(confirmed_by_step.items()):
-        confirmed.sort(key=lambda r: r.track_id)
-        costs = np.full((len(confirmed), len(platform_ids)), np.inf)
-        for i, record in enumerate(confirmed):
-            pos = np.array([record.x, record.y])
-            for j, pid in enumerate(platform_ids):
-                dist = float(np.linalg.norm(pos - truth.positions[pid][t]))
-                if dist <= MATCH_CUTOFF_M:
-                    costs[i, j] = dist
-        matrix = CostMatrix(
-            costs=costs,
-            track_ids=tuple(r.track_id for r in confirmed),
-            detection_ids=platform_ids,
-            unassigned_cost=MATCH_CUTOFF_M,
-        )
-        matched = hungarian(matrix)
-        if not matched:
-            continue
-        by_step[t] = dict(sorted(matched.items()))
-        for i, record in enumerate(confirmed):
-            pid = matched.get(record.track_id)
-            if pid is not None:
-                records[(t, pid)] = record
-                distances.setdefault(pid, {})[t] = float(costs[i, column[pid]])
+    confirmed = [
+        r for r in snapshots if r.status == TrackStatus.CONFIRMED.value and r.t < truth.n_steps
+    ]
+    if not confirmed or not platform_ids:
+        return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
+    # (t, track_id) order by two stable sorts, which build no key tuples
+    confirmed.sort(key=attrgetter("track_id"))
+    confirmed.sort(key=attrgetter("t"))
+    ts = np.array([r.t for r in confirmed])
+    xy = np.array([[r.x for r in confirmed], [r.y for r in confirmed]]).T
+    dist = np.empty((len(confirmed), len(platform_ids)))
+    for j, pid in enumerate(platform_ids):
+        d = xy - truth.positions[pid][ts]
+        # sqrt of a stacked dot product rounds exactly as np.linalg.norm
+        # does per pair; (d * d).sum(-1) or np.hypot would move some
+        # samples by 1 ulp
+        dist[:, j] = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    candidate = dist <= MATCH_CUTOFF_M
+    steps, starts = np.unique(ts, return_index=True)
+    uncontested = (
+        (np.maximum.reduceat(candidate.sum(axis=1), starts) <= 1)
+        & (np.add.reduceat(candidate, starts, axis=0, dtype=np.intp).max(axis=1) <= 1)
+        & ~np.logical_or.reduceat((dist == MATCH_CUTOFF_M).any(axis=1), starts)
+    )
+    bounds = zip(steps.tolist(), starts.tolist(), [*starts[1:].tolist(), len(ts)])
+    for (t, lo, hi), easy in zip(bounds, uncontested.tolist()):
+        block = candidate[lo:hi]
+        if easy:
+            pairs = zip(*np.nonzero(block))
+        else:
+            matrix = CostMatrix(
+                costs=np.where(block, dist[lo:hi], np.inf),
+                track_ids=tuple(range(hi - lo)),
+                detection_ids=tuple(range(len(platform_ids))),
+                unassigned_cost=MATCH_CUTOFF_M,
+            )
+            pairs = sorted(hungarian(matrix).items())
+        matched = {}
+        for i, j in pairs:
+            record, pid = confirmed[lo + i], platform_ids[j]
+            matched[record.track_id] = pid
+            records[(t, pid)] = record
+            distances.setdefault(pid, {})[t] = float(dist[lo + i, j])
+        if matched:
+            by_step[t] = matched
     return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
 
 

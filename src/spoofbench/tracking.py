@@ -264,14 +264,15 @@ def run_tracker(
     """Drive a step function over a detection stream.
 
     Track ids are unique within the run and never reused; birth draws
-    come from streams keyed by (birth_seed, timestep).
+    come from streams keyed by (birth_seed, timestep), built only when
+    p_birth < 1 makes birth_tracks draw.
     """
     live: list[Track] = []
     id_source = itertools.count()
     steps: list[StepResult] = []
     snapshots: list[SnapshotRecord] = []
     for frame in frames:
-        rng = substream(birth_seed, TAG_BIRTH, frame.t)
+        rng = substream(birth_seed, TAG_BIRTH, frame.t) if params.p_birth < 1.0 else None
         result = step_fn(live, frame, params, birth_rng=rng, id_source=id_source)
         steps.append(result)
         origin_by_id = {d.detection_id: d.origin_key() for d in frame.detections}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shutil
@@ -194,6 +195,31 @@ def test_jobs_parallel_matches_serial(tmp_path):
             left = (run_dir / f).read_bytes()
             right = (b / run_dir.name / f).read_bytes()
             assert left == right, f"{run_dir.name}/{f}"
+    # runs of one (spoof, seed) stream execute together, but the manifest
+    # lists them in plan order
+    planned = [spec.run_id for spec in plan_runs(cfg)]
+    for out in (a, b):
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [run["run_id"] for run in runs] == planned
+
+
+def test_cli_parallel_grid_equals_serial_grid(tmp_path):
+    argv = ["run", "--config", str(DEMO_CONFIG), "--seeds", "1", "--spoofs", "ghost,clean"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main([*argv, "--out", str(serial)]) == 0
+    assert main([*argv, "--out", str(parallel), "--jobs", "2"]) == 0
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    compared = [f for f in files if f.name != "manifest.json"]
+    assert len(compared) == 1 + 4 * 9  # comparison.csv + 9 files in each of 4 run folders
+    for f in compared:
+        assert (serial / f).read_bytes() == (parallel / f).read_bytes(), str(f)
+    demo = load_benchmark_config(DEMO_CONFIG)
+    cfg = replace(demo, spoof_grid=tuple(e for e in demo.spoof_grid if e[0] in ("ghost", "clean")))
+    planned = [spec.run_id for spec in plan_runs(replace(cfg, seeds=(0,)))]
+    for out in (serial, parallel):
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [run["run_id"] for run in runs] == planned
 
 
 def fake_report_dir(tmp_path, drifts):
@@ -332,20 +358,49 @@ def test_export_overlay_blocks(tmp_path):
     assert len(truth_rows) == 20  # one platform, T=20
 
 
-@pytest.fixture(scope="module")
-def exported_demo_run(tmp_path_factory):
-    """The drift-gnn-s0 folder of the demo config, run alone and exported."""
+def _exported_demo_cell(tmp_path_factory, spoof_name):
+    """The <spoof_name>-gnn-s0 folder of the demo config, run alone and exported."""
     cfg = load_benchmark_config(DEMO_CONFIG)
     cfg = replace(
         cfg,
-        spoof_grid=tuple(e for e in cfg.spoof_grid if e[0] == "drift"),
+        spoof_grid=tuple(e for e in cfg.spoof_grid if e[0] == spoof_name),
         trackers=("gnn",),
         seeds=(0,),
     )
     out = run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("demo"))
     export_plot_data(out)
-    run_dir = out / "drift-gnn-s0"
+    return out / f"{spoof_name}-gnn-s0"
+
+
+@pytest.fixture(scope="module")
+def exported_demo_run(tmp_path_factory):
+    """The drift-gnn-s0 folder of the demo config, run alone and exported."""
+    run_dir = _exported_demo_cell(tmp_path_factory, "drift")
     return run_dir, json.loads((run_dir / "report.json").read_text())
+
+
+# sha256 of the report bytes of two exported demo cells: any change to a
+# metric, down to one ulp of one matched distance, shows here. The ghost
+# cell has steps where tracks compete for a platform. Recorded with numpy
+# 2.4 on x86_64, where the runs are bit-reproducible.
+PINNED_REPORTS = {
+    "drift": {
+        "report.json": "fc94fa343170905f7977aa09bff306233fd92cb45e06ea01428f3926bf3bb1f1",
+        "drift_matrix.csv": "abb5ccaec703474854882350dcb0b823be287bbc1a4ccfebf05c7af4e113e70b",
+    },
+    "ghost": {
+        "report.json": "9e268500221c967c68a9bebeb684c03ffd3569fef447424112696c947eec8393",
+        "drift_matrix.csv": "958630c2d70e18cd2891dbee560b0e8a82386917ad88dc9e59fe69bf36f86b3c",
+    },
+}
+
+
+def test_report_bytes_pinned(exported_demo_run, tmp_path_factory):
+    cells = {"drift": exported_demo_run[0], "ghost": _exported_demo_cell(tmp_path_factory, "ghost")}
+    for spoof_name, run_dir in cells.items():
+        for name, digest in PINNED_REPORTS[spoof_name].items():
+            got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            assert got == digest, f"{spoof_name}/{name}"
 
 
 def test_drift_matrix_rows_are_the_report_samples(exported_demo_run):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _oracles import min_cost_by_enumeration
 from spoofbench.metrics import (
     D_NORM_M,
     MATCH_CUTOFF_M,
@@ -85,6 +86,114 @@ def test_match_crossed_pairs_minimize_total_distance():
     corr = match_tracks_to_truth(snaps, truth)
     # 4+4 beats 6+6
     assert corr.by_step[0] == {100: 0, 101: 1}
+
+
+# offsets from a platform whose norm is exactly MATCH_CUTOFF_M in floats
+_AT_CUTOFF = ((100.0, 0.0), (0.0, -100.0), (60.0, 80.0), (-80.0, 60.0))
+
+
+def _matcher_case(rng):
+    """A multi-step run with steps of every kind. Platforms sit on
+    integer coordinates, so a record placed at an _AT_CUTOFF offset is
+    exactly MATCH_CUTOFF_M away; other offsets are arbitrary floats.
+
+    empty: no confirmed record. far: candidates none. sparse: at most one
+    candidate per track and per platform, all inside the cutoff. edge: the
+    same, but one candidate exactly at the cutoff. shared: tracks crowd
+    one platform. dense: platforms crowd too, so tracks have several
+    candidates. Returns (truth, snapshots).
+    """
+    modes = ["empty", "far", "sparse", "edge", "shared", "dense"]
+    modes += list(rng.choice(modes, size=int(rng.integers(0, 4))))
+    rng.shuffle(modes)
+    T, P = len(modes), int(rng.integers(2, 4))
+    paths = np.zeros((P, T, 2))
+    snaps = []
+    next_id = iter(range(1000))
+    for t, mode in enumerate(modes):
+        if mode == "dense":
+            paths[:, t] = rng.integers(0, 150, (P, 2))
+        else:
+            paths[:, t, 0] = 1000.0 * np.arange(P) + rng.integers(-20, 20, P)
+            paths[:, t, 1] = rng.integers(-20, 20, P)
+        near = rng.permutation(P)[: int(rng.integers(1, P + 1))]
+        if mode == "far":
+            offsets = [(pid, rng.uniform(110.0, 400.0) * np.array([1.0, 0.0])) for pid in near]
+        elif mode in ("sparse", "edge"):
+            offsets = [(pid, rng.uniform(-60.0, 60.0, 2)) for pid in near]
+            if mode == "edge":
+                offsets[0] = (offsets[0][0], np.array(_AT_CUTOFF[rng.integers(len(_AT_CUTOFF))]))
+        elif mode == "shared":
+            offsets = [(near[0], rng.uniform(-60.0, 60.0, 2)) for _ in range(int(rng.integers(2, 4)))]
+        elif mode == "dense":
+            offsets = [
+                (int(rng.integers(P)), rng.uniform(-90.0, 90.0, 2))
+                for _ in range(int(rng.integers(2, 6)))
+            ]
+            if rng.random() < 0.5:
+                offsets.append((int(rng.integers(P)), np.array(_AT_CUTOFF[rng.integers(len(_AT_CUTOFF))])))
+        else:
+            offsets = []
+        for pid, offset in offsets:
+            snaps.append(snap(t, next(next_id), *(paths[pid, t] + offset)))
+        # never matched: a tentative record on a platform
+        snaps.append(snap(t, next(next_id), *paths[0, t], status="tentative"))
+    # never matched: records past the last step, on a platform's last position
+    for t in (T, T + 2):
+        snaps.append(snap(t, next(next_id), *paths[0, T - 1]))
+    order = rng.permutation(len(snaps))
+    truth = truth_of({pid: paths[pid] for pid in range(P)}, T=T)
+    return truth, [snaps[i] for i in order]
+
+
+def test_match_is_the_per_step_optimum_over_many_steps():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        truth, snaps = _matcher_case(rng)
+        corr = match_tracks_to_truth(snaps, truth)
+        T, pids = truth.n_steps, truth.platform_ids
+        kinds = set()
+        for t in range(T):
+            confirmed = sorted(
+                (s for s in snaps if s.t == t and s.status == "confirmed"),
+                key=lambda s: s.track_id,
+            )
+            norms = np.array([
+                [float(np.linalg.norm(np.array([s.x, s.y]) - truth.positions[pid][t])) for pid in pids]
+                for s in confirmed
+            ]).reshape(len(confirmed), len(pids))
+            costs = np.where(norms <= MATCH_CUTOFF_M, norms, np.inf)
+            candidate = np.isfinite(costs)
+            uncontested = (
+                candidate.sum(axis=1).max(initial=0) <= 1
+                and candidate.sum(axis=0).max(initial=0) <= 1
+                and not (norms[candidate] == MATCH_CUTOFF_M).any()
+            )
+            kinds.add(("uncontested" if uncontested else "contested", bool(candidate.any())))
+            mapping = corr.by_step.get(t, {})
+            row = {s.track_id: i for i, s in enumerate(confirmed)}
+            got = sum(costs[row[tid], pids.index(pid)] for tid, pid in mapping.items())
+            got += MATCH_CUTOFF_M * (len(confirmed) - len(mapping))
+            assert got == pytest.approx(min_cost_by_enumeration(costs, MATCH_CUTOFF_M), abs=1e-9)
+            assert (t in corr.by_step) == bool(mapping)
+            for tid, pid in mapping.items():
+                assert corr.records[(t, pid)].track_id == tid
+                assert corr.distances[pid][t] == norms[row[tid], pids.index(pid)]
+        assert {("uncontested", True), ("contested", True), ("uncontested", False)} <= kinds
+        # nothing past the last step, nothing unconfirmed
+        assert all(t < T for t in corr.by_step)
+        assert all(r.status == "confirmed" for r in corr.records.values())
+        assert len(corr.records) == sum(len(m) for m in corr.by_step.values())
+        # order contracts
+        for mapping in corr.by_step.values():
+            assert list(mapping) == sorted(mapping)
+        keys = [(t, r.track_id) for (t, _), r in corr.records.items()]
+        assert keys == sorted(keys)
+        first_match = list(dict.fromkeys(pid for _, pid in corr.records))
+        assert list(corr.distances) == first_match
+        for pid, by_t in corr.distances.items():
+            assert list(by_t) == sorted(by_t)
+            assert list(by_t) == [t for t, p in corr.records if p == pid]
 
 
 def test_match_agrees_with_brute_force():

@@ -235,17 +235,28 @@ def test_deleted_tracks_get_final_snapshot():
 
 # sha256 of snapshots.jsonl for one clutter run under each tracker; any
 # change to a row's content or to the row order shows here. Recorded with
-# numpy 2.4 on x86_64, where the run is bit-reproducible.
+# numpy 2.4 on x86_64, where the run is bit-reproducible. The p_birth 0.5
+# runs draw from the birth streams, so they pin those streams too.
 PINNED_SNAPSHOTS = {
-    "gnn": "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
-    "jpda": "cbd1bc63f419426549d5e01d11dd72fff7b8785ae8e27be793961b28556cd0d5",
+    ("gnn", 1.0): "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
+    ("jpda", 1.0): "cbd1bc63f419426549d5e01d11dd72fff7b8785ae8e27be793961b28556cd0d5",
+    ("gnn", 0.5): "18613dc34b721acd9d7b89b92ca0856d9000107466f12b328c3bac4a0a91c349",
+    ("jpda", 0.5): "f6db1bbd3404b8af24b79faf610d771251d02e4e0f285d81d0686a6ecb0218b3",
 }
 
 
-@pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
-def test_snapshot_rows_pinned(tmp_path, step_fn, name):
+@pytest.mark.parametrize(
+    "step_fn,name,p_birth",
+    [
+        pytest.param(gnn_step, "gnn", 1.0, id="gnn_step-gnn"),
+        pytest.param(jpda_step, "jpda", 1.0, id="jpda_step-jpda"),
+        pytest.param(gnn_step, "gnn", 0.5, id="gnn_step-gnn-p_birth0.5"),
+        pytest.param(jpda_step, "jpda", 0.5, id="jpda_step-jpda-p_birth0.5"),
+    ],
+)
+def test_snapshot_rows_pinned(tmp_path, step_fn, name, p_birth):
     _, frames = two_platform_frames(clutter=3.0, seed=4)
-    run = run_tracker(frames, params(), step_fn, birth_seed=1)
+    run = run_tracker(frames, params(p_birth=p_birth), step_fn, birth_seed=1)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=name == "jpda")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name, p_birth]
