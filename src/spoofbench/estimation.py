@@ -86,7 +86,8 @@ def white_accel_Q(dt: float, q: float) -> np.ndarray:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    """0.5 (P + P^T) for one matrix or a stack (..., n, n)."""
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def kf_predict(est: KinematicEstimate, dt: float, q: float) -> KinematicEstimate:
@@ -124,8 +125,14 @@ def _det_S(S: np.ndarray) -> np.ndarray:
 
 
 def _inverse_S(S: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a 2x2 innovation covariance."""
-    return np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / _det_S(S)
+    """Closed-form inverse of a 2x2 innovation covariance or a stack
+    (..., 2, 2); raises like _det_S."""
+    adj = np.empty_like(S)
+    adj[..., 0, 0] = S[..., 1, 1]
+    adj[..., 0, 1] = -S[..., 0, 1]
+    adj[..., 1, 0] = -S[..., 1, 0]
+    adj[..., 1, 1] = S[..., 0, 0]
+    return adj / _det_S(S)[..., None, None]
 
 
 def _mahalanobis2(S: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -135,23 +142,40 @@ def _mahalanobis2(S: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / _det_S(S)
 
 
+def kf_update_stack(
+    x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update of N independent rows at once.
+
+    x (N, 4), P (N, 4, 4), z (N, 2), R (N, 2, 2); returns the posterior
+    means and covariances with the innovations and their covariances,
+    (x, P, nu, S). Row i is the update of (x[i], P[i]) by (z[i], R[i]),
+    with the same bits as a one-row call: the products are stacked
+    matmuls, which compute each row as its own small product.
+    Joseph-form covariance keeps P PSD under roundoff. Raises
+    numpy.linalg.LinAlgError when any row's S is singular.
+    """
+    x = np.asarray(x, dtype=float)
+    P = np.asarray(P, dtype=float)
+    R = np.asarray(R, dtype=float)
+    S = P[:, :2, :2] + R
+    nu = np.asarray(z, dtype=float) - x[:, :2]
+    K = P[:, :, :2] @ _inverse_S(S)
+    x_post = x + (K @ nu[:, :, None])[:, :, 0]
+    I_KH = np.eye(4) - K @ H
+    P_post = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+    return x_post, _symmetrize(P_post), nu, S
+
+
 def kf_update(
     est: KinematicEstimate, z: np.ndarray, R: np.ndarray
 ) -> tuple[KinematicEstimate, np.ndarray, np.ndarray]:
-    """Measurement update; returns (posterior, innovation, S).
-
-    Joseph-form covariance keeps P PSD under roundoff. Raises
-    numpy.linalg.LinAlgError when S is singular.
-    """
-    z = np.asarray(z, dtype=float)
-    R = np.asarray(R, dtype=float)
-    S = innovation_covariance(est, R)
-    nu = z - est.x[:2]
-    K = est.P[:, :2] @ _inverse_S(S)
-    x = est.x + K @ nu
-    I_KH = np.eye(4) - K @ H
-    P = I_KH @ est.P @ I_KH.T + K @ R @ K.T
-    return KinematicEstimate(x=x, P=_symmetrize(P)), nu, S
+    """Measurement update of one estimate; returns (posterior, innovation,
+    S). The one-row case of kf_update_stack."""
+    x, P, nu, S = kf_update_stack(
+        est.x[None], est.P[None], np.reshape(z, (1, 2)), np.reshape(R, (1, 2, 2))
+    )
+    return KinematicEstimate(x=x[0], P=P[0]), nu[0], S[0]
 
 
 def mahalanobis2(z: np.ndarray, est: KinematicEstimate, R: np.ndarray) -> float:

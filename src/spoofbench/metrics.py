@@ -71,15 +71,15 @@ def match_tracks_to_truth(
 ) -> TruthCorrespondence:
     """Assign confirmed tracks to platforms per timestep.
 
-    Cost is Euclidean distance; pairs beyond MATCH_CUTOFF_M stay unmatched.
+    Cost is Euclidean distance; only pairs strictly inside MATCH_CUTOFF_M
+    are candidates, so a track exactly at the cutoff stays unmatched.
     The assignment is solved with the same machinery as the tracker,
     with the cutoff as the no-assignment cost. A matched pair keeps its
     cost as the track's distance from truth.
 
     All distances of a run come from one array. A step in which no track
-    and no platform has two candidates, and every candidate lies strictly
-    inside the cutoff, has its candidate pairs as its unique optimum and
-    skips the solver.
+    and no platform has two candidates has its candidate pairs as its
+    unique optimum and skips the solver.
     """
     by_step: dict = {}
     records: dict = {}
@@ -102,12 +102,11 @@ def match_tracks_to_truth(
         # does per pair; (d * d).sum(-1) or np.hypot would move some
         # samples by 1 ulp
         dist[:, j] = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    candidate = dist <= MATCH_CUTOFF_M
+    candidate = dist < MATCH_CUTOFF_M
     steps, starts = np.unique(ts, return_index=True)
     uncontested = (
         (np.maximum.reduceat(candidate.sum(axis=1), starts) <= 1)
         & (np.add.reduceat(candidate, starts, axis=0, dtype=np.intp).max(axis=1) <= 1)
-        & ~np.logical_or.reduceat((dist == MATCH_CUTOFF_M).any(axis=1), starts)
     )
     bounds = zip(steps.tolist(), starts.tolist(), [*starts[1:].tolist(), len(ts)])
     for (t, lo, hi), easy in zip(bounds, uncontested.tolist()):

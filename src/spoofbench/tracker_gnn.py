@@ -14,7 +14,9 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .estimation import gate, kf_predict, kf_update
+from .estimation import KinematicEstimate, gate, kf_predict
+# the stacked update under its old name, which perfbench/tracer.py wraps
+from .estimation import kf_update_stack as kf_update
 from .sensing import DetectionFrame
 from .tracking import (
     StepResult,
@@ -103,15 +105,25 @@ def gnn_step(
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
     cm = build_cost_matrix(tracks, frame, params)
     assignment = hungarian(cm)
-    det_by_id = {d.detection_id: d for d in frame.detections}
     col_of = {did: j for j, did in enumerate(cm.detection_ids)}
+
+    # every assigned track's update in one stacked call
+    hits = [track for track in tracks if track.track_id in assignment]
+    if hits:
+        cols = [col_of[assignment[track.track_id]] for track in hits]
+        x, P, _, _ = kf_update(
+            np.stack([track.estimate.x for track in hits]),
+            np.stack([track.estimate.P for track in hits]),
+            frame.positions[cols],
+            frame.covariances[cols],
+        )
+        for track, x_i, P_i in zip(hits, x, P):
+            track.estimate = KinematicEstimate(x=x_i, P=P_i)
 
     records = []
     for row, track in enumerate(tracks):
         det_id = assignment.get(track.track_id)
         if det_id is not None:
-            det = det_by_id[det_id]
-            track.estimate, _, _ = kf_update(track.estimate, det.z, det.R)
             lifecycle_update(track, True, params)
             cost = float(cm.costs[row, col_of[det_id]])
             records.append(snapshot_record(frame.t, track, det_id, cost, {det_id: 1.0}))

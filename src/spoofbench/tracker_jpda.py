@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .estimation import GateResult, gate, kf_predict, kf_update
+from .estimation import GateResult, KinematicEstimate, gate, kf_predict
+# the stacked update under its old name, which perfbench/tracer.py wraps
+from .estimation import kf_update_stack as kf_update
 from .sensing import DetectionFrame
 from .tracking import (
     StepResult,
@@ -71,29 +73,53 @@ def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaV
     return BetaVector(miss=C / denom, betas=betas)
 
 
-def _composite_update(track, gated: GateResult, beta: BetaVector, frame: DetectionFrame):
-    """Moment-matched mixture of the prior (miss) and the per-detection
-    posteriors, weighted by the association probabilities."""
-    prior = track.estimate
-    means = [prior.x]
-    covs = [prior.P]
-    weights = [beta.miss]
-    for index, det_id in zip(gated.indices, gated.detection_ids):
-        det = frame.detections[index]
-        posterior, _, _ = kf_update(prior, det.z, det.R)
-        means.append(posterior.x)
-        covs.append(posterior.P)
-        weights.append(beta.betas[det_id])
-    x = np.zeros(4)
-    for w, m in zip(weights, means):
-        x += w * m
-    P = np.zeros((4, 4))
-    for w, m, c in zip(weights, means, covs):
-        dm = m - x
-        P += w * (c + np.outer(dm, dm))
-    prior.x = x
-    prior.P = 0.5 * (P + P.T)
-    return prior
+def _composite_update(
+    tracks: Sequence,
+    gates: Sequence[GateResult],
+    betas: Sequence[BetaVector],
+    frame: DetectionFrame,
+) -> None:
+    """Replace each track's estimate by the moment-matched mixture of its
+    prior (miss) and its per-detection posteriors, weighted by the
+    association probabilities; every gate must be non-empty.
+
+    One stacked Kalman update covers all (track, gated detection) pairs.
+    The mixture sums run over hypothesis k for all tracks at once, from
+    zero and in the order miss first, then detections by id. A track
+    with fewer hypotheses than the most crowded one is padded with
+    copies of its miss hypothesis at weight zero, whose terms are +-0.0
+    and leave every sum's bits as they were.
+    """
+    counts = np.array([len(gated) for gated in gates])
+    n, k_max = len(tracks), 1 + int(counts.max())
+    rows = np.repeat(np.arange(n), counts)
+    cols = 1 + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    indices = [i for gated in gates for i in gated.indices]
+    prior_x = np.stack([track.estimate.x for track in tracks])
+    prior_P = np.stack([track.estimate.P for track in tracks])
+    post_x, post_P, _, _ = kf_update(
+        prior_x[rows], prior_P[rows], frame.positions[indices], frame.covariances[indices]
+    )
+
+    means = np.repeat(prior_x[:, None], k_max, axis=1)
+    covs = np.repeat(prior_P[:, None], k_max, axis=1)
+    weights = np.zeros((n, k_max))
+    means[rows, cols] = post_x
+    covs[rows, cols] = post_P
+    weights[:, 0] = [beta.miss for beta in betas]
+    weights[rows, cols] = [
+        beta.betas[det_id] for gated, beta in zip(gates, betas) for det_id in gated.detection_ids
+    ]
+    x = np.zeros((n, 4))
+    for k in range(k_max):
+        x += weights[:, k, None] * means[:, k]
+    P = np.zeros((n, 4, 4))
+    for k in range(k_max):
+        dm = means[:, k] - x
+        P += weights[:, k, None, None] * (covs[:, k] + dm[:, :, None] * dm[:, None, :])
+    P = 0.5 * (P + P.swapaxes(1, 2))
+    for track, x_i, P_i in zip(tracks, x, P):
+        track.estimate = KinematicEstimate(x=x_i, P=P_i)
 
 
 def jpda_step(
@@ -115,14 +141,14 @@ def jpda_step(
     for track in tracks:
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
 
-    gated_ids: set[int] = set()
+    gates = [gate(frame, track.estimate, None, params.gamma) for track in tracks]
+    betas = [association_probabilities(gated, params) for gated in gates]
+    updated = [(tr, gated, beta) for tr, gated, beta in zip(tracks, gates, betas) if len(gated) > 0]
+    if updated:
+        _composite_update(*zip(*updated), frame)
+
     records = []
-    for track in tracks:
-        gated = gate(frame, track.estimate, None, params.gamma)
-        gated_ids.update(gated.detection_ids)
-        beta = association_probabilities(gated, params)
-        if len(gated) > 0:
-            _composite_update(track, gated, beta, frame)
+    for track, gated, beta in zip(tracks, gates, betas):
         evidence = 1.0 - beta.miss
         hit = evidence >= params.hit_threshold
         lifecycle_update(track, hit, params)
@@ -133,6 +159,7 @@ def jpda_step(
             snapshot_record(frame.t, track, best, score, beta.betas, beta.as_json_dict())
         )
 
+    gated_ids = {det_id for gated in gates for det_id in gated.detection_ids}
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
     births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
     return step_result(frame.t, tracks, records, births)

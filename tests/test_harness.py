@@ -382,7 +382,9 @@ def exported_demo_run(tmp_path_factory):
 # sha256 of the report bytes of two exported demo cells: any change to a
 # metric, down to one ulp of one matched distance, shows here. The ghost
 # cell has steps where tracks compete for a platform. Recorded with numpy
-# 2.4 on x86_64, where the runs are bit-reproducible.
+# 2.4 and OpenBLAS's SkylakeX kernel on x86_64: reruns on one machine are
+# bit-reproducible, but the bytes depend on the BLAS kernel (the Haswell
+# and Prescott kernels give other reports).
 PINNED_REPORTS = {
     "drift": {
         "report.json": "fc94fa343170905f7977aa09bff306233fd92cb45e06ea01428f3926bf3bb1f1",

@@ -71,6 +71,22 @@ def test_match_beyond_cutoff_stays_unmatched():
     assert corr.platform_of(0, 1) is None
 
 
+@pytest.mark.parametrize("contested", [False, True])
+def test_match_exactly_at_cutoff_stays_unmatched(contested):
+    # matching a record exactly MATCH_CUTOFF_M away would cost as much
+    # as leaving it unmatched; the rule, not the solver's tie-breaking,
+    # decides: candidates lie strictly inside the cutoff
+    truth = truth_of({0: (0.0, 0.0), 1: (500.0, 0.0)}, T=1)
+    snaps = [snap(0, 1, 0.0, -100.0)]
+    if contested:
+        # two tracks on platform 1 send the step to the solver
+        snaps += [snap(0, 2, 505.0, 0.0), snap(0, 3, 495.0, 0.0)]
+    corr = match_tracks_to_truth(snaps, truth)
+    assert corr.platform_of(0, 1) is None
+    assert 0 not in corr.distances.get(0, {})
+    assert len(corr.by_step.get(0, {})) == int(contested)
+
+
 def test_match_tentative_ignored():
     truth = truth_of({0: (0.0, 0.0)}, T=2)
     snaps = [snap(0, 1, 0.0, 0.0, status="tentative")]
@@ -99,7 +115,7 @@ def _matcher_case(rng):
 
     empty: no confirmed record. far: candidates none. sparse: at most one
     candidate per track and per platform, all inside the cutoff. edge: the
-    same, but one candidate exactly at the cutoff. shared: tracks crowd
+    same, but one record exactly at the cutoff, which is no candidate. shared: tracks crowd
     one platform. dense: platforms crowd too, so tracks have several
     candidates. Returns (truth, snapshots).
     """
@@ -162,12 +178,11 @@ def test_match_is_the_per_step_optimum_over_many_steps():
                 [float(np.linalg.norm(np.array([s.x, s.y]) - truth.positions[pid][t])) for pid in pids]
                 for s in confirmed
             ]).reshape(len(confirmed), len(pids))
-            costs = np.where(norms <= MATCH_CUTOFF_M, norms, np.inf)
+            costs = np.where(norms < MATCH_CUTOFF_M, norms, np.inf)
             candidate = np.isfinite(costs)
             uncontested = (
                 candidate.sum(axis=1).max(initial=0) <= 1
                 and candidate.sum(axis=0).max(initial=0) <= 1
-                and not (norms[candidate] == MATCH_CUTOFF_M).any()
             )
             kinds.add(("uncontested" if uncontested else "contested", bool(candidate.any())))
             mapping = corr.by_step.get(t, {})
@@ -179,6 +194,7 @@ def test_match_is_the_per_step_optimum_over_many_steps():
             for tid, pid in mapping.items():
                 assert corr.records[(t, pid)].track_id == tid
                 assert corr.distances[pid][t] == norms[row[tid], pids.index(pid)]
+                assert corr.distances[pid][t] < MATCH_CUTOFF_M
         assert {("uncontested", True), ("contested", True), ("uncontested", False)} <= kinds
         # nothing past the last step, nothing unconfirmed
         assert all(t < T for t in corr.by_step)
@@ -215,7 +231,7 @@ def test_match_agrees_with_brute_force():
                         np.array([snaps[i].x, snaps[i].y]) - platforms[j]
                     )
                 ) if j is not None else MATCH_CUTOFF_M
-                if j is not None and d > MATCH_CUTOFF_M:
+                if j is not None and d >= MATCH_CUTOFF_M:
                     return np.inf
                 total += d
             return total

@@ -235,8 +235,10 @@ def test_deleted_tracks_get_final_snapshot():
 
 # sha256 of snapshots.jsonl for one clutter run under each tracker; any
 # change to a row's content or to the row order shows here. Recorded with
-# numpy 2.4 on x86_64, where the run is bit-reproducible. The p_birth 0.5
-# runs draw from the birth streams, so they pin those streams too.
+# numpy 2.4 and OpenBLAS's SkylakeX kernel on x86_64: reruns on one
+# machine are bit-reproducible, but the bytes depend on the BLAS kernel
+# (OPENBLAS_CORETYPE=Prescott gives other rows). The p_birth 0.5 runs
+# draw from the birth streams, so they pin those streams too.
 PINNED_SNAPSHOTS = {
     ("gnn", 1.0): "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
     ("jpda", 1.0): "cbd1bc63f419426549d5e01d11dd72fff7b8785ae8e27be793961b28556cd0d5",
