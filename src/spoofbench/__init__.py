@@ -46,7 +46,7 @@ from .tracking import (
     read_snapshots_jsonl,
     write_snapshots_jsonl,
 )
-from .tracker_gnn import build_cost_matrix, gnn_step, hungarian
+from .tracker_gnn import gnn_step, hungarian
 from .tracker_jpda import association_probabilities, jpda_step
 from .metrics import (
     DriftReport,
@@ -105,7 +105,6 @@ __all__ = [
     "run_tracker",
     "read_snapshots_jsonl",
     "write_snapshots_jsonl",
-    "build_cost_matrix",
     "gnn_step",
     "hungarian",
     "association_probabilities",

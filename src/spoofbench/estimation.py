@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,15 +41,15 @@ class KinematicEstimate:
 class GateResult:
     """Detections of one frame that fall inside a track's gate.
 
-    Parallel tuples, ordered by detection_id: indices into the frame,
-    detection ids, squared Mahalanobis distances, and the innovation
-    covariance used for each pair.
+    Parallel, ordered by detection_id: indices into the frame (k,), the
+    detection ids as ints, squared Mahalanobis distances (k,), and the
+    innovation covariance of each pair (k, 2, 2).
     """
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     detection_ids: tuple[int, ...]
-    d2: tuple[float, ...]
-    S: tuple[np.ndarray, ...]
+    d2: np.ndarray
+    S: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -185,33 +184,24 @@ def mahalanobis2(z: np.ndarray, est: KinematicEstimate, R: np.ndarray) -> float:
     return float(_mahalanobis2(S, nu))
 
 
-def gate(
-    frame: DetectionFrame,
-    est: KinematicEstimate,
-    R: Optional[np.ndarray] = None,
-    gamma: float = GAMMA_DEFAULT,
-) -> GateResult:
-    """Detections with squared Mahalanobis distance <= gamma.
+def gate(frame: DetectionFrame, est: KinematicEstimate, gamma: float = GAMMA_DEFAULT) -> GateResult:
+    """Detections with squared Mahalanobis distance <= gamma, each scored
+    with its own reported covariance.
 
-    R=None uses each detection's own reported covariance; an explicit R
-    overrides it for every detection. All of the frame's detections are
-    scored in one pass with the closed-form 2x2 inverse; raises
-    numpy.linalg.LinAlgError if any detection's S is degenerate.
+    All of the frame's detections are scored in one pass with the
+    closed-form 2x2 inverse; raises numpy.linalg.LinAlgError if any
+    detection's S is degenerate.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    R_stack = frame.covariances
-    if R is not None:
-        R_stack = np.broadcast_to(np.asarray(R, dtype=float), R_stack.shape)
-    S = est.P[:2, :2] + R_stack
+    S = est.P[:2, :2] + frame.covariances
     d2 = _mahalanobis2(S, frame.positions - est.x[:2])
     keep = np.flatnonzero(d2 <= gamma)
-    indices = tuple(keep.tolist())
     return GateResult(
-        indices=indices,
-        detection_ids=tuple(frame.detections[i].detection_id for i in indices),
-        d2=tuple(d2[keep].tolist()),
-        S=tuple(S[keep]),
+        indices=keep,
+        detection_ids=tuple(frame.detections[i].detection_id for i in keep.tolist()),
+        d2=d2[keep],
+        S=S[keep],
     )
 
 

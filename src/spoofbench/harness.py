@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -53,6 +54,20 @@ _TRACKER_SLOT = {"gnn": 0, "jpda": 1}
 
 _SPOOF_STREAM_TAG = 101
 _BIRTH_STREAM_TAG = 202
+
+
+# the row and column label of the averages in comparison.csv, so no
+# spoof may take it as its name
+AVERAGE = "average"
+
+_FOLDER_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def check_folder_name(name: str, what: str) -> None:
+    """A name that becomes a folder of the report directory must be one
+    path component of [A-Za-z0-9_.-]+, and not . or .."""
+    if not _FOLDER_NAME.fullmatch(name) or name in (".", ".."):
+        raise ConfigError(f"{what} {name!r} must be one path component of [A-Za-z0-9_.-]+")
 
 
 def _name_slot(name: str) -> int:
@@ -111,9 +126,15 @@ class BenchmarkConfig:
                 raise ConfigError(
                     f"unknown tracker {tracker!r}; choose from {sorted(TRACKER_STEPS)}"
                 )
+        if len(set(self.trackers)) != len(self.trackers):
+            raise ConfigError(f"duplicate trackers: {list(self.trackers)}")
         names = [name for name, _ in self.spoof_grid]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate spoof names: {names}")
+        for name in names:
+            check_folder_name(name, "spoof name")
+        if AVERAGE in names:
+            raise ConfigError(f"spoof name {AVERAGE!r} labels the averages of comparison.csv")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds")
         if min(self.seeds) < 0:
@@ -247,6 +268,10 @@ class RunSummary(Record):
     seed: int
     mean_drift_m: Optional[float]
     switch_count: int
+
+    def __post_init__(self) -> None:
+        # compare and export join it to the report directory
+        check_folder_name(self.run_id, "run_id")
 
 
 @dataclass(frozen=True)
@@ -465,10 +490,16 @@ class ComparisonTable:
         for (tracker, spoof_name), cell in self.cells.items():
             out.append((tracker, spoof_name, cell.drift_m, cell.impact_pct))
         for tracker, (drift, impact) in self.tracker_averages.items():
-            out.append((tracker, "average", drift, impact))
+            out.append((tracker, AVERAGE, drift, impact))
         for spoof_name, (drift, impact) in self.spoof_averages.items():
-            out.append(("average", spoof_name, drift, impact))
+            out.append((AVERAGE, spoof_name, drift, impact))
         return out
+
+
+def _mean_and_impact(drifts: list) -> tuple[float, float]:
+    """Unweighted mean drift of a cell or an average, with its impact."""
+    drift = float(sum(drifts) / len(drifts))
+    return drift, normalized_impact(drift)
 
 
 def compare_trackers(report_dir) -> ComparisonTable:
@@ -496,12 +527,12 @@ def compare_trackers(report_dir) -> ComparisonTable:
             if not values:
                 missing.append(f"{tracker}/{spoof_name}")
                 continue
-            drift = float(sum(values) / len(values))
+            drift, impact = _mean_and_impact(values)
             cells[(tracker, spoof_name)] = CellStats(
                 tracker=tracker,
                 spoof_name=spoof_name,
                 drift_m=drift,
-                impact_pct=normalized_impact(drift),
+                impact_pct=impact,
                 n_runs=len(values),
             )
     spoofed_names = [name for name, stype in spoofs if stype is not SpoofType.CLEAN]
@@ -513,8 +544,7 @@ def compare_trackers(report_dir) -> ComparisonTable:
             if (tracker, name) in cells
         ]
         if members:
-            drift = float(sum(members) / len(members))
-            tracker_averages[tracker] = (drift, normalized_impact(drift))
+            tracker_averages[tracker] = _mean_and_impact(members)
     spoof_averages: dict = {}
     for spoof_name, _ in spoofs:
         members = [
@@ -523,8 +553,7 @@ def compare_trackers(report_dir) -> ComparisonTable:
             if (tracker, spoof_name) in cells
         ]
         if members:
-            drift = float(sum(members) / len(members))
-            spoof_averages[spoof_name] = (drift, normalized_impact(drift))
+            spoof_averages[spoof_name] = _mean_and_impact(members)
     table = ComparisonTable(
         cells=cells,
         tracker_averages=tracker_averages,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import Record, load_record, write_json
 from .scenario import GroundTruth
-from .tracker_gnn import CostMatrix, hungarian
+from .tracker_gnn import hungarian
 from .tracking import SnapshotRecord, TrackStatus
 
 # matching cutoff between a track and a platform, meters
@@ -114,13 +114,7 @@ def match_tracks_to_truth(
         if easy:
             pairs = zip(*np.nonzero(block))
         else:
-            matrix = CostMatrix(
-                costs=np.where(block, dist[lo:hi], np.inf),
-                track_ids=tuple(range(hi - lo)),
-                detection_ids=tuple(range(len(platform_ids))),
-                unassigned_cost=MATCH_CUTOFF_M,
-            )
-            pairs = sorted(hungarian(matrix).items())
+            pairs = hungarian(np.where(block, dist[lo:hi], np.inf), MATCH_CUTOFF_M).items()
         matched = {}
         for i, j in pairs:
             record, pid = confirmed[lo + i], platform_ids[j]

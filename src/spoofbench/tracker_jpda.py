@@ -62,10 +62,14 @@ def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaV
     if len(gated) == 0:
         return BetaVector(miss=1.0, betas={})
     C = params.clutter_density * (1.0 - params.p_detect) / params.p_detect
-    likes: list[float] = []
-    for d2, S in zip(gated.d2, gated.S):
-        det_S = float(S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0])
-        likes.append(math.exp(-0.5 * d2) / (2.0 * math.pi * math.sqrt(det_S)))
+    S = gated.S
+    det_S = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    # per-pair math.exp and a Python sum, which round differently from
+    # their numpy counterparts
+    likes = [
+        math.exp(-0.5 * d2) / (2.0 * math.pi * math.sqrt(det))
+        for d2, det in zip(gated.d2.tolist(), det_S.tolist())
+    ]
     denom = C + sum(likes)
     betas = {
         det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)
@@ -94,7 +98,7 @@ def _composite_update(
     n, k_max = len(tracks), 1 + int(counts.max())
     rows = np.repeat(np.arange(n), counts)
     cols = 1 + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    indices = [i for gated in gates for i in gated.indices]
+    indices = np.concatenate([gated.indices for gated in gates])
     prior_x = np.stack([track.estimate.x for track in tracks])
     prior_P = np.stack([track.estimate.P for track in tracks])
     post_x, post_P, _, _ = kf_update(
@@ -141,7 +145,7 @@ def jpda_step(
     for track in tracks:
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
 
-    gates = [gate(frame, track.estimate, None, params.gamma) for track in tracks]
+    gates = [gate(frame, track.estimate, params.gamma) for track in tracks]
     betas = [association_probabilities(gated, params) for gated in gates]
     updated = [(tr, gated, beta) for tr, gated, beta in zip(tracks, gates, betas) if len(gated) > 0]
     if updated:

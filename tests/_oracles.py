@@ -11,7 +11,7 @@ lifecycle code, which batching left alone.
 import numpy as np
 
 from spoofbench.estimation import gate, kf_predict
-from spoofbench.tracker_gnn import build_cost_matrix, hungarian
+from spoofbench.tracker_gnn import hungarian
 from spoofbench.tracker_jpda import association_probabilities
 from spoofbench.tracking import birth_tracks, lifecycle_update, snapshot_record, step_result
 
@@ -46,18 +46,16 @@ def min_cost_by_enumeration(costs, unassigned_cost):
 
 
 
-def assignment_cost(costs, assignment):
-    """Objective value of an assignment {track_id: detection_id} over a
-    CostMatrix under its padding convention: assigned costs plus
-    unassigned_cost per unassigned track."""
+def assignment_cost(costs, unassigned_cost, assignment):
+    """Objective value of an assignment {row: column} over a cost array
+    under the solver's padding convention: assigned costs plus
+    unassigned_cost per unassigned row."""
     total = 0.0
-    row_of = {tid: i for i, tid in enumerate(costs.track_ids)}
-    col_of = {did: j for j, did in enumerate(costs.detection_ids)}
-    for track_id in costs.track_ids:
-        if track_id in assignment:
-            total += float(costs.costs[row_of[track_id], col_of[assignment[track_id]]])
+    for row in range(len(costs)):
+        if row in assignment:
+            total += float(costs[row, assignment[row]])
         else:
-            total += costs.unassigned_cost
+            total += unassigned_cost
     return total
 
 # position-only measurement matrix, restated here rather than imported
@@ -100,25 +98,27 @@ def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
-    cm = build_cost_matrix(tracks, frame, params)
-    assignment = hungarian(cm)
-    det_by_id = {d.detection_id: d for d in frame.detections}
-    col_of = {did: j for j, did in enumerate(cm.detection_ids)}
+    costs = np.full((len(tracks), len(frame.detections)), INF)
+    for row, track in enumerate(tracks):
+        gated = gate(frame, track.estimate, params.gamma)
+        costs[row, gated.indices] = gated.d2
+    assignment = hungarian(costs, params.gamma)
     records = []
     for row, track in enumerate(tracks):
-        det_id = assignment.get(track.track_id)
-        if det_id is not None:
-            det = det_by_id[det_id]
+        col = assignment.get(row)
+        if col is not None:
+            det = frame.detections[col]
             est = track.estimate
             est.x, est.P = kf_update_per_row(est.x, est.P, det.z, det.R)
             lifecycle_update(track, True, params)
-            cost = float(cm.costs[row, col_of[det_id]])
+            cost = float(costs[row, col])
+            det_id = det.detection_id
             records.append(snapshot_record(frame.t, track, det_id, cost, {det_id: 1.0}))
         else:
             lifecycle_update(track, False, params)
             records.append(snapshot_record(frame.t, track, None, None, {}))
-    assigned_ids = set(assignment.values())
-    unassigned = [d for d in frame.detections if d.detection_id not in assigned_ids]
+    assigned = set(assignment.values())
+    unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
     births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
     return step_result(frame.t, tracks, records, births)
 
@@ -155,7 +155,7 @@ def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
     gated_ids = set()
     records = []
     for track in tracks:
-        gated = gate(frame, track.estimate, None, params.gamma)
+        gated = gate(frame, track.estimate, params.gamma)
         gated_ids.update(gated.detection_ids)
         beta = association_probabilities(gated, params)
         if len(gated) > 0:

@@ -40,7 +40,7 @@ from spoofbench.scenario import build_scenario, default_scenario_config
 from spoofbench.sensing import Detection, DetectionFrame, Label, SensorConfig, generate_clean_run
 from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof, reflect_across_axis
 from spoofbench.streams import TAG_BIRTH, TAG_SPOOF, derive_seed, substream
-from spoofbench.tracker_gnn import CostMatrix, gnn_step, hungarian
+from spoofbench.tracker_gnn import gnn_step, hungarian
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
 from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker
 
@@ -66,13 +66,7 @@ def test_criterion_1_assignment_matches_exhaustive_minimum():
         costs = rng.integers(0, 161, size=(n, m)).astype(float) / 8.0
         costs[rng.random((n, m)) < 0.25] = INF
         unassigned = float(rng.integers(8, 121)) / 8.0
-        cm = CostMatrix(
-            costs=costs,
-            track_ids=tuple(range(n)),
-            detection_ids=tuple(range(m)),
-            unassigned_cost=unassigned,
-        )
-        got = assignment_cost(cm, hungarian(cm))
+        got = assignment_cost(costs, unassigned, hungarian(costs, unassigned))
         want = min_cost_by_enumeration(costs, unassigned)
         worst = max(worst, abs(got - want))
         assert got == want, f"trial {trial}: solver {got} vs enumeration {want}"

@@ -155,8 +155,8 @@ def test_gate_uses_per_detection_R_by_default():
     frame = frame_at([(15.0, 0.0)], R=loose)
     # d^2 = 225/100 = 2.25 under the detection's own R
     assert len(gate(frame, est)) == 1
-    # explicit R overrides: under R = I the point is far outside
-    assert len(gate(frame, est, R=np.eye(2))) == 0
+    # the same point reporting R = I is far outside
+    assert len(gate(frame_at([(15.0, 0.0)], R=np.eye(2)), est)) == 0
 
 
 def test_estimate_from_detection_init():

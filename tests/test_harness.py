@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _blas import pins_for_kernel
 from spoofbench.cli import main
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
@@ -126,6 +127,34 @@ def test_spoof_grid_names_must_be_unique():
     payload["spoof_grid"] = [{"spoof_type": "clean"}, {"spoof_type": "clean"}]
     with pytest.raises(ConfigError, match="duplicate spoof names"):
         BenchmarkConfig.from_dict(payload)
+
+
+def test_duplicate_trackers_exit_2(tmp_path, capsys):
+    payload = config_payload()
+    payload["trackers"] = ["gnn", "gnn"]
+    assert main(["validate", "--config", str(write_config_file(tmp_path, payload))]) == 2
+    assert "config error: duplicate trackers" in capsys.readouterr().err
+    # the same through the --trackers override, before any run folder
+    path = write_config_file(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--trackers", "gnn,gnn"]) == 2
+    assert "config error: duplicate trackers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "a/b", "..", "tab\there", "average"],
+    ids=["parent", "slash", "dotdot", "tab", "reserved-average"],
+)
+def test_spoof_names_unfit_for_folders_exit_2(tmp_path, capsys, name):
+    payload = config_payload()
+    payload["spoof_grid"][0]["name"] = name
+    path = write_config_file(tmp_path, payload)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: spoof name")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "deep" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: spoof name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
 
 
 def test_unknown_tracker_rejected():
@@ -381,26 +410,50 @@ def exported_demo_run(tmp_path_factory):
 
 # sha256 of the report bytes of two exported demo cells: any change to a
 # metric, down to one ulp of one matched distance, shows here. The ghost
-# cell has steps where tracks compete for a platform. Recorded with numpy
-# 2.4 and OpenBLAS's SkylakeX kernel on x86_64: reruns on one machine are
-# bit-reproducible, but the bytes depend on the BLAS kernel (the Haswell
-# and Prescott kernels give other reports).
+# cell has steps where tracks compete for a platform. Reruns on one
+# machine are bit-reproducible, but the bytes depend on the OpenBLAS
+# kernel, so they are keyed by the name it reports. Recorded with numpy
+# 2.4 on x86_64; OPENBLAS_CORETYPE=Zen runs the kernel named Haswell,
+# and Prescott the one named Katmai.
 PINNED_REPORTS = {
-    "drift": {
-        "report.json": "fc94fa343170905f7977aa09bff306233fd92cb45e06ea01428f3926bf3bb1f1",
-        "drift_matrix.csv": "abb5ccaec703474854882350dcb0b823be287bbc1a4ccfebf05c7af4e113e70b",
+    "SkylakeX": {
+        "drift": {
+            "report.json": "fc94fa343170905f7977aa09bff306233fd92cb45e06ea01428f3926bf3bb1f1",
+            "drift_matrix.csv": "abb5ccaec703474854882350dcb0b823be287bbc1a4ccfebf05c7af4e113e70b",
+        },
+        "ghost": {
+            "report.json": "9e268500221c967c68a9bebeb684c03ffd3569fef447424112696c947eec8393",
+            "drift_matrix.csv": "958630c2d70e18cd2891dbee560b0e8a82386917ad88dc9e59fe69bf36f86b3c",
+        },
     },
-    "ghost": {
-        "report.json": "9e268500221c967c68a9bebeb684c03ffd3569fef447424112696c947eec8393",
-        "drift_matrix.csv": "958630c2d70e18cd2891dbee560b0e8a82386917ad88dc9e59fe69bf36f86b3c",
+    "Haswell": {
+        "drift": {
+            "report.json": "fedda21641ccd52dda97585a50c183f5fa9c614ad4c466df0f8cf7310eb62302",
+            "drift_matrix.csv": "cda9936402dcb233b8602df9e7a9ff08705fc74bf3c315deae6eed472470cf32",
+        },
+        "ghost": {
+            "report.json": "03346c2234a0a99ac501ee16cfc22eaa9a7d7e7668684379d66ba665d6e8be38",
+            "drift_matrix.csv": "d85a76412e3905096392215178fa3e3387b70925625adfe4fa8ae02a46656ac3",
+        },
+    },
+    "Katmai": {
+        "drift": {
+            "report.json": "fedda21641ccd52dda97585a50c183f5fa9c614ad4c466df0f8cf7310eb62302",
+            "drift_matrix.csv": "cda9936402dcb233b8602df9e7a9ff08705fc74bf3c315deae6eed472470cf32",
+        },
+        "ghost": {
+            "report.json": "03346c2234a0a99ac501ee16cfc22eaa9a7d7e7668684379d66ba665d6e8be38",
+            "drift_matrix.csv": "d85a76412e3905096392215178fa3e3387b70925625adfe4fa8ae02a46656ac3",
+        },
     },
 }
 
 
 def test_report_bytes_pinned(exported_demo_run, tmp_path_factory):
+    pins = pins_for_kernel(PINNED_REPORTS)
     cells = {"drift": exported_demo_run[0], "ghost": _exported_demo_cell(tmp_path_factory, "ghost")}
     for spoof_name, run_dir in cells.items():
-        for name, digest in PINNED_REPORTS[spoof_name].items():
+        for name, digest in pins[spoof_name].items():
             got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             assert got == digest, f"{spoof_name}/{name}"
 
@@ -669,6 +722,24 @@ def test_malformed_manifest_exits_2(
         assert err.startswith("config error:")
         assert str(manifest_file) in err
         assert named in err
+
+
+@pytest.mark.parametrize("run_id", ["../outside", "a/b", ".."])
+def test_run_id_unfit_for_a_folder_exits_2(tmp_path, capsys, one_run_report, run_id):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    # a complete run folder next to the report directory, for ../outside
+    shutil.copytree(out / "drift-gnn-s0", tmp_path / "outside")
+    manifest_file = out / "manifest.json"
+    payload = json.loads(manifest_file.read_text(encoding="utf-8"))
+    payload["runs"][0]["run_id"] = run_id
+    manifest_file.write_text(json.dumps(payload), encoding="utf-8")
+    for command in ("compare", "export"):
+        assert main([command, "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {manifest_file}: runs[0]: run_id {run_id!r}")
+    assert not (tmp_path / "outside" / "drift_matrix.csv").exists()
+    assert not (out / "comparison.csv").exists()
 
 
 def _edit_row(key, value):

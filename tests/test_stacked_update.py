@@ -129,14 +129,13 @@ def test_jpda_step_matches_per_track_updates(key, seed):
 @pytest.mark.parametrize("key", sorted(PARAMS))
 def test_gnn_step_matches_per_track_updates(key, seed, monkeypatch):
     contested = []
-    build = tracker_gnn.build_cost_matrix
+    solve = tracker_gnn.hungarian
 
-    def recording(tracks, frame, params):
-        cm = build(tracks, frame, params)
-        contested.append(bool((np.isfinite(cm.costs).sum(axis=0) >= 2).any()))
-        return cm
+    def recording(costs, unassigned_cost):
+        contested.append(bool((np.isfinite(costs).sum(axis=0) >= 2).any()))
+        return solve(costs, unassigned_cost)
 
-    monkeypatch.setattr(tracker_gnn, "build_cost_matrix", recording)
+    monkeypatch.setattr(tracker_gnn, "hungarian", recording)
     frames = crossing_frames(seed)
     params = PARAMS[key]
     got = run_tracker(frames, params, gnn_step)

@@ -21,53 +21,45 @@ from _oracles import (
 from spoofbench.estimation import KinematicEstimate, gate, kf_predict, kf_update
 from spoofbench.sensing import Detection, DetectionFrame, Label
 from spoofbench.tracking import TrackerParams, birth_tracks
-from spoofbench.tracker_gnn import CostMatrix, build_cost_matrix, gnn_step, hungarian
+from spoofbench.tracker_gnn import gnn_step, hungarian
 
 INF = float("inf")
 
 
-def matrix(costs, unassigned_cost=9.21):
-    costs = np.asarray(costs, dtype=float)
-    n, m = costs.shape
-    return CostMatrix(
-        costs=costs,
-        track_ids=tuple(range(n)),
-        detection_ids=tuple(range(m)),
-        unassigned_cost=unassigned_cost,
-    )
-
-
 def test_two_by_two_example():
-    cm = matrix([[1.0, 2.0], [2.0, 1.0]], unassigned_cost=100.0)
-    out = hungarian(cm)
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    out = hungarian(costs, 100.0)
     assert out == {0: 0, 1: 1}
-    assert assignment_cost(cm, out) == pytest.approx(2.0)
+    assert assignment_cost(costs, 100.0, out) == pytest.approx(2.0)
 
 
 def test_diagonal_zeros_identity():
     costs = np.full((3, 3), INF)
     np.fill_diagonal(costs, 0.0)
-    out = hungarian(matrix(costs))
+    out = hungarian(costs, 9.21)
     assert out == {0: 0, 1: 1, 2: 2}
-    assert assignment_cost(matrix(costs), out) == pytest.approx(0.0)
+    assert assignment_cost(costs, 9.21, out) == pytest.approx(0.0)
 
 
 def test_forbidden_pair_leaves_track_unassigned():
-    out = hungarian(matrix([[1.0, INF], [INF, INF]]))
+    out = hungarian(np.array([[1.0, INF], [INF, INF]]), 9.21)
     assert out == {0: 0}
 
 
 def test_empty_matrix():
-    cm = CostMatrix(
-        costs=np.zeros((0, 0)), track_ids=(), detection_ids=(), unassigned_cost=9.21
-    )
-    assert hungarian(cm) == {}
+    assert hungarian(np.zeros((0, 0)), 9.21) == {}
 
 
 def test_prefers_unassignment_over_expensive_pair():
     # cost 50 exceeds the miss price twice over; leaving both unpaired wins
-    cm = matrix([[50.0]], unassigned_cost=9.21)
-    assert hungarian(cm) == {}
+    assert hungarian(np.array([[50.0]]), 9.21) == {}
+
+
+def test_returns_rows_in_order_as_python_ints():
+    costs = np.array([[INF, 1.0, INF], [INF, INF, INF], [2.0, INF, INF], [INF, INF, 0.5]])
+    out = hungarian(costs, 9.21)
+    assert list(out.items()) == [(0, 1), (2, 0), (3, 2)]
+    assert all(type(k) is int and type(v) is int for k, v in out.items())
 
 
 def test_matches_enumeration_on_random_matrices():
@@ -77,9 +69,9 @@ def test_matches_enumeration_on_random_matrices():
         m = int(rng.integers(0, 7))
         costs = rng.uniform(0.0, 30.0, (n, m))
         costs[rng.random((n, m)) < 0.25] = INF
-        cm = matrix(costs, unassigned_cost=float(rng.uniform(1.0, 15.0)))
-        got = assignment_cost(cm, hungarian(cm))
-        want = min_cost_by_enumeration(costs, cm.unassigned_cost)
+        unassigned = float(rng.uniform(1.0, 15.0))
+        got = assignment_cost(costs, unassigned, hungarian(costs, unassigned))
+        want = min_cost_by_enumeration(costs, unassigned)
         assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
 
 
@@ -97,18 +89,22 @@ def spawn(dets, params, start_id=0):
     return birth_tracks(dets, params, id_source=itertools.count(start_id))
 
 
-def test_build_cost_matrix_gates():
+def test_step_gates_out_a_far_detection():
     params = TrackerParams()
-    tracks = spawn([clutter_det(0, 0.0, 0.0)], params)
+    [track] = spawn([clutter_det(0, 0.0, 0.0)], params)
     # track P after birth is huge in velocity, so gate is wide; a point
     # hundreds of sigma out still must be forbidden
     frame = frame_of([clutter_det(5, 1.0, 0.0, t=1), clutter_det(6, 5000.0, 0.0, t=1)], t=1)
-    for track in tracks:
-        track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
-    cm = build_cost_matrix(tracks, frame, params)
-    assert cm.detection_ids == (5, 6)
-    assert np.isfinite(cm.costs[0, 0])
-    assert np.isinf(cm.costs[0, 1])
+    gated = gate(frame, kf_predict(track.estimate, params.dt_s, params.q), params.gamma)
+    assert gated.indices.tolist() == [0]
+    assert gated.detection_ids == (5,)
+    assert np.isfinite(gated.d2).all()
+    result = gnn_step([track], frame, params, id_source=itertools.count(100))
+    [outcome] = result.assignments
+    assert outcome.detection_id == 5
+    assert np.isfinite(outcome.score)
+    # the far detection took no track and is born
+    assert [tr.birth_detection_id for tr in result.births] == [6]
 
 
 def test_step_assigns_exact_hit():
@@ -157,8 +153,12 @@ def test_step_cross_ambiguous_matches_brute_force():
         )
         costs = np.where(d2 <= params.gamma, d2, INF)
         want = min_cost_by_enumeration(costs, params.gamma)
-        cm = build_cost_matrix(tracks, frame_of(dets, t=1), params)
-        got = assignment_cost(cm, hungarian(cm))
+        frame = frame_of(dets, t=1)
+        gated_costs = np.full((2, 2), INF)
+        for row, track in enumerate(tracks):
+            gated = gate(frame, track.estimate, params.gamma)
+            gated_costs[row, gated.indices] = gated.d2
+        got = assignment_cost(gated_costs, params.gamma, hungarian(gated_costs, params.gamma))
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -188,17 +188,17 @@ def det_with_R(i, z, R, t=0):
     )
 
 
-def gate_by_solve(frame, est, R, gamma):
+def gate_by_solve(frame, est, gamma):
     """(indices, d2) of the pairs inside gamma, one solve per pair."""
     inside = []
     for i, d in enumerate(frame.detections):
-        d2 = mahalanobis2_by_solve(d.z, est.x, est.P, d.R if R is None else R)
+        d2 = mahalanobis2_by_solve(d.z, est.x, est.P, d.R)
         if d2 <= gamma:
             inside.append((i, d2))
     return inside
 
 
-def test_gate_matches_solve_oracle_with_heterogeneous_and_override_R():
+def test_gate_matches_solve_oracle_with_heterogeneous_R():
     rng = np.random.default_rng(5)
     gamma = 9.21
     for trial in range(50):
@@ -209,22 +209,21 @@ def test_gate_matches_solve_oracle_with_heterogeneous_and_override_R():
             for i in range(m)
         ]
         frame = frame_of(dets)
-        for R in (None, random_spd(rng, 2, 4.0)):
-            got = gate(frame, est, R=R, gamma=gamma)
-            want = gate_by_solve(frame, est, R, gamma)
-            assert list(got.indices) == [i for i, _ in want], f"trial {trial}"
-            assert list(got.detection_ids) == [dets[i].detection_id for i, _ in want]
-            np.testing.assert_allclose(got.d2, [d2 for _, d2 in want], rtol=1e-12, atol=1e-12)
-            for i, S in zip(got.indices, got.S):
-                R_i = dets[i].R if R is None else R
-                np.testing.assert_allclose(S, est.P[:2, :2] + R_i, rtol=0.0, atol=0.0)
+        got = gate(frame, est, gamma=gamma)
+        want = gate_by_solve(frame, est, gamma)
+        assert got.indices.tolist() == [i for i, _ in want], f"trial {trial}"
+        assert got.detection_ids == tuple(dets[i].detection_id for i, _ in want)
+        np.testing.assert_allclose(got.d2, [d2 for _, d2 in want], rtol=1e-12, atol=1e-12)
+        assert got.S.shape == (len(want), 2, 2)
+        for i, S in zip(got.indices, got.S):
+            np.testing.assert_allclose(S, est.P[:2, :2] + dets[i].R, rtol=0.0, atol=0.0)
 
 
 def test_gate_empty_frame_visits_no_pair():
     est = KinematicEstimate(x=np.zeros(4), P=np.eye(4))
-    for R in (None, np.eye(2), -np.eye(2)):
-        got = gate(frame_of([]), est, R=R)
-        assert (got.indices, got.detection_ids, got.d2, got.S) == ((), (), (), ())
+    got = gate(frame_of([]), est)
+    assert got.detection_ids == ()
+    assert (got.indices.shape, got.d2.shape, got.S.shape) == ((0,), (0,), (0, 2, 2))
 
 
 def test_gate_keeps_pairs_exactly_at_gamma():
@@ -232,10 +231,10 @@ def test_gate_keeps_pairs_exactly_at_gamma():
     est = KinematicEstimate(x=np.zeros(4), P=np.zeros((4, 4)))
     R = np.diag([4.0, 1.0])
     frame = frame_of([det_with_R(0, (6.0, 0.0), R), det_with_R(1, (0.0, 3.0), R)])
-    assert [d2 for _, d2 in gate_by_solve(frame, est, None, 9.0)] == [9.0, 9.0]
+    assert [d2 for _, d2 in gate_by_solve(frame, est, 9.0)] == [9.0, 9.0]
     got = gate(frame, est, gamma=9.0)
     assert got.detection_ids == (0, 1)
-    assert got.d2 == (9.0, 9.0)
+    assert got.d2.tolist() == [9.0, 9.0]
     assert len(gate(frame, est, gamma=float(np.nextafter(9.0, 0.0)))) == 0
 
 
