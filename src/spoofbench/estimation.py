@@ -3,6 +3,9 @@
 State is (px, py, vx, vy); measurements are position-only. The update
 uses the Joseph form and the covariance is re-symmetrized after every
 step so long adversarial runs cannot drift out of PSD.
+
+No product outside the test-only nees goes through BLAS, whose kernels
+round differently: each is summed elementwise in a fixed index order.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from .sensing import DetectionFrame
 
 # chi-square(2) quantile at 99%: default gating threshold
 GAMMA_DEFAULT = 9.21
-
-# position-only measurement matrix
-H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 V_MAX_DEFAULT = 50.0
 
@@ -55,17 +55,6 @@ class GateResult:
         return len(self.indices)
 
 
-# F and Q depend only on the tracker params, so each (dt, q) is built
-# once; the cached arrays are shared and therefore read-only
-@functools.lru_cache
-def cv_transition(dt: float) -> np.ndarray:
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
-    F.flags.writeable = False
-    return F
-
-
 @functools.lru_cache
 def white_accel_Q(dt: float, q: float) -> np.ndarray:
     """Process noise for piecewise-constant white acceleration, scale q.
@@ -92,16 +81,20 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 def kf_predict(est: KinematicEstimate, dt: float, q: float) -> KinematicEstimate:
     """Propagate mean and covariance one step of dt seconds.
 
-    Raises ValueError on non-finite state or covariance.
+    F = I + dt (velocity -> position) acts as row adds, then column adds,
+    on Python floats. Raises ValueError on non-finite state or covariance.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not (np.all(np.isfinite(est.x)) and np.all(np.isfinite(est.P))):
         raise ValueError("non-finite state estimate")
-    F = cv_transition(dt)
-    x = F @ est.x
-    P = _symmetrize(F @ est.P @ F.T + white_accel_Q(dt, q))
-    return KinematicEstimate(x=x, P=P)
+    px, py, vx, vy = est.x.tolist()
+    r0, r1, r2, r3 = est.P.tolist()
+    r0 = [a + dt * c for a, c in zip(r0, r2)]
+    r1 = [b + dt * d for b, d in zip(r1, r3)]
+    FPF = np.array([[a + dt * c, b + dt * d, c, d] for a, b, c, d in (r0, r1, r2, r3)])
+    P = _symmetrize(FPF + white_accel_Q(dt, q))
+    return KinematicEstimate(x=np.array([px + dt * vx, py + dt * vy, vx, vy]), P=P)
 
 
 def innovation_covariance(est: KinematicEstimate, R: np.ndarray) -> np.ndarray:
@@ -141,6 +134,11 @@ def _mahalanobis2(S: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / _det_S(S)
 
 
+def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked product of (..., n, 2) and (..., 2, m) as a0 b0 + a1 b1."""
+    return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
+
+
 def kf_update_stack(
     x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -149,8 +147,8 @@ def kf_update_stack(
     x (N, 4), P (N, 4, 4), z (N, 2), R (N, 2, 2); returns the posterior
     means and covariances with the innovations and their covariances,
     (x, P, nu, S). Row i is the update of (x[i], P[i]) by (z[i], R[i]),
-    with the same bits as a one-row call: the products are stacked
-    matmuls, which compute each row as its own small product.
+    with the same bits as a one-row call: every product is _mul2's
+    elementwise two-term sum. With H = [I 0], (I - KH) P is P - K P[:2].
     Joseph-form covariance keeps P PSD under roundoff. Raises
     numpy.linalg.LinAlgError when any row's S is singular.
     """
@@ -159,10 +157,11 @@ def kf_update_stack(
     R = np.asarray(R, dtype=float)
     S = P[:, :2, :2] + R
     nu = np.asarray(z, dtype=float) - x[:, :2]
-    K = P[:, :, :2] @ _inverse_S(S)
-    x_post = x + (K @ nu[:, :, None])[:, :, 0]
-    I_KH = np.eye(4) - K @ H
-    P_post = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+    K = _mul2(P[:, :, :2], _inverse_S(S))
+    x_post = x + _mul2(K, nu[:, :, None])[:, :, 0]
+    Kt = K.swapaxes(1, 2)
+    A = P - _mul2(K, P[:, :2])
+    P_post = A - _mul2(A[:, :, :2], Kt) + _mul2(_mul2(K, R), Kt)
     return x_post, _symmetrize(P_post), nu, S
 
 

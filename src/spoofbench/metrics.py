@@ -97,11 +97,9 @@ def match_tracks_to_truth(
     xy = np.array([[r.x for r in confirmed], [r.y for r in confirmed]]).T
     dist = np.empty((len(confirmed), len(platform_ids)))
     for j, pid in enumerate(platform_ids):
-        d = xy - truth.positions[pid][ts]
-        # sqrt of a stacked dot product rounds exactly as np.linalg.norm
-        # does per pair; (d * d).sum(-1) or np.hypot would move some
-        # samples by 1 ulp
-        dist[:, j] = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        # elementwise, never a BLAS dot, whose rounding depends on the kernel
+        dx, dy = (xy - truth.positions[pid][ts]).T
+        dist[:, j] = np.sqrt(dx * dx + dy * dy)
     candidate = dist < MATCH_CUTOFF_M
     steps, starts = np.unique(ts, return_index=True)
     uncontested = (

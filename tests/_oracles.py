@@ -62,6 +62,13 @@ def assignment_cost(costs, unassigned_cost, assignment):
 H = np.eye(2, 4)
 
 
+def cv_transition(dt):
+    """Constant-velocity transition F for one step of dt seconds."""
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    return F
+
+
 def mahalanobis2_by_solve(z, x, P, R):
     """nu^T S^-1 nu with S = H P H^T + R, by a general linear solve."""
     S = H @ P @ H.T + R
@@ -78,19 +85,29 @@ def kf_update_by_solve(x, P, z, R):
     return x + K @ (z - H @ x), 0.5 * (P_post + P_post.T)
 
 
+def _mul2(A, B):
+    """Product of Python-float matrices (n, 2) and (2, m), as a0 b0 + a1 b1."""
+    return [[a0 * b0 + a1 * b1 for b0, b1 in zip(*B)] for a0, a1 in A]
+
+
 def kf_update_per_row(x, P, z, R):
     """One Joseph-form update, as the trackers made it once per
-    (track, detection) pair: closed-form 2x2 inverse of S, 2-D products.
+    (track, detection) pair: closed-form 2x2 inverse of S, then each
+    product summed over Python floats in the stacked update's order.
     Returns (x, P)."""
-    S = P[:2, :2] + R
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if not 0.0 < det < np.inf:
+    x, P, z, R = x.tolist(), P.tolist(), z.tolist(), R.tolist()
+    (s00, s01), (s10, s11) = [[P[i][j] + R[i][j] for j in (0, 1)] for i in (0, 1)]
+    det = s00 * s11 - s01 * s10
+    if not 0.0 < det < INF:
         raise np.linalg.LinAlgError(f"degenerate innovation covariance, det={det}")
-    K = P[:, :2] @ (np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det)
-    x_post = x + K @ (z - x[:2])
-    I_KH = np.eye(4) - K @ H
-    P_post = I_KH @ P @ I_KH.T + K @ R @ K.T
-    return x_post, 0.5 * (P_post + P_post.T)
+    K = _mul2([row[:2] for row in P], [[s11 / det, -s01 / det], [-s10 / det, s00 / det]])
+    Kt = [list(col) for col in zip(*K)]
+    x_post = [x_i + k for x_i, (k,) in zip(x, _mul2(K, [[z[0] - x[0]], [z[1] - x[1]]]))]
+    # (I - KH) P is P - K P[:2] for H = [I 0]; then the Joseph form
+    A = [[p - q for p, q in zip(*rows)] for rows in zip(P, _mul2(K, P[:2]))]
+    A_Kt, K_R_Kt = _mul2([row[:2] for row in A], Kt), _mul2(_mul2(K, R), Kt)
+    P_post = np.array([[a - b + c for a, b, c in zip(*rows)] for rows in zip(A, A_Kt, K_R_Kt)])
+    return np.array(x_post), 0.5 * (P_post + P_post.T)
 
 
 def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):

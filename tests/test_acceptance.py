@@ -16,12 +16,11 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from _oracles import assignment_cost, min_cost_by_enumeration
+from _oracles import assignment_cost, cv_transition, min_cost_by_enumeration
 
 from spoofbench.cli import main
 from spoofbench.estimation import (
     KinematicEstimate,
-    cv_transition,
     estimate_from_detection,
     gate,
     innovation_covariance,

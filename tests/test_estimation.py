@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from _oracles import cv_transition
 from spoofbench.estimation import (
     GAMMA_DEFAULT,
-    cv_transition,
     estimate_from_detection,
     gate,
     kf_predict,
@@ -48,6 +48,12 @@ def test_predict_covariance_hand_product():
     assert out.P[0, 0] == pytest.approx(2.0)
     F = cv_transition(1.0)
     np.testing.assert_allclose(out.P, F @ F.T)
+    # the elementwise row and column adds are F x and F P F^T + Q
+    A = np.random.default_rng(3).normal(0.0, 10.0, (4, 5))
+    est = est_at([1.0, -2.0, 3.0, 4.0], A @ A.T)
+    out, F = kf_predict(est, dt=0.5, q=2.0), cv_transition(0.5)
+    np.testing.assert_allclose(out.x, F @ est.x, rtol=1e-15)
+    np.testing.assert_allclose(out.P, F @ est.P @ F.T + white_accel_Q(0.5, 2.0), rtol=1e-14)
 
 
 def test_predict_rejects_bad_input():

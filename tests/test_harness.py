@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _blas import pins_for_kernel
 from spoofbench.cli import main
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
@@ -410,50 +409,27 @@ def exported_demo_run(tmp_path_factory):
 
 # sha256 of the report bytes of two exported demo cells: any change to a
 # metric, down to one ulp of one matched distance, shows here. The ghost
-# cell has steps where tracks compete for a platform. Reruns on one
-# machine are bit-reproducible, but the bytes depend on the OpenBLAS
-# kernel, so they are keyed by the name it reports. Recorded with numpy
-# 2.4 on x86_64; OPENBLAS_CORETYPE=Zen runs the kernel named Haswell,
-# and Prescott the one named Katmai.
+# cell has steps where tracks compete for a platform. The tracker and the
+# matcher do their arithmetic elementwise in a fixed order, never through
+# BLAS, so one set holds under every OpenBLAS kernel (CI checks it under
+# OPENBLAS_CORETYPE Prescott, Haswell and Zen). Recorded with numpy 2.4 on
+# x86_64.
 PINNED_REPORTS = {
-    "SkylakeX": {
-        "drift": {
-            "report.json": "fc94fa343170905f7977aa09bff306233fd92cb45e06ea01428f3926bf3bb1f1",
-            "drift_matrix.csv": "abb5ccaec703474854882350dcb0b823be287bbc1a4ccfebf05c7af4e113e70b",
-        },
-        "ghost": {
-            "report.json": "9e268500221c967c68a9bebeb684c03ffd3569fef447424112696c947eec8393",
-            "drift_matrix.csv": "958630c2d70e18cd2891dbee560b0e8a82386917ad88dc9e59fe69bf36f86b3c",
-        },
+    "drift": {
+        "report.json": "f1ce21e23ae79554f0638d84f79ca0a5552d044b8463392c2922eb55eb97893d",
+        "drift_matrix.csv": "73538c57bde035d46346f5820c7ad45c2f3789274ef5bd89e79437ad4cc0f90a",
     },
-    "Haswell": {
-        "drift": {
-            "report.json": "fedda21641ccd52dda97585a50c183f5fa9c614ad4c466df0f8cf7310eb62302",
-            "drift_matrix.csv": "cda9936402dcb233b8602df9e7a9ff08705fc74bf3c315deae6eed472470cf32",
-        },
-        "ghost": {
-            "report.json": "03346c2234a0a99ac501ee16cfc22eaa9a7d7e7668684379d66ba665d6e8be38",
-            "drift_matrix.csv": "d85a76412e3905096392215178fa3e3387b70925625adfe4fa8ae02a46656ac3",
-        },
-    },
-    "Katmai": {
-        "drift": {
-            "report.json": "fedda21641ccd52dda97585a50c183f5fa9c614ad4c466df0f8cf7310eb62302",
-            "drift_matrix.csv": "cda9936402dcb233b8602df9e7a9ff08705fc74bf3c315deae6eed472470cf32",
-        },
-        "ghost": {
-            "report.json": "03346c2234a0a99ac501ee16cfc22eaa9a7d7e7668684379d66ba665d6e8be38",
-            "drift_matrix.csv": "d85a76412e3905096392215178fa3e3387b70925625adfe4fa8ae02a46656ac3",
-        },
+    "ghost": {
+        "report.json": "759affea6835b39e52eb14f74cb5146ae289d3daa3221848f6e1ffc470f900d4",
+        "drift_matrix.csv": "404bc471c747adc39d9729f0438e11a249d4ca01c5b30944c9166b0fbbc5e12e",
     },
 }
 
 
 def test_report_bytes_pinned(exported_demo_run, tmp_path_factory):
-    pins = pins_for_kernel(PINNED_REPORTS)
     cells = {"drift": exported_demo_run[0], "ghost": _exported_demo_cell(tmp_path_factory, "ghost")}
     for spoof_name, run_dir in cells.items():
-        for name, digest in pins[spoof_name].items():
+        for name, digest in PINNED_REPORTS[spoof_name].items():
             got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             assert got == digest, f"{spoof_name}/{name}"
 

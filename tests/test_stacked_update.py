@@ -2,9 +2,10 @@
 
 Every check here compares bytes, not tolerances: the trackers' artifacts
 are byte-compared across reruns, so batching the update may not move a
-single bit. The file also runs in CI under other OpenBLAS kernels
-(OPENBLAS_CORETYPE), since the claim is about how numpy's stacked
-products round, not about one machine.
+single bit. The oracle makes each product a two-term sum of Python
+floats in the stacked update's order, so the bits owe nothing to BLAS;
+the file also runs in CI under other OpenBLAS kernels
+(OPENBLAS_CORETYPE) to show it.
 """
 
 import itertools

@@ -7,7 +7,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from _blas import pins_for_kernel
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
@@ -235,30 +234,16 @@ def test_deleted_tracks_get_final_snapshot():
 
 
 # sha256 of snapshots.jsonl for one clutter run under each tracker; any
-# change to a row's content or to the row order shows here. Reruns on one
-# machine are bit-reproducible, but the bytes depend on the OpenBLAS
-# kernel, so they are keyed by the name it reports (see
-# test_harness.PINNED_REPORTS). Recorded with numpy 2.4 on x86_64. The
-# p_birth 0.5 runs draw from the birth streams, so they pin those too.
+# change to a row's content or to the row order shows here. The tracker
+# does its arithmetic elementwise in a fixed order, so one set holds under
+# every OpenBLAS kernel (see test_harness.PINNED_REPORTS). Recorded with
+# numpy 2.4 on x86_64. The p_birth 0.5 runs draw from the birth streams,
+# so they pin those too.
 PINNED_SNAPSHOTS = {
-    "SkylakeX": {
-        ("gnn", 1.0): "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
-        ("jpda", 1.0): "cbd1bc63f419426549d5e01d11dd72fff7b8785ae8e27be793961b28556cd0d5",
-        ("gnn", 0.5): "18613dc34b721acd9d7b89b92ca0856d9000107466f12b328c3bac4a0a91c349",
-        ("jpda", 0.5): "f6db1bbd3404b8af24b79faf610d771251d02e4e0f285d81d0686a6ecb0218b3",
-    },
-    "Haswell": {
-        ("gnn", 1.0): "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
-        ("jpda", 1.0): "cbd1bc63f419426549d5e01d11dd72fff7b8785ae8e27be793961b28556cd0d5",
-        ("gnn", 0.5): "18613dc34b721acd9d7b89b92ca0856d9000107466f12b328c3bac4a0a91c349",
-        ("jpda", 0.5): "f6db1bbd3404b8af24b79faf610d771251d02e4e0f285d81d0686a6ecb0218b3",
-    },
-    "Katmai": {
-        ("gnn", 1.0): "92bfb35dc47de85a7fc3a083e18790ac6202f8f3908d8547465a776db6db204b",
-        ("jpda", 1.0): "f3f672c7c035319aaa2967b572784dc8df739d604091c76ff6403aead276983a",
-        ("gnn", 0.5): "18613dc34b721acd9d7b89b92ca0856d9000107466f12b328c3bac4a0a91c349",
-        ("jpda", 0.5): "b675da4364f5d7a040565b47c1731c7e650e43d91166359034e20eec533b9bc5",
-    },
+    ("gnn", 1.0): "4aa8c80261289cf57db7c34462383b622bd8ec7a6528b2b1323dcb4a12d7dcbe",
+    ("jpda", 1.0): "3a1bb594c155fe1a846dbe728c545ab47aedddb58f0c1e21ec3166444c61a451",
+    ("gnn", 0.5): "08c8989088e51786d91a0f3e5cd79506109536e8b78100c568ef6239d491ec07",
+    ("jpda", 0.5): "f1d5253599d61395d65750071d548100e5759760b12b330f137c347c12c71d4d",
 }
 
 
@@ -276,5 +261,4 @@ def test_snapshot_rows_pinned(tmp_path, step_fn, name, p_birth):
     run = run_tracker(frames, params(p_birth=p_birth), step_fn, birth_seed=1)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=name == "jpda")
-    pins = pins_for_kernel(PINNED_SNAPSHOTS)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == pins[name, p_birth]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name, p_birth]
