@@ -1,9 +1,11 @@
-"""GNN association against an independent exhaustive oracle.
+"""GNN association against independent oracles.
 
-The oracle is a bitmask DP over partial assignments and shares no code
-with the production solver (which delegates to scipy's LAP). The gate
-costs and the Kalman update are checked against per-pair linear solves
-that share no code with the closed-form 2x2 inverse.
+The assignment solver is checked against a bitmask DP over partial
+assignments on small arrays, and against scipy's LAP (a test-only
+dependency) on the padded problem at the size of a dense frame. Neither
+shares code with the package's shortest-augmenting-path solver. The
+gate costs and the Kalman update are checked against per-pair linear
+solves that share no code with the closed-form 2x2 inverse.
 """
 
 import itertools
@@ -62,17 +64,113 @@ def test_returns_rows_in_order_as_python_ints():
     assert all(type(k) is int and type(v) is int for k, v in out.items())
 
 
+def test_large_unassigned_cost_keeps_a_valid_pair():
+    # no finite stand-in for a forbidden pair may undercut the miss price
+    assert hungarian(np.array([[5e12], [INF]]), 1e13) == {0: 0}
+    assert hungarian(np.array([[INF, 5e12]]), 1e13) == {0: 1}
+
+
+def test_pair_at_exactly_the_unassigned_cost_is_never_taken():
+    assert hungarian(np.array([[9.21]]), 9.21) == {}
+    assert hungarian(np.array([[9.21, 9.21], [9.21, 3.0]]), 9.21) == {1: 1}
+
+
+@pytest.mark.parametrize("bad", [INF, -INF, float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("unassigned", [9.21, 1e300])
+def test_non_finite_entries_are_forbidden(bad, unassigned):
+    costs = np.array([[bad, 1.0], [bad, bad], [2.0, bad]])
+    assert hungarian(costs, unassigned) == {0: 1, 2: 0}
+    assert hungarian(np.full((2, 3), bad), unassigned) == {}
+
+
+@pytest.mark.parametrize("unassigned", [INF, -INF, float("nan")])
+def test_unassigned_cost_must_be_finite(unassigned):
+    with pytest.raises(ValueError, match="unassigned_cost"):
+        hungarian(np.array([[1.0]]), unassigned)
+
+
+# (rows, columns) per shape family, drawn per trial
+ORACLE_SHAPES = {
+    "square": lambda rng: (int(rng.integers(1, 7)),) * 2,
+    "n>m": lambda rng: (int(rng.integers(3, 8)), int(rng.integers(1, 3))),
+    "n<m": lambda rng: (int(rng.integers(1, 3)), int(rng.integers(3, 8))),
+    "1xk": lambda rng: (1, int(rng.integers(1, 8))),
+    "kx1": lambda rng: (int(rng.integers(1, 8)), 1),
+    "empty": lambda rng: [(0, 0), (0, 4), (4, 0)][int(rng.integers(0, 3))],
+}
+
+
 def test_matches_enumeration_on_random_matrices():
     rng = np.random.default_rng(2)
-    for trial in range(200):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(0, 7))
-        costs = rng.uniform(0.0, 30.0, (n, m))
+    for trial, family in enumerate(list(ORACLE_SHAPES) * 100):
+        n, m = ORACLE_SHAPES[family](rng)
+        costs = rng.uniform(-5.0, 30.0, (n, m))
         costs[rng.random((n, m)) < 0.25] = INF
+        costs[rng.random((n, m)) < 0.05] = -INF
+        costs[rng.random((n, m)) < 0.05] = np.nan
         unassigned = float(rng.uniform(1.0, 15.0))
-        got = assignment_cost(costs, unassigned, hungarian(costs, unassigned))
+        out = hungarian(costs, unassigned)
+        assert_valid_assignment(costs, unassigned, out)
+        got = assignment_cost(costs, unassigned, out)
         want = min_cost_by_enumeration(costs, unassigned)
-        assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
+        assert got == pytest.approx(want, abs=1e-9), f"trial {trial} ({family})"
+
+
+def assert_valid_assignment(costs, unassigned, out):
+    """Python-int keys in row order, each column once, candidates only."""
+    assert list(out) == sorted(out)
+    assert all(type(r) is int and type(c) is int for r, c in out.items())
+    assert len(set(out.values())) == len(out)
+    assert all(np.isfinite(costs[r, c]) and costs[r, c] < unassigned for r, c in out.items())
+
+
+def padded_lap_cost(costs, unassigned):
+    """Optimum by scipy's LAP over (n, m + n): row i may take column
+    m + i at the unassigned cost, and every other pair outside the
+    candidates costs more than leaving all rows unassigned."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    n, m = costs.shape
+    candidate = np.isfinite(costs) & (costs < unassigned)
+    forbidden = 2.0 * (n * abs(unassigned) + np.abs(costs[candidate]).sum()) + 1.0
+    padded = np.full((n, m + n), forbidden)
+    padded[:, :m] = np.where(candidate, costs, forbidden)
+    padded[np.arange(n), m + np.arange(n)] = unassigned
+    rows, cols = linear_sum_assignment(padded)
+    return float(padded[rows, cols].sum())
+
+
+def largest_component_rows(candidate):
+    """Rows in the largest connected component of the row-column graph."""
+    n = len(candidate)
+    parent = list(range(n + candidate.shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(candidate)):
+        parent[root(int(i))] = root(n + int(j))
+    roots = [root(i) for i in range(n) if candidate[i].any()]
+    return max((roots.count(r) for r in set(roots)), default=0)
+
+
+def test_matches_scipy_on_dense_frame_sized_arrays():
+    # about the shape of a dense_ghost frame, 40 tracks by 20 detections
+    # with 8% of pairs inside the gate, which joins them into components
+    # of 10 and more rows; each array is also solved transposed
+    rng = np.random.default_rng(11)
+    gamma = 9.21
+    for trial in range(100):
+        costs = rng.uniform(0.0, gamma, (40, 20))
+        costs[rng.random((40, 20)) >= 0.08] = INF
+        assert largest_component_rows(np.isfinite(costs)) >= 10
+        for array in (costs, costs.T):
+            out = hungarian(array, gamma)
+            assert_valid_assignment(array, gamma, out)
+            got = assignment_cost(array, gamma, out)
+            want = padded_lap_cost(array, gamma)
+            assert got == pytest.approx(want, rel=1e-12), f"trial {trial}"
 
 
 def clutter_det(i, x, y, t=0):
