@@ -35,7 +35,7 @@ def main():
     sensor = SensorConfig()
     frames = generate_clean_run(truth, sensor, seed=0)
 
-    counts = collections.Counter(d.label.kind for f in frames for d in f.detections)
+    counts = collections.Counter(d.label for f in frames for d in f.detections)
     n_true = counts["clean"]
     n_clutter = counts["clutter"]
     n_chances = len(frames) * len(truth.platform_ids)

@@ -55,7 +55,7 @@ def main():
     offsets = {}
     for t in (WINDOW[0], 50, WINDOW[1] - 1):
         pairs = zip(drift.clean_frames[t].detections, drift.spoofed_frames[t].detections)
-        moved = [float(np.linalg.norm(s.z - c.z)) for c, s in pairs if c.label.kind == "clean"]
+        moved = [float(np.linalg.norm(s.z - c.z)) for c, s in pairs if c.label == "clean"]
         offsets[t] = max(moved) if moved else 0.0
     print("drift (alpha=3.0 m/s along +x):")
     print(f"  detections {sum(len(f.detections) for f in drift.spoofed_frames)} (unchanged)")
@@ -91,7 +91,7 @@ def main():
     n_mirror = label_counts(mirror.spoofed_frames)["spoof:mirror"]
     ids_clean = {d.detection_id for f in mirror.clean_frames for d in f.detections}
     ids_spoof = {d.detection_id for f in mirror.spoofed_frames for d in f.detections
-                 if d.label.kind == "spoof"}
+                 if d.label.startswith("spoof")}
     sample = mirror.spoofed_frames[WINDOW[0]].detections[0].z
     twice = reflect_across_axis(reflect_across_axis(sample, x0), x0)
     print(f"mirror (axis x={x0}):")

@@ -14,7 +14,6 @@ import numpy as np
 from spoofbench import (
     Detection,
     DetectionFrame,
-    Label,
     SensorConfig,
     SpoofConfig,
     SpoofType,
@@ -67,7 +66,7 @@ def main():
         seed=3,
     ))
     n_ghost = sum(1 for f in spoofed.spoofed_frames for d in f.detections
-                  if d.origin_key() == "spoof:ghost")
+                  if d.label == "spoof:ghost")
     print(f"ghost cloud riding 15 m off the platforms: {n_ghost} injected detections\n")
 
     reports = {
@@ -95,19 +94,19 @@ def main():
     print("\nassociation weight of the best detection vs gate crowding:")
     params = TrackerParams(clutter_density=2.0 / 1200.0 ** 2)
     seed_det = Detection(t=0, detection_id=0, z=np.array([0.0, 0.0]),
-                         R=np.eye(2) * 25.0, label=Label.clutter())
+                         R=np.eye(2) * 25.0, label="clutter")
     predicted = estimate_from_detection(seed_det.z, seed_det.R)
     for k in (1, 2, 4, 8):
         dets = [
             Detection(t=1, detection_id=i, z=np.array([0.0, 0.0]),
-                      R=np.eye(2) * 25.0, label=Label.clutter())
+                      R=np.eye(2) * 25.0, label="clutter")
             for i in range(k)
         ]
         gated = gate(DetectionFrame(t=1, detections=tuple(dets)), predicted)
-        beta = association_probabilities(gated, params)
-        top = max(beta.betas.values())
-        print(f"  {k} detections in gate: top beta {top:.3f}, miss {beta.miss:.3f}, "
-              f"sum {top * k + beta.miss:.3f}")
+        miss, betas = association_probabilities(gated, params)
+        top = max(betas.values())
+        print(f"  {k} detections in gate: top beta {top:.3f}, miss {miss:.3f}, "
+              f"sum {top * k + miss:.3f}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .scenario import (
 from .sensing import (
     Detection,
     DetectionFrame,
-    Label,
     SensorConfig,
     generate_clean_run,
     read_detection_csv,
@@ -81,7 +80,6 @@ __all__ = [
     "load_scenario_config",
     "Detection",
     "DetectionFrame",
-    "Label",
     "SensorConfig",
     "generate_clean_run",
     "read_detection_csv",

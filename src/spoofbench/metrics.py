@@ -2,7 +2,9 @@
 purity, spoof statistics, and normalized impact.
 
 All metrics are pure post-processing over snapshot records, ground
-truth, and provenance labels. Track-to-truth correspondence is solved
+truth, and the provenance of the detections the tracks consumed, looked
+up by (t, detection_id) in one map built from the spoofed stream
+(detection_origins). Track-to-truth correspondence is solved
 per timestep as a min-cost one-to-one matching between confirmed track
 positions and true platform positions with a hard distance cutoff; the
 matcher's index (matched records and their distances) is the one source
@@ -19,6 +21,7 @@ import numpy as np
 
 from .codec import Record, load_record, write_json
 from .scenario import GroundTruth
+from .sensing import DetectionFrame
 from .tracker_gnn import hungarian
 from .tracking import SnapshotRecord, TrackStatus
 
@@ -170,14 +173,19 @@ def drift_from_truth(correspondence: TruthCorrespondence, truth: GroundTruth) ->
     )
 
 
+def detection_origins(frames: Sequence[DetectionFrame]) -> dict:
+    """{(t, detection_id): origin_key} over every detection of a stream."""
+    return {(d.t, d.detection_id): d.origin_key() for f in frames for d in f.detections}
+
+
 def _collapse_origin(origin: str) -> str:
     # confusion buckets: per-platform sources, clutter, and one spoof
     # bucket regardless of spoof type
     return "spoof" if origin.startswith("spoof") else origin
 
 
-def _spoof_weight(record: SnapshotRecord) -> float:
-    return sum(w for d, w in record.weights.items() if record.origins[d].startswith("spoof"))
+def _spoof_weight(record: SnapshotRecord, origins: dict) -> float:
+    return sum(w for d, w in record.weights.items() if origins[record.t, d].startswith("spoof"))
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,7 @@ class DivergenceReport:
     confusion: dict
 
 
-def assignment_divergence(correspondence: TruthCorrespondence) -> DivergenceReport:
+def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) -> DivergenceReport:
     """Identity switches and detection-origin confusion.
 
     A switch is a change of matched track id between consecutive matched
@@ -195,18 +203,18 @@ def assignment_divergence(correspondence: TruthCorrespondence) -> DivergenceRepo
     platform matched at least once has a switch count.
     Confusion row r holds the fraction of detection weight, consumed by
     tracks matched to platform r, that originated from each source;
-    rows sum to 1.
+    rows sum to 1. origins is detection_origins of the tracked stream.
     """
     per_platform = dict.fromkeys(correspondence.distances, 0)
     for _, pid, _, _ in correspondence.switches():
         per_platform[pid] += 1
     weight_rows: dict = {}
-    for (_, pid), record in correspondence.records.items():
+    for (t, pid), record in correspondence.records.items():
         if not record.weights:
             continue
         row = weight_rows.setdefault(pid, {})
         for det_id, weight in record.weights.items():
-            source = _collapse_origin(record.origins[det_id])
+            source = _collapse_origin(origins[t, det_id])
             row[source] = row.get(source, 0.0) + weight
     confusion: dict = {}
     for pid, row in weight_rows.items():
@@ -230,10 +238,11 @@ class PurityPoint(NamedTuple):
     spoof_majority_fraction: float
 
 
-def cluster_purity(snapshots: Sequence[SnapshotRecord]) -> list[PurityPoint]:
+def cluster_purity(snapshots: Sequence[SnapshotRecord], origins: dict) -> list[PurityPoint]:
     """Per step: purity = (weight of the majority origin source) /
     (total consumed weight), averaged over tracks that consumed weight.
     Steps where no track consumed anything are absent from the timeline.
+    origins is detection_origins of the tracked stream.
     """
     steps: dict = {}  # t -> ([purity per track], [spoof-majority flag per track])
     for record in snapshots:
@@ -242,7 +251,7 @@ def cluster_purity(snapshots: Sequence[SnapshotRecord]) -> list[PurityPoint]:
             continue
         sums: dict = {}
         for det_id, weight in record.weights.items():
-            origin = record.origins[det_id]
+            origin = origins[record.t, det_id]
             sums[origin] = sums.get(origin, 0.0) + weight
         majority = max(sorted(sums), key=lambda k: sums[k])
         purities, spoof_major = steps.setdefault(record.t, ([], []))
@@ -269,6 +278,7 @@ def spoof_stats(
     snapshots: Sequence[SnapshotRecord],
     correspondence: TruthCorrespondence,
     truth: GroundTruth,
+    origins: dict,
     noise_sigma_m: float,
     injection_window: tuple[int, int],
 ) -> SpoofStats:
@@ -281,7 +291,8 @@ def spoof_stats(
     eps = 3 * noise_sigma_m for at least MIN_RECOVERY_STEPS consecutive
     steps after the window; vacuously 1 when nothing was affected.
     false_attribution: weight share of clean detections consumed by
-    tracks matched to a different platform.
+    tracks matched to a different platform. origins is
+    detection_origins of the tracked stream.
     """
     eps = 3.0 * noise_sigma_m
     t_start, t_end = injection_window
@@ -293,14 +304,14 @@ def spoof_stats(
         if total <= 0.0:
             continue
         updates += 1
-        if _spoof_weight(record) > 0.5 * total:
+        if _spoof_weight(record, origins) > 0.5 * total:
             spoof_dominated += 1
     inclusion = spoof_dominated / updates if updates else 0.0
 
     affected = {
         pid
         for (t, pid), record in correspondence.records.items()
-        if t_start <= t <= t_end and _spoof_weight(record) > 0.0
+        if t_start <= t <= t_end and _spoof_weight(record, origins) > 0.0
     }
     recovered = 0
     for pid in affected:
@@ -316,9 +327,9 @@ def spoof_stats(
 
     clean_weight = 0.0
     misattributed = 0.0
-    for (_, pid), record in correspondence.records.items():
+    for (t, pid), record in correspondence.records.items():
         for det_id, weight in record.weights.items():
-            origin = record.origins[det_id]
+            origin = origins[t, det_id]
             if not origin.startswith("platform:"):
                 continue
             clean_weight += weight
@@ -375,13 +386,15 @@ def compute_run_report(
 ) -> RunReport:
     """Assemble the full metric bundle for one finished run."""
     correspondence = match_tracks_to_truth(run.snapshots, truth)
+    origins = detection_origins(spoofed_run.spoofed_frames)
     drift = drift_from_truth(correspondence, truth)
-    divergence = assignment_divergence(correspondence)
-    purity = cluster_purity(run.snapshots)
+    divergence = assignment_divergence(correspondence, origins)
+    purity = cluster_purity(run.snapshots, origins)
     stats = spoof_stats(
         run.snapshots,
         correspondence,
         truth,
+        origins,
         noise_sigma_m=noise_sigma_m,
         injection_window=spoofed_run.config.injection_window,
     )

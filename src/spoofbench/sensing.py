@@ -26,61 +26,28 @@ DEFAULT_FOV = Region(-600.0, 600.0, -600.0, 600.0)
 
 LABEL_CLEAN = "clean"
 LABEL_CLUTTER = "clutter"
-LABEL_SPOOF = "spoof"
-
-
-@dataclass(frozen=True)
-class Label:
-    """Provenance of one detection; trackers never read it.
-
-    kind is "clean", "clutter", or "spoof". Spoof labels carry the spoof
-    type and, when derived from a real platform, that platform's id.
-    """
-
-    kind: str
-    spoof_type: Optional[str] = None
-    truth_id: Optional[int] = None
-
-    @classmethod
-    def clean(cls, truth_id: int) -> "Label":
-        return cls(kind=LABEL_CLEAN, truth_id=truth_id)
-
-    @classmethod
-    def clutter(cls) -> "Label":
-        return cls(kind=LABEL_CLUTTER)
-
-    @classmethod
-    def spoof(cls, spoof_type: str, truth_id: Optional[int] = None) -> "Label":
-        return cls(kind=LABEL_SPOOF, spoof_type=spoof_type, truth_id=truth_id)
-
-    @property
-    def is_spoof(self) -> bool:
-        return self.kind == LABEL_SPOOF
-
-    def encode(self) -> str:
-        if self.kind == LABEL_SPOOF:
-            return f"spoof:{self.spoof_type}"
-        return self.kind
 
 
 @dataclass(frozen=True)
 class Detection:
-    """One measured position with its reported covariance and provenance."""
+    """One measured position with its reported covariance and provenance.
+
+    label is "clean", "clutter" or "spoof:<type>"; truth_id is the
+    platform a clean or drift/mirror detection came from. Trackers never
+    read either.
+    """
 
     t: int
     detection_id: int
     z: np.ndarray
     R: np.ndarray
-    label: Label
+    label: str
+    truth_id: Optional[int] = None
 
     def origin_key(self) -> str:
         """Source bucket used by the metrics: platform:<id>, clutter,
         or spoof:<type>."""
-        if self.label.kind == LABEL_CLEAN:
-            return f"platform:{self.label.truth_id}"
-        if self.label.kind == LABEL_CLUTTER:
-            return "clutter"
-        return f"spoof:{self.label.spoof_type}"
+        return f"platform:{self.truth_id}" if self.label == LABEL_CLEAN else self.label
 
 
 @dataclass(frozen=True)
@@ -160,7 +127,9 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
                 continue
             z = pos + rng.normal(0.0, sigma, size=2)
             detections.append(
-                Detection(t=k, detection_id=next_id, z=z, R=R.copy(), label=Label.clean(pid))
+                Detection(
+                    t=k, detection_id=next_id, z=z, R=R.copy(), label=LABEL_CLEAN, truth_id=pid
+                )
             )
             next_id += 1
         rng = substream(seed, cfg.seed_stream_tag, k, CLUTTER_SLOT)
@@ -174,7 +143,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
                         detection_id=next_id,
                         z=np.asarray(point, dtype=float),
                         R=R.copy(),
-                        label=Label.clutter(),
+                        label=LABEL_CLUTTER,
                     )
                 )
                 next_id += 1
@@ -184,7 +153,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
 
 class DetectionRow(NamedTuple):
     """One row of clean.csv or spoofed.csv: a detection, its reported
-    covariance and its encoded label."""
+    covariance and its provenance."""
 
     run_id: str
     t: int
@@ -207,7 +176,7 @@ def write_detection_csv(path, frames: Iterable[DetectionFrame], run_id: str) -> 
     """Serialize frames to CSV, one row per detection."""
     rows = (
         (run_id, d.t, d.detection_id, *d.z.tolist(), d.R[0, 0], d.R[0, 1], d.R[1, 1],
-         d.label.encode(), d.label.truth_id)
+         d.label, d.truth_id)
         for frame in frames
         for d in frame.detections
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import Region
-from .sensing import Detection, DetectionFrame, Label
+from .sensing import LABEL_CLEAN, Detection, DetectionFrame
 from .streams import TAG_SPOOF, substream
 
 GHOST_MODE_UNIFORM = "uniform"
@@ -151,13 +151,8 @@ def _drift_frame(
     detections: list[Detection] = []
     entries: list[SpoofLogEntry] = []
     for det in frame.detections:
-        if det.label.kind == "clean" and cfg.targets(det.label.truth_id):
-            moved = replace(
-                det,
-                z=det.z + offset,
-                label=Label.spoof(SpoofType.DRIFT.value, det.label.truth_id),
-            )
-            detections.append(moved)
+        if det.label == LABEL_CLEAN and cfg.targets(det.truth_id):
+            detections.append(replace(det, z=det.z + offset, label="spoof:drift"))
             entries.append(
                 SpoofLogEntry(frame.t, det.detection_id, SpoofType.DRIFT.value, *det.z.tolist())
             )
@@ -180,7 +175,7 @@ def _ghost_frame(
     if count == 0:
         return frame, [], next_id
     R = np.eye(2) * cfg.ghost_sigma_m * cfg.ghost_sigma_m
-    clean = [d for d in frame.detections if d.label.kind == "clean"]
+    clean = [d for d in frame.detections if d.label == LABEL_CLEAN]
     added: list[Detection] = []
     entries: list[SpoofLogEntry] = []
     for _ in range(count):
@@ -205,7 +200,7 @@ def _ghost_frame(
                 detection_id=next_id,
                 z=z,
                 R=R.copy(),
-                label=Label.spoof(SpoofType.GHOST.value, None),
+                label="spoof:ghost",
             )
         )
         entries.append(SpoofLogEntry(frame.t, next_id, SpoofType.GHOST.value, None, None))
@@ -222,7 +217,7 @@ def _mirror_frame(
     added: list[Detection] = []
     entries: list[SpoofLogEntry] = []
     for det in frame.detections:
-        if det.label.kind != "clean" or not cfg.targets(det.label.truth_id):
+        if det.label != LABEL_CLEAN or not cfg.targets(det.truth_id):
             continue
         added.append(
             Detection(
@@ -230,7 +225,8 @@ def _mirror_frame(
                 detection_id=next_id,
                 z=reflect_across_axis(det.z, cfg.mirror_x0),
                 R=det.R.copy(),
-                label=Label.spoof(SpoofType.MIRROR.value, det.label.truth_id),
+                label="spoof:mirror",
+                truth_id=det.truth_id,
             )
         )
         entries.append(

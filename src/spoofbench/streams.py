@@ -17,7 +17,7 @@ import numpy as np
 # Stream tags: first element of every spawn path. Values are arbitrary but
 # frozen; changing them changes every derived stream.
 TAG_SENSE = 1
-TAG_CLUTTER = 2
+# 2 is free: clutter draws use TAG_SENSE with sensing.CLUTTER_SLOT
 TAG_SPOOF = 3
 TAG_BIRTH = 4
 

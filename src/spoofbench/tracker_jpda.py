@@ -10,7 +10,6 @@ detection may contribute weight to several tracks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,29 +28,10 @@ from .tracking import (
 )
 
 
-@dataclass(frozen=True)
-class BetaVector:
-    """Association probabilities of one track at one step.
-
-    betas maps detection_id to its probability; miss is the leftover
-    mass on the no-detection hypothesis. Sums to 1 by construction.
-    """
-
-    miss: float
-    betas: dict
-
-    def total(self) -> float:
-        return self.miss + sum(self.betas.values())
-
-    def as_json_dict(self) -> dict:
-        vector = {"miss": self.miss}
-        for det_id in sorted(self.betas):
-            vector[str(det_id)] = self.betas[det_id]
-        return vector
-
-
-def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaVector:
-    """Per-track association probabilities over the gated detections.
+def association_probabilities(gated: GateResult, params: TrackerParams) -> tuple[float, dict]:
+    """Per-track association probabilities over the gated detections, as
+    (miss, betas): betas maps detection_id to its probability and miss
+    is the leftover mass on the no-detection hypothesis; they sum to 1.
 
     Likelihood of detection i is the Gaussian innovation density
     exp(-d2_i / 2) / (2 pi sqrt(det S_i)); the miss/clutter mass is
@@ -60,7 +40,7 @@ def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaV
     mass on the miss hypothesis.
     """
     if len(gated) == 0:
-        return BetaVector(miss=1.0, betas={})
+        return 1.0, {}
     C = params.clutter_density * (1.0 - params.p_detect) / params.p_detect
     S = gated.S
     det_S = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
@@ -74,13 +54,13 @@ def association_probabilities(gated: GateResult, params: TrackerParams) -> BetaV
     betas = {
         det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)
     }
-    return BetaVector(miss=C / denom, betas=betas)
+    return C / denom, betas
 
 
 def _composite_update(
     tracks: Sequence,
     gates: Sequence[GateResult],
-    betas: Sequence[BetaVector],
+    probabilities: Sequence[tuple[float, dict]],
     frame: DetectionFrame,
 ) -> None:
     """Replace each track's estimate by the moment-matched mixture of its
@@ -110,9 +90,11 @@ def _composite_update(
     weights = np.zeros((n, k_max))
     means[rows, cols] = post_x
     covs[rows, cols] = post_P
-    weights[:, 0] = [beta.miss for beta in betas]
+    weights[:, 0] = [miss for miss, _ in probabilities]
     weights[rows, cols] = [
-        beta.betas[det_id] for gated, beta in zip(gates, betas) for det_id in gated.detection_ids
+        betas[det_id]
+        for gated, (_, betas) in zip(gates, probabilities)
+        for det_id in gated.detection_ids
     ]
     x = np.zeros((n, 4))
     for k in range(k_max):
@@ -146,22 +128,22 @@ def jpda_step(
         track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
 
     gates = [gate(frame, track.estimate, params.gamma) for track in tracks]
-    betas = [association_probabilities(gated, params) for gated in gates]
-    updated = [(tr, gated, beta) for tr, gated, beta in zip(tracks, gates, betas) if len(gated) > 0]
+    probabilities = [association_probabilities(gated, params) for gated in gates]
+    updated = [
+        (tr, gated, p) for tr, gated, p in zip(tracks, gates, probabilities) if len(gated) > 0
+    ]
     if updated:
         _composite_update(*zip(*updated), frame)
 
     records = []
-    for track, gated, beta in zip(tracks, gates, betas):
-        evidence = 1.0 - beta.miss
+    for track, gated, (miss, betas) in zip(tracks, gates, probabilities):
+        evidence = 1.0 - miss
         hit = evidence >= params.hit_threshold
         lifecycle_update(track, hit, params)
         # a hit names the argmax beta, lowest detection_id on ties
-        best = min(beta.betas, key=lambda k: (-beta.betas[k], k)) if hit and beta.betas else None
+        best = min(betas, key=lambda k: (-betas[k], k)) if hit and betas else None
         score = evidence if len(gated) > 0 else None
-        records.append(
-            snapshot_record(frame.t, track, best, score, beta.betas, beta.as_json_dict())
-        )
+        records.append(snapshot_record(frame.t, track, best, score, betas, miss))
 
     gated_ids = {det_id for gated in gates for det_id in gated.detection_ids}
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]

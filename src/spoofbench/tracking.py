@@ -4,9 +4,10 @@ Both trackers drive the same machinery: a step function consumes the
 live track list and one detection frame, and returns a StepResult with
 the live tracks, one SnapshotRecord per pre-existing track (built by
 snapshot_record as the track leaves the step), births, and deletions.
-run_tracker adds a row per birth and the detections' provenance, so
-trackers never read labels. Confirmation is M-of-N on the hit history;
-deletion is a consecutive miss streak.
+run_tracker adds a row per birth. Provenance stays on the detections:
+the metrics look it up by (t, detection_id) in the spoofed stream, so
+neither the trackers nor this loop read labels. Confirmation is M-of-N
+on the hit history; deletion is a consecutive miss streak.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, check_keys, decode
+from .codec import Record, _decode_key, check_keys, decode
 from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, KinematicEstimate, estimate_from_detection
 from .sensing import Detection, DetectionFrame
@@ -140,12 +141,15 @@ def birth_tracks(
 class SnapshotRecord:
     """Per (step, track) record; the JSONL rows of a run come from these.
 
-    weights/origins stay in memory for the metrics and are not
-    serialized; beta is serialized for soft associators. The JSON form
-    is hand-written, not a codec Record: it skips the in-memory fields,
-    has beta only for soft associators, and rows are encoded inside the
-    timed run, where a whole-row codec decode took twice as long as the
-    leaf checks below.
+    weights maps detection_id to the weight the track consumed; the
+    metrics read it against the spoofed stream's provenance. miss is a
+    soft associator's miss probability, None elsewhere. A soft
+    associator's row writes both as its beta object, {"miss": miss,
+    "<detection_id>": weight, ...} in ascending id order, and the read
+    fills them back in; hard rows write neither. The JSON form is
+    hand-written, not a codec Record: rows are encoded inside the timed
+    run, and a whole-row codec decode took twice as long as the leaf
+    checks below.
     """
 
     t: int
@@ -158,13 +162,14 @@ class SnapshotRecord:
     detection_id: Optional[int]
     score: Optional[float]
     weights: dict = field(default_factory=dict)
-    origins: dict = field(default_factory=dict)
-    beta: Optional[dict] = None
+    miss: Optional[float] = None
 
     def to_json_dict(self, include_beta: bool) -> dict:
         record = {key: getattr(self, key) for key in _ROW_KEYS}
         if include_beta:
-            record["beta"] = self.beta
+            record["beta"] = None if self.miss is None else {
+                "miss": self.miss, **{str(k): self.weights[k] for k in sorted(self.weights)}
+            }
         return record
 
     @classmethod
@@ -175,10 +180,17 @@ class SnapshotRecord:
         if d["status"] not in _STATUSES:
             raise ConfigError(f"status must be one of {list(_STATUSES)}")
         beta = d.get("beta")
-        if not isinstance(beta, (dict, type(None))):
-            raise ConfigError("beta must be an object or null")
-        for key, value in (beta or {}).items():
-            decode(float, value, f"beta.{key}")
+        miss, weights = None, {}
+        if beta is not None:
+            if not isinstance(beta, dict):
+                raise ConfigError("beta must be an object or null")
+            if "miss" not in beta:
+                raise ConfigError("beta missing keys: ['miss']")
+            for key, value in beta.items():
+                if key == "miss":
+                    miss = decode(float, value, "beta.miss")
+                else:
+                    weights[_decode_key(int, key, "beta")] = decode(float, value, f"beta.{key}")
         det, score = d["detection_id"], d["score"]
         return cls(
             t=decode(int, d["t"], "t"),
@@ -190,7 +202,8 @@ class SnapshotRecord:
             vy=decode(float, d["vy"], "vy"),
             detection_id=None if det is None else decode(int, det, "detection_id"),
             score=None if score is None else decode(float, score, "score"),
-            beta=beta,
+            weights=weights,
+            miss=miss,
         )
 
 
@@ -223,15 +236,16 @@ def snapshot_record(
     detection_id: Optional[int],
     score: Optional[float],
     weights: dict,
-    beta: Optional[dict] = None,
+    miss: Optional[float] = None,
 ) -> SnapshotRecord:
     """The row of a track as it leaves step t. weights maps detection_id
     to the weight the track consumed: 1 for a hard assignment, the
-    association probabilities for a soft one."""
+    association probabilities for a soft one, whose miss probability
+    is miss."""
     x, y, vx, vy = track.estimate.x.tolist()
     return SnapshotRecord(
         t, track.track_id, track.status.value, x, y, vx, vy, detection_id, score,
-        weights=weights, beta=beta,
+        weights=weights, miss=miss,
     )
 
 
@@ -275,9 +289,6 @@ def run_tracker(
         rng = substream(birth_seed, TAG_BIRTH, frame.t) if params.p_birth < 1.0 else None
         result = step_fn(live, frame, params, birth_rng=rng, id_source=id_source)
         steps.append(result)
-        origin_by_id = {d.detection_id: d.origin_key() for d in frame.detections}
-        for record in result.assignments:
-            record.origins = {k: origin_by_id[k] for k in record.weights}
         snapshots.extend(result.assignments)
         # a birth's spawning detection is informational, not a consumed update
         snapshots.extend(
@@ -290,7 +301,8 @@ def run_tracker(
 
 def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:
     """One JSON object per line: t, track_id, status, x, y, vx, vy,
-    detection_id, score, and the beta vector for soft associators."""
+    detection_id, score, and, with include_beta, the beta object of
+    SnapshotRecord.to_json_dict."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for record in run.snapshots:
             fh.write(

@@ -140,19 +140,19 @@ def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
     return step_result(frame.t, tracks, records, births)
 
 
-def _composite_update_per_track(track, gated, beta, frame):
+def _composite_update_per_track(track, gated, miss, betas, frame):
     """Moment-matched mixture with one Kalman update call per gated
     detection; the mixture sums start from zero, miss first."""
     prior = track.estimate
     means = [prior.x]
     covs = [prior.P]
-    weights = [beta.miss]
+    weights = [miss]
     for index, det_id in zip(gated.indices, gated.detection_ids):
         det = frame.detections[index]
         x_post, P_post = kf_update_per_row(prior.x, prior.P, det.z, det.R)
         means.append(x_post)
         covs.append(P_post)
-        weights.append(beta.betas[det_id])
+        weights.append(betas[det_id])
     x = np.zeros(4)
     for w, m in zip(weights, means):
         x += w * m
@@ -174,17 +174,15 @@ def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
     for track in tracks:
         gated = gate(frame, track.estimate, params.gamma)
         gated_ids.update(gated.detection_ids)
-        beta = association_probabilities(gated, params)
+        miss, betas = association_probabilities(gated, params)
         if len(gated) > 0:
-            _composite_update_per_track(track, gated, beta, frame)
-        evidence = 1.0 - beta.miss
+            _composite_update_per_track(track, gated, miss, betas, frame)
+        evidence = 1.0 - miss
         hit = evidence >= params.hit_threshold
         lifecycle_update(track, hit, params)
-        best = min(beta.betas, key=lambda k: (-beta.betas[k], k)) if hit and beta.betas else None
+        best = min(betas, key=lambda k: (-betas[k], k)) if hit and betas else None
         score = evidence if len(gated) > 0 else None
-        records.append(
-            snapshot_record(frame.t, track, best, score, beta.betas, beta.as_json_dict())
-        )
+        records.append(snapshot_record(frame.t, track, best, score, betas, miss))
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
     births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
     return step_result(frame.t, tracks, records, births)

@@ -13,7 +13,7 @@ from spoofbench.estimation import (
     white_accel_Q,
     KinematicEstimate,
 )
-from spoofbench.sensing import Detection, DetectionFrame, Label
+from spoofbench.sensing import Detection, DetectionFrame
 
 
 def est_at(x, P=None):
@@ -25,7 +25,7 @@ def est_at(x, P=None):
 def frame_at(points, R=None, t=0):
     R = 25.0 * np.eye(2) if R is None else R
     dets = tuple(
-        Detection(t=t, detection_id=i, z=np.array(p, dtype=float), R=R.copy(), label=Label.clutter())
+        Detection(t=t, detection_id=i, z=np.array(p, dtype=float), R=R.copy(), label="clutter")
         for i, p in enumerate(points)
     )
     return DetectionFrame(t=t, detections=dets)
@@ -167,7 +167,7 @@ def test_gate_uses_per_detection_R_by_default():
 
 def test_estimate_from_detection_init():
     det = Detection(
-        t=0, detection_id=0, z=np.array([7.0, -3.0]), R=4.0 * np.eye(2), label=Label.clutter()
+        t=0, detection_id=0, z=np.array([7.0, -3.0]), R=4.0 * np.eye(2), label="clutter"
     )
     est = estimate_from_detection(det.z, det.R, v_max=50.0)
     np.testing.assert_allclose(est.position(), [7.0, -3.0])

@@ -738,6 +738,9 @@ MALFORMED_SNAPSHOTS = [
     ("fractional-t", _edit_row("t", 1.5), "t must be a whole number"),
     ("unknown-status", _edit_row("status", "lost"), "status must be one of"),
     ("string-beta", _edit_row("beta", {"miss": "x"}), "beta.miss must be a number"),
+    ("beta-without-miss", _edit_row("beta", {"3": 0.5}), "beta missing keys: ['miss']"),
+    ("beta-non-integer-key", _edit_row("beta", {"miss": 0.5, "x": 0.5}),
+     "beta key 'x' must be a decimal integer"),
 ]
 
 

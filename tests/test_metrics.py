@@ -13,6 +13,7 @@ from spoofbench.metrics import (
     RunReport,
     assignment_divergence,
     cluster_purity,
+    detection_origins,
     drift_from_truth,
     match_tracks_to_truth,
     normalized_impact,
@@ -21,6 +22,7 @@ from spoofbench.metrics import (
     write_report_json,
 )
 from spoofbench.scenario import GroundTruth
+from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import SnapshotRecord
 
 
@@ -41,7 +43,7 @@ def truth_of(platforms, T=10, dt=1.0):
     )
 
 
-def snap(t, track_id, x, y, status="confirmed", weights=None, origins=None):
+def snap(t, track_id, x, y, status="confirmed", weights=None):
     return SnapshotRecord(
         t=t,
         track_id=track_id,
@@ -53,7 +55,6 @@ def snap(t, track_id, x, y, status="confirmed", weights=None, origins=None):
         detection_id=None,
         score=None,
         weights=weights or {},
-        origins=origins or {},
     )
 
 
@@ -313,7 +314,7 @@ def test_switches_stable_zero():
     truth = truth_of({0: (0.0, 0.0)}, T=4)
     snaps = [snap(t, 9, 0.5, 0.0) for t in range(4)]
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr)
+    div = assignment_divergence(corr, {})
     assert div.switch_count == 0
 
 
@@ -328,21 +329,17 @@ def test_switches_counts_identity_change():
     ]
     corr = match_tracks_to_truth(snaps, truth)
     assert list(corr.switches()) == [(2, 0, 1, 2)]
-    div = assignment_divergence(corr)
+    div = assignment_divergence(corr, {})
     assert div.switch_count == 1
     assert div.per_platform_switches[0] == 1
 
 
 def test_confusion_fractions():
     truth = truth_of({0: (0.0, 0.0)}, T=10)
-    snaps = []
-    for t in range(10):
-        origin = "spoof:ghost" if t < 2 else "platform:0"
-        snaps.append(
-            snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: origin})
-        )
+    snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
+    origins = {(t, t): "spoof:ghost" if t < 2 else "platform:0" for t in range(10)}
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr)
+    div = assignment_divergence(corr, origins)
     row = div.confusion[0]
     assert row["platform:0"] == pytest.approx(0.8)
     assert row["spoof"] == pytest.approx(0.2)
@@ -353,67 +350,74 @@ def test_confusion_rows_sum_to_one_random():
     rng = np.random.default_rng(21)
     truth = truth_of({0: (0.0, 0.0), 1: (50.0, 0.0)}, T=20)
     sources = ["platform:0", "platform:1", "clutter", "spoof:mirror"]
-    snaps = []
+    snaps, origins = [], {}
     for t in range(20):
         for tid, px in ((1, 0.0), (2, 50.0)):
             k = int(rng.integers(1, 4))
             w = rng.dirichlet(np.ones(k))
-            weights = {i: float(w[i]) for i in range(k)}
-            origins = {i: sources[int(rng.integers(len(sources)))] for i in range(k)}
-            snaps.append(snap(t, tid, px, 0.0, weights=weights, origins=origins))
+            ids = [10 * tid + i for i in range(k)]
+            for det_id in ids:
+                origins[t, det_id] = sources[int(rng.integers(len(sources)))]
+            snaps.append(snap(t, tid, px, 0.0, weights=dict(zip(ids, w.tolist()))))
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr)
+    div = assignment_divergence(corr, origins)
     assert div.confusion
     for row in div.confusion.values():
         assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_detection_origins_keys_every_detection_by_step_and_id():
+    def det(t, i, label, truth_id=None):
+        return Detection(t=t, detection_id=i, z=np.zeros(2), R=np.eye(2), label=label,
+                         truth_id=truth_id)
+
+    frames = [
+        DetectionFrame(t=0, detections=(det(0, 0, "clean", 3), det(0, 1, "clutter"))),
+        DetectionFrame(t=1, detections=(det(1, 0, "spoof:drift", 3), det(1, 2, "spoof:ghost"))),
+    ]
+    assert detection_origins(frames) == {
+        (0, 0): "platform:3",
+        (0, 1): "clutter",
+        (1, 0): "spoof:drift",
+        (1, 2): "spoof:ghost",
+    }
+
+
 def test_purity_single_origin_is_one():
-    snaps = [snap(0, 1, 0.0, 0.0, weights={5: 1.0}, origins={5: "platform:0"})]
-    [point] = cluster_purity(snaps)
+    snaps = [snap(0, 1, 0.0, 0.0, weights={5: 1.0})]
+    [point] = cluster_purity(snaps, {(0, 5): "platform:0"})
     assert point.purity == 1.0
     assert point.spoof_majority_fraction == 0.0
 
 
 def test_purity_soft_split():
-    snaps = [
-        snap(
-            0,
-            1,
-            0.0,
-            0.0,
-            weights={1: 0.7, 2: 0.3},
-            origins={1: "platform:0", 2: "spoof:ghost"},
-        )
-    ]
-    [point] = cluster_purity(snaps)
+    snaps = [snap(0, 1, 0.0, 0.0, weights={1: 0.7, 2: 0.3})]
+    [point] = cluster_purity(snaps, {(0, 1): "platform:0", (0, 2): "spoof:ghost"})
     assert point.purity == pytest.approx(0.7)
     assert point.spoof_majority_fraction == 0.0
 
 
 def test_purity_spoof_majority_flagged():
     # a track living entirely on ghosts is pure, just pure spoof
-    snaps = [snap(0, 1, 0.0, 0.0, weights={1: 1.0}, origins={1: "spoof:ghost"})]
-    [point] = cluster_purity(snaps)
+    snaps = [snap(0, 1, 0.0, 0.0, weights={1: 1.0})]
+    [point] = cluster_purity(snaps, {(0, 1): "spoof:ghost"})
     assert point.purity == 1.0
     assert point.spoof_majority_fraction == 1.0
 
 
 def test_purity_skips_consumptionless_steps():
-    snaps = [snap(0, 1, 0.0, 0.0), snap(1, 1, 0.0, 0.0, weights={1: 1.0}, origins={1: "clutter"})]
-    timeline = cluster_purity(snaps)
+    snaps = [snap(0, 1, 0.0, 0.0), snap(1, 1, 0.0, 0.0, weights={1: 1.0})]
+    timeline = cluster_purity(snaps, {(1, 1): "clutter"})
     assert [p.t for p in timeline] == [1]
 
 
 def test_spoof_stats_clean_run():
     truth = truth_of({0: (0.0, 0.0)}, T=10)
-    snaps = [
-        snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: "platform:0"})
-        for t in range(10)
-    ]
+    snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
+    origins = {(t, t): "platform:0" for t in range(10)}
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(2, 5)
+        snaps, corr, truth, origins, noise_sigma_m=5.0, injection_window=(2, 5)
     )
     assert stats.inclusion_rate == 0.0
     assert stats.recovery_rate == 1.0
@@ -422,13 +426,11 @@ def test_spoof_stats_clean_run():
 
 def test_spoof_inclusion_counts_majority_updates():
     truth = truth_of({0: (0.0, 0.0)}, T=10)
-    snaps = []
-    for t in range(10):
-        origin = "spoof:drift" if t in (3, 4) else "platform:0"
-        snaps.append(snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: origin}))
+    snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
+    origins = {(t, t): "spoof:drift" if t in (3, 4) else "platform:0" for t in range(10)}
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(3, 4)
+        snaps, corr, truth, origins, noise_sigma_m=5.0, injection_window=(3, 4)
     )
     assert stats.inclusion_rate == pytest.approx(0.2)
 
@@ -438,18 +440,16 @@ def test_recovery_requires_sustained_return():
     eps = 15.0  # 3 sigma at sigma=5
 
     def run_with_tail(tail_offset):
-        snaps = []
+        snaps, origins = [], {}
         for t in range(30):
             if 5 <= t <= 9:
-                origin, x = "spoof:drift", 30.0
+                origins[t, t], x = "spoof:drift", 30.0
             else:
-                origin, x = "platform:0", tail_offset
-            snaps.append(
-                snap(t, 1, x, 0.0, weights={t: 1.0}, origins={t: origin})
-            )
+                origins[t, t], x = "platform:0", tail_offset
+            snaps.append(snap(t, 1, x, 0.0, weights={t: 1.0}))
         corr = match_tracks_to_truth(snaps, truth)
         return spoof_stats(
-            snaps, corr, truth, noise_sigma_m=5.0, injection_window=(5, 9)
+            snaps, corr, truth, origins, noise_sigma_m=5.0, injection_window=(5, 9)
         )
 
     # returns to truth after the window: recovered
@@ -460,18 +460,17 @@ def test_recovery_requires_sustained_return():
 
 def test_false_attribution_counts_cross_platform_weight():
     truth = truth_of({0: (0.0, 0.0), 1: (50.0, 0.0)}, T=4)
-    snaps = []
+    snaps, origins = [], {}
     for t in range(4):
         # track 1 follows platform 0 but consumes one detection from
         # platform 1 at t=0
-        origin = "platform:1" if t == 0 else "platform:0"
-        snaps.append(snap(t, 1, 0.0, 0.0, weights={t: 1.0}, origins={t: origin}))
-        snaps.append(
-            snap(t, 2, 50.0, 0.0, weights={100 + t: 1.0}, origins={100 + t: "platform:1"})
-        )
+        origins[t, t] = "platform:1" if t == 0 else "platform:0"
+        origins[t, 100 + t] = "platform:1"
+        snaps.append(snap(t, 1, 0.0, 0.0, weights={t: 1.0}))
+        snaps.append(snap(t, 2, 50.0, 0.0, weights={100 + t: 1.0}))
     corr = match_tracks_to_truth(snaps, truth)
     stats = spoof_stats(
-        snaps, corr, truth, noise_sigma_m=5.0, injection_window=(0, 1)
+        snaps, corr, truth, origins, noise_sigma_m=5.0, injection_window=(0, 1)
     )
     assert stats.false_attribution == pytest.approx(1.0 / 8.0)
 

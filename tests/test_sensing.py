@@ -8,8 +8,8 @@ from spoofbench.geometry import Region
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
 from spoofbench.sensing import (
     DETECTION_CSV_HEADER,
+    Detection,
     DetectionRow,
-    Label,
     SensorConfig,
     generate_clean_run,
     read_detection_csv,
@@ -42,7 +42,7 @@ def test_zero_noise_limit():
     worst = 0.0
     for frame in frames:
         for det in frame.detections:
-            true_pos = truth.positions[det.label.truth_id][frame.t]
+            true_pos = truth.positions[det.truth_id][frame.t]
             worst = max(worst, float(np.linalg.norm(det.z - true_pos)))
     assert worst < 1e-6
 
@@ -75,8 +75,8 @@ def test_clutter_poisson_and_inside_fov():
     assert abs(mean - 2.0) <= 3 * math.sqrt(2.0 / 1000)
     for frame in frames:
         for det in frame.detections:
-            assert det.label.kind == "clutter"
-            assert det.label.truth_id is None
+            assert det.label == "clutter"
+            assert det.truth_id is None
             assert fov.contains(det.z)
 
 
@@ -107,7 +107,7 @@ def test_replay_bit_exact():
         for da, db in zip(fa.detections, fb.detections):
             assert da.detection_id == db.detection_id
             assert (da.z == db.z).all()
-            assert da.label == db.label
+            assert (da.label, da.truth_id) == (db.label, db.truth_id)
 
 
 def test_truth_ids_exist():
@@ -115,8 +115,8 @@ def test_truth_ids_exist():
     frames = generate_clean_run(truth, SensorConfig(), seed=13)
     for frame in frames:
         for det in frame.detections:
-            if det.label.kind == "clean":
-                assert det.label.truth_id in truth.platform_ids
+            if det.label == "clean":
+                assert det.truth_id in truth.platform_ids
 
 
 def test_detection_ids_unique_and_sorted():
@@ -147,7 +147,7 @@ def test_csv_round_trip(tmp_path):
         assert (row.x, row.y) == tuple(det.z)
         assert (row.r_xx, row.r_xy, row.r_yy) == (det.R[0, 0], det.R[0, 1], det.R[1, 1])
         assert det.R[1, 0] == det.R[0, 1]
-        assert (row.label, row.truth_id) == (det.label.encode(), det.label.truth_id)
+        assert (row.label, row.truth_id) == (det.label, det.truth_id)
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -158,9 +158,15 @@ def test_csv_rejects_wrong_header(tmp_path):
 
 
 def test_label_encoding():
-    assert Label.clean(4).encode() == "clean"
-    assert Label.clutter().encode() == "clutter"
-    assert Label.spoof("ghost", None).encode() == "spoof:ghost"
+    # the label is the CSV cell as is; a clean one's origin names its platform
+    def det(label, truth_id=None):
+        return Detection(t=0, detection_id=0, z=np.zeros(2), R=np.eye(2), label=label,
+                         truth_id=truth_id)
+
+    assert det("clean", 4).origin_key() == "platform:4"
+    assert det("clutter").origin_key() == "clutter"
+    assert det("spoof:ghost").origin_key() == "spoof:ghost"
+    assert det("spoof:mirror", 4).origin_key() == "spoof:mirror"
 
 
 def test_sensor_config_validation():

@@ -6,7 +6,7 @@ import pytest
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
-from spoofbench.sensing import Detection, DetectionFrame, Label, SensorConfig, generate_clean_run
+from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
 from spoofbench.spoofing import (
     SpoofConfig,
     SpoofType,
@@ -26,7 +26,7 @@ def frame_with(points, t=0):
             detection_id=i,
             z=np.array(p, dtype=float),
             R=25.0 * np.eye(2),
-            label=Label.clean(i),
+            label="clean", truth_id=i,
         )
         for i, p in enumerate(points)
     )
@@ -60,7 +60,7 @@ def frames_equal(a, b):
         if fa.t != fb.t or len(fa.detections) != len(fb.detections):
             return False
         for da, db in zip(fa.detections, fb.detections):
-            if da.detection_id != db.detection_id or da.label != db.label:
+            if (da.detection_id, da.label, da.truth_id) != (db.detection_id, db.label, db.truth_id):
                 return False
             if (da.z != db.z).any() or (da.R != db.R).any():
                 return False
@@ -86,9 +86,8 @@ def test_drift_hand_value():
     )
     out = spoof_one(frame, cfg)
     np.testing.assert_allclose(out.detections[0].z, [16.0, 20.0])
-    assert out.detections[0].label.kind == "spoof"
-    assert out.detections[0].label.spoof_type == "drift"
-    assert out.detections[0].label.truth_id == 0
+    assert out.detections[0].label == "spoof:drift"
+    assert out.detections[0].truth_id == 0
     # same detection moved, not a new one appended
     assert len(out.detections) == len(frame.detections)
     assert out.detections[0].detection_id == frame.detections[0].detection_id
@@ -117,8 +116,8 @@ def test_drift_targets_subset():
     run = apply_spoof(frames, cfg)
     for frame in run.spoofed_frames:
         for det in frame.detections:
-            if det.label.kind == "spoof":
-                assert det.label.truth_id == 1
+            if det.label.startswith("spoof"):
+                assert det.truth_id == 1
 
 
 def test_drift_empty_target_set_is_noop():
@@ -165,9 +164,8 @@ def test_ghost_label_contract():
     )
     out = spoof_one(frame, cfg)
     for det in out.detections[len(frame.detections):]:
-        assert det.label.kind == "spoof"
-        assert det.label.spoof_type == "ghost"
-        assert det.label.truth_id is None
+        assert det.label == "spoof:ghost"
+        assert det.truth_id is None
 
 
 def test_ghost_near_track_stays_in_annulus():
@@ -243,12 +241,11 @@ def test_mirror_hand_value():
     assert len(out.detections) == 2
     echo = out.detections[1]
     np.testing.assert_allclose(echo.z, [170.0, 40.0])
-    assert echo.label.kind == "spoof"
-    assert echo.label.spoof_type == "mirror"
-    assert echo.label.truth_id == 0
+    assert echo.label == "spoof:mirror"
+    assert echo.truth_id == 0
     # original retained untouched
     np.testing.assert_allclose(out.detections[0].z, [30.0, 40.0])
-    assert out.detections[0].label.kind == "clean"
+    assert out.detections[0].label == "clean"
 
 
 def test_mirror_involution_on_grid():
@@ -293,13 +290,13 @@ def test_apply_drift_count_matches_targets():
         for frame in frames
         if 10 <= frame.t <= 30
         for det in frame.detections
-        if det.label.kind == "clean"
+        if det.label == "clean"
     )
     spoofed = sum(
         1
         for frame in run.spoofed_frames
         for det in frame.detections
-        if det.label.kind == "spoof"
+        if det.label.startswith("spoof")
     )
     assert spoofed == targeted
     assert len(run.spoof_log) == targeted
@@ -314,7 +311,7 @@ def test_apply_drift_linear_in_time():
     originals = {(e.t, e.detection_id): (e.orig_x, e.orig_y) for e in run.spoof_log}
     for frame in run.spoofed_frames:
         for det in frame.detections:
-            if det.label.kind != "spoof":
+            if not det.label.startswith("spoof"):
                 continue
             ox, oy = originals[(frame.t, det.detection_id)]
             offset = det.z - np.array([ox, oy])
@@ -325,17 +322,18 @@ def test_apply_drift_linear_in_time():
 def test_apply_never_mutates_clean_frames():
     frames = clean_run(duration=30.0)
     before = [
-        (f.t, tuple((d.detection_id, d.z.copy(), d.label) for d in f.detections)) for f in frames
+        (f.t, tuple((d.detection_id, d.z.copy(), d.label, d.truth_id) for d in f.detections))
+        for f in frames
     ]
     cfg = SpoofConfig(spoof_type=SpoofType.MIRROR, injection_window=(0, 29), mirror_x0=0.0)
     run = apply_spoof(frames, cfg)
     assert run.clean_frames is not run.spoofed_frames
     for (t, dets), frame in zip(before, frames):
         assert t == frame.t
-        for (did, z, label), det in zip(dets, frame.detections):
+        for (did, z, label, truth_id), det in zip(dets, frame.detections):
             assert did == det.detection_id
             assert (z == det.z).all()
-            assert label == det.label
+            assert (label, truth_id) == (det.label, det.truth_id)
 
 
 def test_apply_log_reconstructs_originals():
@@ -347,7 +345,7 @@ def test_apply_log_reconstructs_originals():
         (f.t, d.detection_id): d
         for f in run.spoofed_frames
         for d in f.detections
-        if d.label.kind == "spoof"
+        if d.label.startswith("spoof")
     }
     for entry in run.spoof_log:
         det = spoofed_by_key[(entry.t, entry.detection_id)]

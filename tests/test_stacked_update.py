@@ -17,7 +17,7 @@ import pytest
 from _oracles import gnn_step_per_track, jpda_step_per_track, kf_update_per_row
 from spoofbench import tracker_gnn
 from spoofbench.estimation import KinematicEstimate, kf_update, kf_update_stack
-from spoofbench.sensing import Detection, DetectionFrame, Label
+from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracker_gnn import gnn_step
 from spoofbench.tracker_jpda import jpda_step
 from spoofbench.tracking import TrackerParams, run_tracker
@@ -84,7 +84,7 @@ def crossing_frames(seed, n_steps=30):
             zs += list(truth[2] + rng.normal(0.0, 3.0, (12, 2)))
         dets = tuple(
             Detection(t=t, detection_id=next(ids), z=z, R=random_spd(rng, 2, rng.uniform(1.0, 9.0)),
-                      label=Label.clutter())
+                      label="clutter")
             for z in zs
         )
         frames.append(DetectionFrame(t=t, detections=dets))
@@ -123,7 +123,7 @@ def test_jpda_step_matches_per_track_updates(key, seed):
         shared |= len(seen) > len(set(seen))
     assert shared
     if params.clutter_density == 0.0:
-        assert any(r.weights and r.beta["miss"] == 0.0 for r in pre_existing)
+        assert any(r.weights and r.miss == 0.0 for r in pre_existing)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

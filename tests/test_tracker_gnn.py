@@ -21,7 +21,7 @@ from _oracles import (
 )
 
 from spoofbench.estimation import KinematicEstimate, gate, kf_predict, kf_update
-from spoofbench.sensing import Detection, DetectionFrame, Label
+from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import TrackerParams, birth_tracks
 from spoofbench.tracker_gnn import gnn_step, hungarian
 
@@ -175,7 +175,7 @@ def test_matches_scipy_on_dense_frame_sized_arrays():
 
 def clutter_det(i, x, y, t=0):
     return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label=Label.clutter()
+        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label="clutter"
     )
 
 
@@ -282,7 +282,7 @@ def random_spd(rng, n, scale):
 def det_with_R(i, z, R, t=0):
     return Detection(
         t=t, detection_id=i, z=np.asarray(z, dtype=float), R=np.asarray(R, dtype=float),
-        label=Label.clutter(),
+        label="clutter",
     )
 
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from spoofbench.estimation import gate, kf_predict, kf_update
-from spoofbench.sensing import Detection, DetectionFrame, Label
+from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import TrackerParams, TrackStatus, birth_tracks
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
 
 
 def det(i, x, y, t=0, sigma2=25.0):
     return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=sigma2 * np.eye(2), label=Label.clutter()
+        t=t, detection_id=i, z=np.array([x, y]), R=sigma2 * np.eye(2), label="clutter"
     )
 
 
@@ -30,10 +30,10 @@ def test_single_detection_no_clutter_beta_one():
     params = TrackerParams(clutter_density=0.0)
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([det(3, 1.0, 1.0, t=1)], t=1), track.estimate, gamma=params.gamma)
-    beta = association_probabilities(gated, params)
-    assert beta.betas[3] == pytest.approx(1.0)
-    assert beta.miss == pytest.approx(0.0)
-    assert beta.total() == pytest.approx(1.0)
+    miss, betas = association_probabilities(gated, params)
+    assert betas[3] == pytest.approx(1.0)
+    assert miss == pytest.approx(0.0)
+    assert miss + sum(betas.values()) == pytest.approx(1.0)
 
 
 def test_equal_distance_equal_beta():
@@ -44,8 +44,8 @@ def test_equal_distance_equal_beta():
         track.estimate,
         gamma=params.gamma,
     )
-    beta = association_probabilities(gated, params)
-    assert beta.betas[1] == pytest.approx(beta.betas[2])
+    _, betas = association_probabilities(gated, params)
+    assert betas[1] == pytest.approx(betas[2])
 
 
 def test_likelihood_ratio_example():
@@ -59,28 +59,26 @@ def test_likelihood_ratio_example():
     R = np.eye(2)
     frame = frame_of(
         [
-            Detection(t=1, detection_id=0, z=np.array([0.0, 0.0]), R=R.copy(), label=Label.clutter()),
+            Detection(t=1, detection_id=0, z=np.array([0.0, 0.0]), R=R.copy(), label="clutter"),
             Detection(
-                t=1, detection_id=1, z=np.array([math.sqrt(2.0), 0.0]), R=R.copy(), label=Label.clutter()
+                t=1, detection_id=1, z=np.array([math.sqrt(2.0), 0.0]), R=R.copy(), label="clutter"
             ),
         ],
         t=1,
     )
     gated = gate(frame, track.estimate, gamma=9.21)
     np.testing.assert_allclose(sorted(gated.d2), [0.0, 2.0], atol=1e-12)
-    beta = association_probabilities(gated, params)
+    _, betas = association_probabilities(gated, params)
     want = 1.0 / (1.0 + math.exp(-1.0))
-    assert beta.betas[0] == pytest.approx(want, abs=1e-12)
-    assert beta.betas[1] == pytest.approx(1.0 - want, abs=1e-12)
+    assert betas[0] == pytest.approx(want, abs=1e-12)
+    assert betas[1] == pytest.approx(1.0 - want, abs=1e-12)
 
 
 def test_empty_gate_all_miss():
     params = TrackerParams()
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([], t=1), track.estimate, gamma=params.gamma)
-    beta = association_probabilities(gated, params)
-    assert beta.miss == 1.0
-    assert beta.betas == {}
+    assert association_probabilities(gated, params) == (1.0, {})
 
 
 def test_beta_sums_to_one_random():
@@ -94,8 +92,8 @@ def test_beta_sums_to_one_random():
             det(i, *(center + rng.normal(0, 6, 2)), t=1) for i in range(k)
         ]
         gated = gate(frame_of(dets, t=1), track.estimate, gamma=params.gamma)
-        beta = association_probabilities(gated, params)
-        assert beta.total() == pytest.approx(1.0, abs=1e-9)
+        miss, betas = association_probabilities(gated, params)
+        assert miss + sum(betas.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dilution_monotone():
@@ -111,9 +109,9 @@ def test_dilution_monotone():
         g2 = gate(frame_of([first, intruder], t=1), track.estimate, gamma=params.gamma)
         if len(g2) != 2:
             continue
-        b1 = association_probabilities(g1, params)
-        b2 = association_probabilities(g2, params)
-        assert b2.betas[0] < b1.betas[0]
+        _, b1 = association_probabilities(g1, params)
+        _, b2 = association_probabilities(g2, params)
+        assert b2[0] < b1[0]
 
 
 def test_step_single_detection_reduces_to_kalman():
@@ -130,7 +128,9 @@ def test_step_single_detection_reduces_to_kalman():
     [outcome] = result.assignments
     assert outcome.detection_id == 4
     assert outcome.weights[4] == pytest.approx(1.0)
-    assert outcome.beta == {"miss": pytest.approx(0.0), "4": pytest.approx(1.0)}
+    assert outcome.to_json_dict(True)["beta"] == {
+        "miss": pytest.approx(0.0), "4": pytest.approx(1.0)
+    }
 
 
 def test_step_empty_gate_coasts():
@@ -140,7 +140,7 @@ def test_step_empty_gate_coasts():
     result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
     [outcome] = result.assignments
     assert outcome.detection_id is None
-    assert outcome.beta == {"miss": 1.0}
+    assert outcome.to_json_dict(True)["beta"] == {"miss": 1.0}
     np.testing.assert_allclose(result.tracks[0].estimate.x, predicted)
 
 

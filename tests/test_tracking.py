@@ -10,7 +10,7 @@ import pytest
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
-from spoofbench.sensing import Detection, DetectionFrame, Label, SensorConfig, generate_clean_run
+from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
 from spoofbench.tracking import (
     Track,
     TrackStatus,
@@ -31,7 +31,7 @@ REGION = Region(-600.0, 600.0, -600.0, 600.0)
 
 def det(i, x, y, t=0):
     return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label=Label.clutter()
+        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label="clutter"
     )
 
 
@@ -131,7 +131,7 @@ def test_birth_records_assignment():
     assert (row.x, row.y) == (1.0, 2.0)
     assert row.detection_id == 7
     assert row.score is None
-    assert row.weights == {} and row.origins == {}
+    assert row.weights == {} and row.miss is None
 
 
 def test_params_validation_and_round_trip():
@@ -204,6 +204,10 @@ def test_confirmed_count_settles_to_platforms(step_fn, name):
     assert ok >= 19
 
 
+def _bits(value):
+    return None if value is None else value.hex()
+
+
 def test_snapshots_jsonl_round_trip(tmp_path):
     _, frames = two_platform_frames(clutter=1.0)
     run = run_tracker(frames, params(), jpda_step, birth_seed=3)
@@ -216,8 +220,13 @@ def test_snapshots_jsonl_round_trip(tmp_path):
         assert a.x == b.x and a.y == b.y
         assert a.vx == b.vx and a.vy == b.vy
         assert a.score == b.score
-        assert a.beta == b.beta
-    assert any(b.beta for b in again)
+        # the beta object reads back into miss and int-keyed weights, bit for bit
+        assert _bits(a.miss) == _bits(b.miss)
+        assert {k: _bits(w) for k, w in a.weights.items()} == {
+            k: _bits(w) for k, w in b.weights.items()
+        }
+    assert any(b.weights for b in again)
+    assert any(b.miss is None for b in again) and any(b.miss is not None for b in again)
 
 
 def test_deleted_tracks_get_final_snapshot():
