@@ -24,12 +24,12 @@ from spoofbench import (
     compute_run_report,
     default_scenario_config,
     estimate_from_detection,
-    gate,
     generate_clean_run,
     gnn_step,
     jpda_step,
     run_tracker,
 )
+from spoofbench.estimation import gate_stack
 
 WINDOW = (10, 90)
 
@@ -102,8 +102,9 @@ def main():
                       R=np.eye(2) * 25.0, label="clutter")
             for i in range(k)
         ]
-        gated = gate(DetectionFrame(t=1, detections=tuple(dets)), predicted)
-        miss, betas = association_probabilities(gated, params)
+        frame = DetectionFrame(t=1, detections=tuple(dets))
+        gated = gate_stack(frame, predicted.x[None], predicted.P[None])
+        [(miss, betas)] = association_probabilities(gated, params)
         top = max(betas.values())
         print(f"  {k} detections in gate: top beta {top:.3f}, miss {miss:.3f}, "
               f"sum {top * k + miss:.3f}")

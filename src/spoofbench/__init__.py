@@ -30,10 +30,6 @@ from .estimation import (
     GateResult,
     KinematicEstimate,
     estimate_from_detection,
-    gate,
-    kf_predict,
-    kf_update,
-    mahalanobis2,
     nees,
 )
 from .tracking import (
@@ -91,10 +87,6 @@ __all__ = [
     "GateResult",
     "KinematicEstimate",
     "estimate_from_detection",
-    "gate",
-    "kf_predict",
-    "kf_update",
-    "mahalanobis2",
     "nees",
     "Track",
     "TrackStatus",

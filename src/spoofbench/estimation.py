@@ -39,20 +39,21 @@ class KinematicEstimate:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Detections of one frame that fall inside a track's gate.
+    """N tracks scored against the M detections of one frame.
 
-    Parallel, ordered by detection_id: indices into the frame (k,), the
-    detection ids as ints, squared Mahalanobis distances (k,), and the
-    innovation covariance of each pair (k, 2, 2).
+    d2 (N, M) holds every pair's squared Mahalanobis distance and S
+    (N, M, 2, 2) its innovation covariance; inside (N, M) marks the
+    pairs with d2 <= gamma. Columns follow the frame's detection order,
+    whose ids are detection_ids. len() counts the in-gate pairs.
     """
 
-    indices: np.ndarray
-    detection_ids: tuple[int, ...]
     d2: np.ndarray
     S: np.ndarray
+    inside: np.ndarray
+    detection_ids: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return int(np.count_nonzero(self.inside))
 
 
 @functools.lru_cache
@@ -78,28 +79,27 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-def kf_predict(est: KinematicEstimate, dt: float, q: float) -> KinematicEstimate:
-    """Propagate mean and covariance one step of dt seconds.
+def kf_predict_stack(
+    x: np.ndarray, P: np.ndarray, dt: float, q: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate N means x (N, 4) and covariances P (N, 4, 4) one step of
+    dt seconds; returns new arrays (x, P).
 
     F = I + dt (velocity -> position) acts as row adds, then column adds,
-    on Python floats. Raises ValueError on non-finite state or covariance.
+    elementwise, so each row has the bits of its own one-row call.
+    Raises ValueError on a non-positive dt or any non-finite state or
+    covariance.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (np.all(np.isfinite(est.x)) and np.all(np.isfinite(est.P))):
+    if not (np.isfinite(x).all() and np.isfinite(P).all()):
         raise ValueError("non-finite state estimate")
-    px, py, vx, vy = est.x.tolist()
-    r0, r1, r2, r3 = est.P.tolist()
-    r0 = [a + dt * c for a, c in zip(r0, r2)]
-    r1 = [b + dt * d for b, d in zip(r1, r3)]
-    FPF = np.array([[a + dt * c, b + dt * d, c, d] for a, b, c, d in (r0, r1, r2, r3)])
-    P = _symmetrize(FPF + white_accel_Q(dt, q))
-    return KinematicEstimate(x=np.array([px + dt * vx, py + dt * vy, vx, vy]), P=P)
-
-
-def innovation_covariance(est: KinematicEstimate, R: np.ndarray) -> np.ndarray:
-    """S = H P H^T + R; with position-only H that is P's position block plus R."""
-    return est.P[:2, :2] + np.asarray(R, dtype=float)
+    x = np.array(x, dtype=float)
+    x[:, :2] += dt * x[:, 2:]
+    P = np.array(P, dtype=float)
+    P[:, :2] += dt * P[:, 2:]
+    P[:, :, :2] += dt * P[:, :, 2:]
+    return x, _symmetrize(P + white_accel_Q(dt, q))
 
 
 def _det_S(S: np.ndarray) -> np.ndarray:
@@ -165,42 +165,26 @@ def kf_update_stack(
     return x_post, _symmetrize(P_post), nu, S
 
 
-def kf_update(
-    est: KinematicEstimate, z: np.ndarray, R: np.ndarray
-) -> tuple[KinematicEstimate, np.ndarray, np.ndarray]:
-    """Measurement update of one estimate; returns (posterior, innovation,
-    S). The one-row case of kf_update_stack."""
-    x, P, nu, S = kf_update_stack(
-        est.x[None], est.P[None], np.reshape(z, (1, 2)), np.reshape(R, (1, 2, 2))
-    )
-    return KinematicEstimate(x=x[0], P=P[0]), nu[0], S[0]
+def gate_stack(
+    frame: DetectionFrame, x: np.ndarray, P: np.ndarray, gamma: float = GAMMA_DEFAULT
+) -> GateResult:
+    """Score N tracks, means x (N, 4) and covariances P (N, 4, 4),
+    against every detection of a frame, each pair with the detection's
+    own reported covariance; a pair is in the gate when d2 <= gamma.
 
-
-def mahalanobis2(z: np.ndarray, est: KinematicEstimate, R: np.ndarray) -> float:
-    """Squared Mahalanobis distance of z from the predicted measurement."""
-    S = innovation_covariance(est, R)
-    nu = np.asarray(z, dtype=float) - est.x[:2]
-    return float(_mahalanobis2(S, nu))
-
-
-def gate(frame: DetectionFrame, est: KinematicEstimate, gamma: float = GAMMA_DEFAULT) -> GateResult:
-    """Detections with squared Mahalanobis distance <= gamma, each scored
-    with its own reported covariance.
-
-    All of the frame's detections are scored in one pass with the
-    closed-form 2x2 inverse; raises numpy.linalg.LinAlgError if any
-    detection's S is degenerate.
+    All N x M pairs go through the closed-form 2x2 inverse in one pass;
+    raises numpy.linalg.LinAlgError if any pair's S is degenerate, which
+    with no tracks none is.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    S = est.P[:2, :2] + frame.covariances
-    d2 = _mahalanobis2(S, frame.positions - est.x[:2])
-    keep = np.flatnonzero(d2 <= gamma)
+    S = P[:, None, :2, :2] + frame.covariances
+    d2 = _mahalanobis2(S, frame.positions - x[:, None, :2])
     return GateResult(
-        indices=keep,
-        detection_ids=tuple(frame.detections[i].detection_id for i in keep.tolist()),
-        d2=d2[keep],
-        S=S[keep],
+        d2=d2,
+        S=S,
+        inside=d2 <= gamma,
+        detection_ids=tuple(d.detection_id for d in frame.detections),
     )
 
 

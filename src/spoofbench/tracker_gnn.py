@@ -14,18 +14,21 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .estimation import KinematicEstimate, gate, kf_predict
-# the stacked update under its old name, which perfbench/tracer.py wraps
-from .estimation import kf_update_stack as kf_update
 from .sensing import DetectionFrame
 from .tracking import (
     StepResult,
     TrackerParams,
+    TrackStack,
     birth_tracks,
     lifecycle_update,
+    set_estimates,
     snapshot_record,
     step_result,
 )
+# under the names that perfbench/tracer.py wraps: the stacked update, and
+# each track's row of the step's stacked predict and gate (TrackStack)
+from .estimation import kf_update_stack as kf_update
+from .tracking import gate_row as gate, predict_row as kf_predict
 
 
 def hungarian(costs: np.ndarray, unassigned_cost: float) -> dict[int, int]:
@@ -181,26 +184,24 @@ def gnn_step(
     a miss. Detections left unassigned spawn tentative tracks.
     """
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
-    for track in tracks:
-        track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
-    # rows are tracks, columns the frame's detections; ungated pairs stay +inf
-    costs = np.full((len(tracks), len(frame.detections)), np.inf)
+    # each track takes its prediction and is gated, one kernel call each
+    # per step; rows are tracks, columns the frame's detections
+    stack = TrackStack(tracks, frame, params)
     for row, track in enumerate(tracks):
-        gated = gate(frame, track.estimate, params.gamma)
-        costs[row, gated.indices] = gated.d2
+        track.estimate = kf_predict(stack, row)
+        gate(stack, row)
+    x, P = stack.predicted
+    gated = stack.gated
+    costs = np.where(gated.inside, gated.d2, np.inf)  # ungated pairs cost +inf
     assignment = hungarian(costs, params.gamma)
 
-    # every assigned track's update in one stacked call
+    # every assigned track's update in one stacked call; the rest coast
     if assignment:
         rows, cols = list(assignment), list(assignment.values())
-        x, P, _, _ = kf_update(
-            np.stack([tracks[row].estimate.x for row in rows]),
-            np.stack([tracks[row].estimate.P for row in rows]),
-            frame.positions[cols],
-            frame.covariances[cols],
+        x_post, P_post, _, _ = kf_update(
+            x[rows], P[rows], frame.positions[cols], frame.covariances[cols]
         )
-        for row, x_i, P_i in zip(rows, x, P):
-            tracks[row].estimate = KinematicEstimate(x=x_i, P=P_i)
+        set_estimates([tracks[row] for row in rows], x_post, P_post)
 
     records = []
     for row, track in enumerate(tracks):

@@ -18,6 +18,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .codec import Record, _decode_key, check_keys, decode
 from .errors import ConfigError
-from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, KinematicEstimate, estimate_from_detection
+from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult, KinematicEstimate
+from .estimation import estimate_from_detection, gate_stack, kf_predict_stack
 from .sensing import Detection, DetectionFrame
 from .streams import TAG_BIRTH, substream
 
@@ -88,6 +90,53 @@ class Track:
     hit_history: deque            # booleans over the last confirm_window steps
     miss_streak: int
     birth_detection_id: int       # the detection that spawned the track
+
+
+def stack_estimates(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
+    """The tracks' means (N, 4) and covariances (N, 4, 4), in list order."""
+    x = np.array([tr.estimate.x for tr in tracks], dtype=float).reshape(-1, 4)
+    P = np.array([tr.estimate.P for tr in tracks], dtype=float).reshape(-1, 4, 4)
+    return x, P
+
+
+def set_estimates(tracks: Sequence[Track], x: np.ndarray, P: np.ndarray) -> None:
+    """Give each track a copy of its row of x and P. A view would keep
+    the step's whole stack alive for as long as a StepResult holds the
+    track."""
+    for track, x_i, P_i in zip(tracks, x, P):
+        track.estimate = KinematicEstimate(x=x_i.copy(), P=P_i.copy())
+
+
+class TrackStack:
+    """One step's tracks, row i being tracks[i], predicted and gated
+    against its frame by one stacked kernel call each. A step reads
+    each track's row through one predict_row and one gate_row call
+    (which perfbench/tracer.py times and counts); the first read of
+    each runs its kernel over all rows."""
+
+    def __init__(self, tracks: Sequence[Track], frame: DetectionFrame, params: TrackerParams):
+        self.tracks, self.frame, self.params = tracks, frame, params
+
+    @cached_property
+    def predicted(self) -> tuple[np.ndarray, np.ndarray]:
+        x, P = stack_estimates(self.tracks)
+        return kf_predict_stack(x, P, self.params.dt_s, self.params.q)
+
+    @cached_property
+    def gated(self) -> GateResult:
+        return gate_stack(self.frame, *self.predicted, self.params.gamma)
+
+
+def predict_row(stack: TrackStack, row: int) -> KinematicEstimate:
+    """Track row's prediction, copied out of the stack."""
+    x, P = stack.predicted
+    return KinematicEstimate(x=x[row].copy(), P=P[row].copy())
+
+
+def gate_row(stack: TrackStack, row: int) -> GateResult:
+    """Track row's gate, a one-row GateResult; len() counts its detections."""
+    g, cut = stack.gated, slice(row, row + 1)
+    return GateResult(g.d2[cut], g.S[cut], g.inside[cut], g.detection_ids)
 
 
 def lifecycle_update(track: Track, hit: bool, params: TrackerParams) -> Track:

@@ -1,18 +1,20 @@
 """Frozen reference computations for the test suite.
 
 The solver oracles import nothing from the package's solver modules:
-their results come from independent derivations. The per-track step
-functions at the end are frozen copies of the trackers' steps as they
-were before the Kalman update was batched; they carry their own copy of
-that update and reuse the package's gate, assignment, association and
-lifecycle code, which batching left alone.
+their results come from independent derivations. The per-track
+functions at the end are frozen copies of the trackers' predict, gate,
+association and steps as they were before each was batched across
+tracks; they carry their own copy of that arithmetic and reuse only the
+package's assignment, process noise and lifecycle code.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from spoofbench.estimation import gate, kf_predict
+from spoofbench.estimation import KinematicEstimate, white_accel_Q
 from spoofbench.tracker_gnn import hungarian
-from spoofbench.tracker_jpda import association_probabilities
 from spoofbench.tracking import birth_tracks, lifecycle_update, snapshot_record, step_result
 
 INF = float("inf")
@@ -110,14 +112,75 @@ def kf_update_per_row(x, P, z, R):
     return np.array(x_post), 0.5 * (P_post + P_post.T)
 
 
+def kf_predict_per_track(est, dt, q):
+    """One track's constant-velocity predict: F = I + dt (velocity ->
+    position) as row adds, then column adds, on Python floats."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.all(np.isfinite(est.x)) and np.all(np.isfinite(est.P))):
+        raise ValueError("non-finite state estimate")
+    px, py, vx, vy = est.x.tolist()
+    r0, r1, r2, r3 = est.P.tolist()
+    r0 = [a + dt * c for a, c in zip(r0, r2)]
+    r1 = [b + dt * d for b, d in zip(r1, r3)]
+    FPF = np.array([[a + dt * c, b + dt * d, c, d] for a, b, c, d in (r0, r1, r2, r3)])
+    P = FPF + white_accel_Q(dt, q)
+    return KinematicEstimate(x=np.array([px + dt * vx, py + dt * vy, vx, vy]), P=0.5 * (P + P.T))
+
+
+class TrackGate(NamedTuple):
+    """One track's gated detections, ordered by detection_id: frame
+    indices (k,), ids, squared Mahalanobis distances (k,) and innovation
+    covariances (k, 2, 2)."""
+
+    indices: np.ndarray
+    detection_ids: tuple
+    d2: np.ndarray
+    S: np.ndarray
+
+
+def gate_per_track(frame, est, gamma):
+    """One track scored against a frame in closed form; raises
+    LinAlgError if any detection's S is degenerate."""
+    if gamma < 0.0:
+        raise ValueError("gamma must be non-negative")
+    S = est.P[:2, :2] + frame.covariances
+    n0, n1 = (frame.positions - est.x[:2]).T
+    s00, s01, s10, s11 = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+    det = s00 * s11 - s01 * s10
+    ok = (det > 0.0) & (det < INF)
+    if not ok.all():
+        raise np.linalg.LinAlgError(f"degenerate innovation covariance, det={det[~ok][0]}")
+    d2 = (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / det
+    keep = np.flatnonzero(d2 <= gamma)
+    ids = tuple(frame.detections[i].detection_id for i in keep.tolist())
+    return TrackGate(keep, ids, d2[keep], S[keep])
+
+
+def association_per_track(gated, params):
+    """(miss, betas) of one track's TrackGate: Gaussian likelihoods
+    shared out over the gate plus the clutter mass C."""
+    if len(gated.indices) == 0:
+        return 1.0, {}
+    C = params.clutter_density * (1.0 - params.p_detect) / params.p_detect
+    S = gated.S
+    det_S = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    likes = [
+        math.exp(-0.5 * d2) / (2.0 * math.pi * math.sqrt(det))
+        for d2, det in zip(gated.d2.tolist(), det_S.tolist())
+    ]
+    denom = C + sum(likes)
+    return C / denom, {det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)}
+
+
 def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
-    """GNN step with one Kalman update call per assigned track."""
+    """GNN step that predicts, gates and updates one track at a time."""
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
-        track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
+        track.estimate = kf_predict_per_track(track.estimate, params.dt_s, params.q)
     costs = np.full((len(tracks), len(frame.detections)), INF)
     for row, track in enumerate(tracks):
-        gated = gate(frame, track.estimate, params.gamma)
+        gated = gate_per_track(frame, track.estimate, params.gamma)
         costs[row, gated.indices] = gated.d2
     assignment = hungarian(costs, params.gamma)
     records = []
@@ -165,23 +228,24 @@ def _composite_update_per_track(track, gated, miss, betas, frame):
 
 
 def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
-    """JPDA step that gates, weights and updates one track at a time."""
+    """JPDA step that predicts, gates, weights and updates one track at a
+    time."""
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
-        track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
+        track.estimate = kf_predict_per_track(track.estimate, params.dt_s, params.q)
     gated_ids = set()
     records = []
     for track in tracks:
-        gated = gate(frame, track.estimate, params.gamma)
+        gated = gate_per_track(frame, track.estimate, params.gamma)
         gated_ids.update(gated.detection_ids)
-        miss, betas = association_probabilities(gated, params)
-        if len(gated) > 0:
+        miss, betas = association_per_track(gated, params)
+        if len(gated.indices) > 0:
             _composite_update_per_track(track, gated, miss, betas, frame)
         evidence = 1.0 - miss
         hit = evidence >= params.hit_threshold
         lifecycle_update(track, hit, params)
         best = min(betas, key=lambda k: (-betas[k], k)) if hit and betas else None
-        score = evidence if len(gated) > 0 else None
+        score = evidence if len(gated.indices) > 0 else None
         records.append(snapshot_record(frame.t, track, best, score, betas, miss))
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
     births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)

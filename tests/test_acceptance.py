@@ -22,10 +22,9 @@ from spoofbench.cli import main
 from spoofbench.estimation import (
     KinematicEstimate,
     estimate_from_detection,
-    gate,
-    innovation_covariance,
-    kf_predict,
-    kf_update,
+    gate_stack,
+    kf_predict_stack,
+    kf_update_stack,
     nees,
 )
 from spoofbench.metrics import (
@@ -42,7 +41,7 @@ from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof, reflect_acr
 from spoofbench.streams import TAG_BIRTH, TAG_SPOOF, derive_seed, substream
 from spoofbench.tracker_gnn import gnn_step, hungarian
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
-from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker
+from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker, stack_estimates
 
 INF = float("inf")
 
@@ -92,8 +91,9 @@ def _random_gate_setup(rng):
         params,
         id_source=iter([0]),
     )
-    track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
-    S = innovation_covariance(track.estimate, R)
+    x, P = kf_predict_stack(track.estimate.x[None], track.estimate.P[None], params.dt_s, params.q)
+    track.estimate = KinematicEstimate(x=x[0], P=P[0])
+    S = P[0, :2, :2] + R
     chol = np.linalg.cholesky(S)
     k = int(rng.integers(1, 6))
     dets = []
@@ -123,11 +123,10 @@ def test_criterion_2_association_normalization_and_dilution():
     trials = 1000
     for _ in range(trials):
         params, track, dets, R = _random_gate_setup(rng)
-        gated = gate(
-            DetectionFrame(t=1, detections=tuple(dets)), track.estimate, gamma=params.gamma
-        )
+        x, P = track.estimate.x[None], track.estimate.P[None]
+        gated = gate_stack(DetectionFrame(t=1, detections=tuple(dets)), x, P, params.gamma)
         assert len(gated) == len(dets)
-        miss, betas = association_probabilities(gated, params)
+        [(miss, betas)] = association_probabilities(gated, params)
         worst_gap = max(worst_gap, abs(miss + sum(betas.values()) - 1.0))
 
         intruder = Detection(
@@ -138,8 +137,8 @@ def test_criterion_2_association_normalization_and_dilution():
             label="clutter",
         )
         diluted_frame = DetectionFrame(t=1, detections=tuple(dets) + (intruder,))
-        diluted_miss, diluted = association_probabilities(
-            gate(diluted_frame, track.estimate, gamma=params.gamma), params
+        [(diluted_miss, diluted)] = association_probabilities(
+            gate_stack(diluted_frame, x, P, params.gamma), params
         )
         worst_gap = max(worst_gap, abs(diluted_miss + sum(diluted.values()) - 1.0))
         if all(diluted[d.detection_id] < betas[d.detection_id] for d in dets):
@@ -171,16 +170,17 @@ def test_criterion_3_kalman_consistency_nees():
         z0 = rng.uniform(-100.0, 100.0, 2)
         est = estimate_from_detection(z0, R, v_max=50.0)
         x = est.x + rng.standard_normal(4) * np.sqrt(np.diag(est.P))
-        est = KinematicEstimate(x=est.x.copy(), P=est.P.copy())
+        # the filter runs as a one-row stack
+        x_est, P_est = est.x[None], est.P[None]
         for _ in range(100):
             a = rng.normal(0.0, math.sqrt(q), 2)
             x = F @ x + np.array(
                 [a[0] * dt * dt / 2, a[1] * dt * dt / 2, a[0] * dt, a[1] * dt]
             )
-            est = kf_predict(est, dt, q)
+            x_est, P_est = kf_predict_stack(x_est, P_est, dt, q)
             z = x[:2] + rng.normal(0.0, sigma, 2)
-            est, _, _ = kf_update(est, z, R)
-            samples.append(nees(est, x))
+            x_est, P_est, _, _ = kf_update_stack(x_est, P_est, z[None], R[None])
+            samples.append(nees(KinematicEstimate(x=x_est[0], P=P_est[0]), x))
     n = len(samples)
     lo, hi = chi2.ppf([0.025, 0.975], 4 * n) / n
     avg = float(np.mean(samples))
@@ -225,11 +225,11 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
         birth_seed = derive_seed(seed, 202, 0)
         for frame in frames:
             ghosts = [d for d in frame.detections if d.label.startswith("spoof")]
-            for track in live:
-                pred = kf_predict(track.estimate, params.dt_s, params.q)
+            x, P = kf_predict_stack(*stack_estimates(live), params.dt_s, params.q)
+            for x_i, P_i in zip(x, P):
                 for g in ghosts:
-                    S = innovation_covariance(pred, g.R)
-                    nu = g.z - pred.position()
+                    S = P_i[:2, :2] + g.R
+                    nu = g.z - x_i[:2]
                     d2 = float(nu @ np.linalg.solve(S, nu))
                     min_mahalanobis = min(min_mahalanobis, math.sqrt(d2))
             origin = {d.detection_id: d.origin_key() for d in frame.detections}

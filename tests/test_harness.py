@@ -858,6 +858,28 @@ def test_cli_run_overrides(tmp_path):
     assert run_dirs == ["clean-gnn-s0", "clean-gnn-s1"]
 
 
+def test_cli_run_jpda_with_every_likelihood_underflowed(tmp_path, capsys):
+    # no clutter mass and a gate wide enough that a track's only gated
+    # detections lie thousands of d2 away: exp(-d2 / 2) underflows for
+    # all of them, which once divided by zero
+    payload = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    payload["scenario"]["platforms"] = [
+        {"platform_id": i, "class_id": 1, "stationary": True,
+         "waypoints": [[0.0, [x, 0.0]], [100.0, [x, 0.0]]]}
+        for i, x in enumerate((0.0, 300.0))
+    ]
+    payload["sensor"].update(clutter_rate=0.0, p_detect=0.5)
+    payload.update(spoof_grid=[{"spoof_type": "clean"}], trackers=["jpda"],
+                   tracker_params={"gamma": 100000})
+    path = write_config_file(tmp_path, payload)
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seeds", "1"]) == 0
+    lines = (out / "clean-jpda-s0" / "snapshots.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert any(row["beta"] and row["beta"]["miss"] == 0.0 for row in rows)
+
+
 def test_cli_unknown_spoof_override_exit_2(tmp_path, capsys):
     path = write_config_file(tmp_path)
     code = main(

@@ -20,7 +20,7 @@ from _oracles import (
     min_cost_by_enumeration,
 )
 
-from spoofbench.estimation import KinematicEstimate, gate, kf_predict, kf_update
+from spoofbench.estimation import KinematicEstimate, gate_stack, kf_predict_stack, kf_update_stack
 from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import TrackerParams, birth_tracks
 from spoofbench.tracker_gnn import gnn_step, hungarian
@@ -193,9 +193,10 @@ def test_step_gates_out_a_far_detection():
     # track P after birth is huge in velocity, so gate is wide; a point
     # hundreds of sigma out still must be forbidden
     frame = frame_of([clutter_det(5, 1.0, 0.0, t=1), clutter_det(6, 5000.0, 0.0, t=1)], t=1)
-    gated = gate(frame, kf_predict(track.estimate, params.dt_s, params.q), params.gamma)
-    assert gated.indices.tolist() == [0]
-    assert gated.detection_ids == (5,)
+    x, P = kf_predict_stack(track.estimate.x[None], track.estimate.P[None], params.dt_s, params.q)
+    gated = gate_stack(frame, x, P, params.gamma)
+    assert gated.inside.tolist() == [[True, False]]
+    assert gated.detection_ids == (5, 6)
     assert np.isfinite(gated.d2).all()
     result = gnn_step([track], frame, params, id_source=itertools.count(100))
     [outcome] = result.assignments
@@ -237,8 +238,14 @@ def test_step_cross_ambiguous_matches_brute_force():
         tracks = spawn(
             [clutter_det(0, *positions[0]), clutter_det(1, *positions[1])], params
         )
-        for track in tracks:
-            track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
+        x, P = kf_predict_stack(
+            np.stack([tr.estimate.x for tr in tracks]),
+            np.stack([tr.estimate.P for tr in tracks]),
+            params.dt_s,
+            params.q,
+        )
+        for track, x_i, P_i in zip(tracks, x, P):
+            track.estimate = KinematicEstimate(x=x_i, P=P_i)
         dets = [
             clutter_det(10, *(positions[0] + rng.normal(0, 8, 2)), t=1),
             clutter_det(11, *(positions[1] + rng.normal(0, 8, 2)), t=1),
@@ -251,11 +258,8 @@ def test_step_cross_ambiguous_matches_brute_force():
         )
         costs = np.where(d2 <= params.gamma, d2, INF)
         want = min_cost_by_enumeration(costs, params.gamma)
-        frame = frame_of(dets, t=1)
-        gated_costs = np.full((2, 2), INF)
-        for row, track in enumerate(tracks):
-            gated = gate(frame, track.estimate, params.gamma)
-            gated_costs[row, gated.indices] = gated.d2
+        gated = gate_stack(frame_of(dets, t=1), x, P, params.gamma)
+        gated_costs = np.where(gated.inside, gated.d2, INF)
         got = assignment_cost(gated_costs, params.gamma, hungarian(gated_costs, params.gamma))
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -296,32 +300,49 @@ def gate_by_solve(frame, est, gamma):
     return inside
 
 
+def gate(frame, ests, gamma=9.21):
+    """gate_stack over the estimates' rows."""
+    x = np.array([est.x for est in ests]).reshape(-1, 4)
+    P = np.array([est.P for est in ests]).reshape(-1, 4, 4)
+    return gate_stack(frame, x, P, gamma)
+
+
 def test_gate_matches_solve_oracle_with_heterogeneous_R():
     rng = np.random.default_rng(5)
     gamma = 9.21
     for trial in range(50):
-        est = KinematicEstimate(x=rng.normal(0.0, 20.0, 4), P=random_spd(rng, 4, 3.0))
+        ests = [
+            KinematicEstimate(x=rng.normal(0.0, 20.0, 4), P=random_spd(rng, 4, 3.0))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
         m = int(rng.integers(1, 12))
         dets = [
-            det_with_R(10 + i, est.x[:2] + rng.normal(0.0, 12.0, 2), random_spd(rng, 2, 4.0))
+            det_with_R(10 + i, ests[0].x[:2] + rng.normal(0.0, 12.0, 2), random_spd(rng, 2, 4.0))
             for i in range(m)
         ]
         frame = frame_of(dets)
-        got = gate(frame, est, gamma=gamma)
-        want = gate_by_solve(frame, est, gamma)
-        assert got.indices.tolist() == [i for i, _ in want], f"trial {trial}"
-        assert got.detection_ids == tuple(dets[i].detection_id for i, _ in want)
-        np.testing.assert_allclose(got.d2, [d2 for _, d2 in want], rtol=1e-12, atol=1e-12)
-        assert got.S.shape == (len(want), 2, 2)
-        for i, S in zip(got.indices, got.S):
-            np.testing.assert_allclose(S, est.P[:2, :2] + dets[i].R, rtol=0.0, atol=0.0)
+        got = gate(frame, ests, gamma=gamma)
+        assert got.detection_ids == tuple(d.detection_id for d in dets)
+        assert got.S.shape == (len(ests), m, 2, 2)
+        for row, est in enumerate(ests):
+            want = gate_by_solve(frame, est, gamma)
+            want_cols = [i for i, _ in want]
+            assert np.flatnonzero(got.inside[row]).tolist() == want_cols, f"trial {trial}"
+            np.testing.assert_allclose(
+                got.d2[row, got.inside[row]], [d2 for _, d2 in want], rtol=1e-12, atol=1e-12
+            )
+            for i, S in enumerate(got.S[row]):
+                np.testing.assert_allclose(S, est.P[:2, :2] + dets[i].R, rtol=0.0, atol=0.0)
 
 
 def test_gate_empty_frame_visits_no_pair():
     est = KinematicEstimate(x=np.zeros(4), P=np.eye(4))
-    got = gate(frame_of([]), est)
-    assert got.detection_ids == ()
-    assert (got.indices.shape, got.d2.shape, got.S.shape) == ((0,), (0,), (0, 2, 2))
+    got = gate(frame_of([]), [est])
+    assert got.detection_ids == () and len(got) == 0
+    assert (got.inside.shape, got.d2.shape, got.S.shape) == ((1, 0), (1, 0), (1, 0, 2, 2))
+    got = gate(frame_of([det_with_R(0, (0.0, 0.0), np.eye(2))]), [])
+    assert len(got) == 0
+    assert (got.inside.shape, got.d2.shape, got.S.shape) == ((0, 1), (0, 1), (0, 1, 2, 2))
 
 
 def test_gate_keeps_pairs_exactly_at_gamma():
@@ -330,10 +351,10 @@ def test_gate_keeps_pairs_exactly_at_gamma():
     R = np.diag([4.0, 1.0])
     frame = frame_of([det_with_R(0, (6.0, 0.0), R), det_with_R(1, (0.0, 3.0), R)])
     assert [d2 for _, d2 in gate_by_solve(frame, est, 9.0)] == [9.0, 9.0]
-    got = gate(frame, est, gamma=9.0)
-    assert got.detection_ids == (0, 1)
-    assert got.d2.tolist() == [9.0, 9.0]
-    assert len(gate(frame, est, gamma=float(np.nextafter(9.0, 0.0)))) == 0
+    got = gate(frame, [est], gamma=9.0)
+    assert got.inside.tolist() == [[True, True]]
+    assert got.d2.tolist() == [[9.0, 9.0]]
+    assert len(gate(frame, [est], gamma=float(np.nextafter(9.0, 0.0)))) == 0
 
 
 @pytest.mark.parametrize(
@@ -342,12 +363,14 @@ def test_gate_keeps_pairs_exactly_at_gamma():
     ids=["singular", "negative", "nan"],
 )
 def test_gate_raises_when_only_the_last_detection_is_degenerate(bad_R):
-    est = KinematicEstimate(x=np.zeros(4), P=np.eye(4))
+    ests = [KinematicEstimate(x=np.zeros(4), P=np.eye(4))] * 2
     good = [det_with_R(i, (float(i), 0.0), np.eye(2)) for i in range(3)]
     far_bad = det_with_R(3, (5000.0, 5000.0), bad_R)
-    assert len(gate(frame_of(good), est)) == 3
+    assert len(gate(frame_of(good), ests)) == 6
     with pytest.raises(np.linalg.LinAlgError):
-        gate(frame_of(good + [far_bad]), est)
+        gate(frame_of(good + [far_bad]), ests)
+    # with no track, no pair is scored and nothing raises
+    assert len(gate(frame_of(good + [far_bad]), [])) == 0
 
 
 def test_kf_update_matches_solve_reference():
@@ -357,9 +380,9 @@ def test_kf_update_matches_solve_reference():
         P = random_spd(rng, 4, float(rng.uniform(0.1, 10.0)))
         R = random_spd(rng, 2, float(rng.uniform(0.1, 10.0)))
         z = x[:2] + rng.normal(0.0, 10.0, 2)
-        post, nu, S = kf_update(KinematicEstimate(x=x, P=P), z, R)
+        [post_x], [post_P], [nu], [S] = kf_update_stack(x[None], P[None], z[None], R[None])
         want_x, want_P = kf_update_by_solve(x, P, z, R)
-        np.testing.assert_allclose(post.x, want_x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(post.P, want_P, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post_x, want_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post_P, want_P, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(nu, z - x[:2], rtol=0.0, atol=0.0)
         np.testing.assert_allclose(S, P[:2, :2] + R, rtol=0.0, atol=0.0)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from spoofbench.estimation import gate, kf_predict, kf_update
+from spoofbench.estimation import (
+    GateResult,
+    KinematicEstimate,
+    gate_stack,
+    kf_predict_stack,
+    kf_update_stack,
+)
 from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import TrackerParams, TrackStatus, birth_tracks
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
@@ -20,17 +26,32 @@ def frame_of(dets, t=0):
     return DetectionFrame(t=t, detections=tuple(dets))
 
 
+def predict(est, params):
+    x, P = kf_predict_stack(est.x[None], est.P[None], params.dt_s, params.q)
+    return KinematicEstimate(x=x[0], P=P[0])
+
+
 def predicted_track(x, y, params, track_id=0):
     [track] = birth_tracks([det(0, x, y)], params, id_source=iter([track_id]))
-    track.estimate = kf_predict(track.estimate, params.dt_s, params.q)
+    track.estimate = predict(track.estimate, params)
     return track
+
+
+def gate(frame, est, gamma):
+    return gate_stack(frame, est.x[None], est.P[None], gamma)
+
+
+def weigh(gated, params):
+    """(miss, betas) of a one-track gate."""
+    [probabilities] = association_probabilities(gated, params)
+    return probabilities
 
 
 def test_single_detection_no_clutter_beta_one():
     params = TrackerParams(clutter_density=0.0)
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([det(3, 1.0, 1.0, t=1)], t=1), track.estimate, gamma=params.gamma)
-    miss, betas = association_probabilities(gated, params)
+    miss, betas = weigh(gated, params)
     assert betas[3] == pytest.approx(1.0)
     assert miss == pytest.approx(0.0)
     assert miss + sum(betas.values()) == pytest.approx(1.0)
@@ -44,7 +65,7 @@ def test_equal_distance_equal_beta():
         track.estimate,
         gamma=params.gamma,
     )
-    _, betas = association_probabilities(gated, params)
+    _, betas = weigh(gated, params)
     assert betas[1] == pytest.approx(betas[2])
 
 
@@ -67,8 +88,8 @@ def test_likelihood_ratio_example():
         t=1,
     )
     gated = gate(frame, track.estimate, gamma=9.21)
-    np.testing.assert_allclose(sorted(gated.d2), [0.0, 2.0], atol=1e-12)
-    _, betas = association_probabilities(gated, params)
+    np.testing.assert_allclose(gated.d2[0], [0.0, 2.0], atol=1e-12)
+    _, betas = weigh(gated, params)
     want = 1.0 / (1.0 + math.exp(-1.0))
     assert betas[0] == pytest.approx(want, abs=1e-12)
     assert betas[1] == pytest.approx(1.0 - want, abs=1e-12)
@@ -78,7 +99,7 @@ def test_empty_gate_all_miss():
     params = TrackerParams()
     track = predicted_track(0.0, 0.0, params)
     gated = gate(frame_of([], t=1), track.estimate, gamma=params.gamma)
-    assert association_probabilities(gated, params) == (1.0, {})
+    assert weigh(gated, params) == (1.0, {})
 
 
 def test_beta_sums_to_one_random():
@@ -92,8 +113,32 @@ def test_beta_sums_to_one_random():
             det(i, *(center + rng.normal(0, 6, 2)), t=1) for i in range(k)
         ]
         gated = gate(frame_of(dets, t=1), track.estimate, gamma=params.gamma)
-        miss, betas = association_probabilities(gated, params)
+        miss, betas = weigh(gated, params)
         assert miss + sum(betas.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_underflowed_likelihoods_without_clutter_share_out_by_relative_distance():
+    # with C = 0, d2 of 1500 and 1502 underflow exp(-d2 / 2) to 0 and the
+    # shares are taken relative to the nearer detection instead
+    params = TrackerParams(clutter_density=0.0, gamma=1e5)
+    d2 = np.array([[1502.0, 1500.0, 5000.0], [1.0, 2.0, 3.0]])
+    S = np.broadcast_to(np.eye(2), (2, 3, 2, 2))
+    inside = np.array([[True, True, False], [False, False, False]])
+    gated = GateResult(d2=d2, S=S, inside=inside, detection_ids=(4, 7, 9))
+    [(miss, betas), empty] = association_probabilities(gated, params)
+    assert miss == 0.0
+    assert list(betas) == [4, 7]
+    want = 1.0 / (1.0 + math.exp(-1.0))
+    assert betas[7] == pytest.approx(want, abs=1e-15)
+    assert betas[4] == pytest.approx(1.0 - want, abs=1e-15)
+    assert empty == (1.0, {})
+    # one likelihood that does not underflow keeps the ordinary shares
+    inside[0, 2] = True
+    d2[0, 2] = 2.0
+    [(miss, betas), _] = association_probabilities(
+        GateResult(d2=d2, S=S, inside=inside, detection_ids=(4, 7, 9)), params
+    )
+    assert miss == 0.0 and betas == {4: 0.0, 7: 0.0, 9: 1.0}
 
 
 def test_dilution_monotone():
@@ -109,8 +154,8 @@ def test_dilution_monotone():
         g2 = gate(frame_of([first, intruder], t=1), track.estimate, gamma=params.gamma)
         if len(g2) != 2:
             continue
-        _, b1 = association_probabilities(g1, params)
-        _, b2 = association_probabilities(g2, params)
+        _, b1 = weigh(g1, params)
+        _, b2 = weigh(g2, params)
         assert b2[0] < b1[0]
 
 
@@ -119,12 +164,12 @@ def test_step_single_detection_reduces_to_kalman():
     [track] = birth_tracks([det(0, 10.0, 5.0)], params, id_source=iter([0]))
     z = det(4, 12.0, 4.0, t=1)
     # the step predicts before associating, so mirror that by hand
-    reference = kf_predict(track.estimate, params.dt_s, params.q)
+    reference = predict(track.estimate, params)
     result = jpda_step([track], frame_of([z], t=1), params, id_source=itertools.count(50))
-    want, _, _ = kf_update(reference, z.z, z.R)
+    want_x, want_P, _, _ = kf_update_stack(reference.x[None], reference.P[None], z.z[None], z.R[None])
     got = result.tracks[0].estimate
-    np.testing.assert_allclose(got.x, want.x, atol=1e-9)
-    np.testing.assert_allclose(got.P, want.P, atol=1e-9)
+    np.testing.assert_allclose(got.x, want_x[0], atol=1e-9)
+    np.testing.assert_allclose(got.P, want_P[0], atol=1e-9)
     [outcome] = result.assignments
     assert outcome.detection_id == 4
     assert outcome.weights[4] == pytest.approx(1.0)
