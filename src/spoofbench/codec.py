@@ -10,13 +10,16 @@ value, e.g. ``scenario.platforms[3].stationary must be a bool``.
 
 Every CSV artifact is written by write_csv and read back by read_csv
 into a NamedTuple row type. A number is written as its shortest
-round-trip text (repr of the float) and None as an empty cell.
+round-trip text (repr of the float) and None as an empty cell. Both
+work column by column on chunks of rows, so that the per-cell work runs
+in C; a file with a fault is read again cell by cell, to name it.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import types
@@ -203,15 +206,32 @@ def write_json(path, payload) -> None:
 def write_csv(path, header, rows) -> None:
     """Write one CSV artifact: the header, then one line per row ending
     in "\n"; a float cell is its shortest round-trip text and None an
-    empty cell."""
+    empty cell. Every row must have one cell per header name."""
+    width = len(header)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        # csv writes None as "" and other cells with str(), which is not
-        # the shortest round-trip text for np.float64, a float subclass
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
-        )
+        # column-wise in chunks, so the per-cell work runs in C
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            columns = list(zip(*chunk, strict=True))
+            if len(columns) != width:
+                raise ValueError(f"{path}: a row has {len(columns)} cells, the header {width}")
+            writer.writerows(zip(*map(_plain_floats, columns)))
+
+
+# rows per chunk of write_csv and read_csv: each chunk's cells are held
+# twice over, so a small one keeps the peak memory down
+_CHUNK_ROWS = 256
+
+
+def _plain_floats(column: tuple):
+    """The column with float subclasses (np.float64) as plain floats: csv
+    writes a float with repr, the shortest round-trip text, but a
+    subclass's repr need not be."""
+    if all(kind is float or not issubclass(kind, float) for kind in set(map(type, column))):
+        return column
+    return [float(v) if isinstance(v, float) else v for v in column]
 
 
 @functools.cache
@@ -243,6 +263,25 @@ def _parse_cell(text: str, name: str, tp, optional: bool):
     return value
 
 
+def _parse_column(texts: tuple, tp, optional: bool):
+    """Column-wise _parse_cell: the same values, but a bad cell raises a
+    ValueError that does not name it."""
+    if "" in texts:
+        if not optional:
+            raise ValueError("empty cell")
+        values = iter(_parse_column(tuple(filter(None, texts)), tp, False))
+        return [next(values) if text else None for text in texts]
+    if tp is str:
+        return texts
+    values = list(map(tp, texts))
+    if tp is int:
+        if tuple(map(str, values)) != texts:
+            raise ValueError("non-canonical int")
+    elif not all(map(math.isfinite, values)):
+        raise ValueError("non-finite float")
+    return values
+
+
 def read_csv(path, row_type, check=None) -> list:
     """Strict inverse of write_csv for a NamedTuple row type whose fields
     are int, float, str or Optional of one of them. The header must be
@@ -251,6 +290,40 @@ def read_csv(path, row_type, check=None) -> list:
     None in an Optional field only. check(row), if given, may raise a
     ConfigError about a whole row. Any fault is a ConfigError naming the
     file, the line and the column."""
+    try:
+        return _read_csv_columns(path, row_type, check)
+    except (ValueError, csv.Error):
+        # the file has a fault: the cell-by-cell reader names it
+        return _read_csv_cells(path, row_type, check)
+
+
+def _read_csv_columns(path, row_type, check) -> list:
+    """read_csv's rows, decoded column-wise in chunks; any fault raises
+    an error that does not say where it is."""
+    columns = _csv_columns(row_type)
+    # what row_type._make does, less its length check: zip made the rows
+    make_row = functools.partial(tuple.__new__, row_type)
+    rows: list = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != [name for name, _, _ in columns]:
+            raise ValueError("bad header")
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            texts = list(zip(*chunk, strict=True))
+            if len(texts) != len(columns):
+                raise ValueError("wrong cell count")
+            values = [_parse_column(t, tp, opt) for t, (_, tp, opt) in zip(texts, columns)]
+            block = list(map(make_row, zip(*values)))
+            if check is not None:
+                for row in block:
+                    check(row)
+            rows += block
+    return rows
+
+
+def _read_csv_cells(path, row_type, check) -> list:
+    """read_csv's rows, decoded cell by cell: slower, but a fault is a
+    ConfigError naming the file, the line and the column."""
     columns = _csv_columns(row_type)
     names = [name for name, _, _ in columns]
     rows: list = []

@@ -17,7 +17,6 @@ import json
 import os
 import re
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -440,6 +439,10 @@ def run_benchmark(
     common = (cfg.scenario, cfg.sensor, cfg.tracker_params, str(out_path), digest)
     jobs = worker_count(jobs, len(groups), os.cpu_count())
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, logging and
+        # socket, a cost a one-process run need not pay at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(run_group, groups, *(itertools.repeat(a) for a in common)))
     else:

@@ -5,17 +5,33 @@ their results come from independent derivations. The per-track
 functions at the end are frozen copies of the trackers' predict, gate,
 association and steps as they were before each was batched across
 tracks; they carry their own copy of that arithmetic and reuse only the
-package's assignment, process noise and lifecycle code.
+package's assignment, process noise and lifecycle code. The artifact
+codecs last are frozen copies of the CSV and snapshot-row codecs as
+they were before each was made column-wise or hand-formatted; they
+reuse only the package's JSON value decoder.
 """
 
+import csv
+import json
 import math
+import types
+import typing
 from typing import NamedTuple
 
 import numpy as np
 
+from spoofbench.codec import _decode_key, check_keys, decode
+from spoofbench.errors import ConfigError
 from spoofbench.estimation import KinematicEstimate, white_accel_Q
 from spoofbench.tracker_gnn import hungarian
-from spoofbench.tracking import birth_tracks, lifecycle_update, snapshot_record, step_result
+from spoofbench.tracking import (
+    SnapshotRecord,
+    TrackStatus,
+    birth_tracks,
+    lifecycle_update,
+    snapshot_record,
+    step_result,
+)
 
 INF = float("inf")
 
@@ -250,3 +266,135 @@ def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
     births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
     return step_result(frame.t, tracks, records, births)
+
+
+def write_csv_per_cell(path, header, rows):
+    """write_csv, one row and one cell at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def _parse_cell(text, name, tp, optional):
+    if text == "":
+        if optional:
+            return None
+        raise ConfigError(f"{name} must not be empty")
+    if tp is str:
+        return text
+    try:
+        value = tp(text)
+    except ValueError:
+        value = None
+    if tp is int:
+        if value is None or str(value) != text:
+            raise ConfigError(f"{name} must be a decimal integer, got {text!r}")
+    elif value is None or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {text!r}")
+    return value
+
+
+def read_csv_per_cell(path, row_type, check=None):
+    """read_csv, one row and one cell at a time."""
+    columns = []
+    for name, tp in typing.get_type_hints(row_type).items():
+        optional = typing.get_origin(tp) in (typing.Union, types.UnionType)
+        columns.append((name, typing.get_args(tp)[0] if optional else tp, optional))
+    names = [name for name, _, _ in columns]
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != names:
+                raise ConfigError(f"header must be {names}, got {header}")
+            for cells in reader:
+                if len(cells) != len(names):
+                    raise ConfigError(f"expected {len(names)} cells, got {len(cells)}")
+                row = row_type._make(
+                    [_parse_cell(text, *column) for text, column in zip(cells, columns)]
+                )
+                if check is not None:
+                    check(row)
+                rows.append(row)
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from None
+    return rows
+
+
+_ROW_KEYS = ("t", "track_id", "status", "x", "y", "vx", "vy", "detection_id", "score")
+_STATUSES = tuple(s.value for s in TrackStatus)
+
+
+def snapshot_json_dict(record, include_beta):
+    """A SnapshotRecord's row as a JSON object: the nine row keys, and
+    with include_beta its beta object, or None for a hard row."""
+    row = {key: getattr(record, key) for key in _ROW_KEYS}
+    if include_beta:
+        row["beta"] = None if record.miss is None else {
+            "miss": record.miss, **{str(k): record.weights[k] for k in sorted(record.weights)}
+        }
+    return row
+
+
+def snapshot_row_text(record, include_beta):
+    """One line of snapshots.jsonl, by json.dumps."""
+    row = snapshot_json_dict(record, include_beta)
+    return json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def snapshot_from_json_dict(d):
+    """SnapshotRecord.from_json_dict, one codec decode per leaf."""
+    if type(d) is not dict or d.keys() not in (set(_ROW_KEYS), {*_ROW_KEYS, "beta"}):
+        check_keys(d, {*_ROW_KEYS, "beta"}, _ROW_KEYS, "row")
+    if d["status"] not in _STATUSES:
+        raise ConfigError(f"status must be one of {list(_STATUSES)}")
+    beta = d.get("beta")
+    miss, weights = None, {}
+    if beta is not None:
+        if not isinstance(beta, dict):
+            raise ConfigError("beta must be an object or null")
+        if "miss" not in beta:
+            raise ConfigError("beta missing keys: ['miss']")
+        for key, value in beta.items():
+            if key == "miss":
+                miss = decode(float, value, "beta.miss")
+            else:
+                weights[_decode_key(int, key, "beta")] = decode(float, value, f"beta.{key}")
+    det, score = d["detection_id"], d["score"]
+    return SnapshotRecord(
+        t=decode(int, d["t"], "t"),
+        track_id=decode(int, d["track_id"], "track_id"),
+        status=d["status"],
+        x=decode(float, d["x"], "x"),
+        y=decode(float, d["y"], "y"),
+        vx=decode(float, d["vx"], "vx"),
+        vy=decode(float, d["vy"], "vy"),
+        detection_id=None if det is None else decode(int, det, "detection_id"),
+        score=None if score is None else decode(float, score, "score"),
+        weights=weights,
+        miss=miss,
+    )
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def read_snapshots_per_row(path):
+    """read_snapshots_jsonl, one codec decode per leaf; it skips blank
+    lines, which the package reads as faults."""
+    decoder = json.JSONDecoder(parse_constant=_reject_constant)
+    records = []
+    number = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(snapshot_from_json_dict(decoder.decode(line)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {number}: {exc}") from None
+    return records

@@ -722,9 +722,10 @@ def _edit_row(key, value):
     return lambda row: row.update({key: value})
 
 
-# (case, edit of the third row or None for a file cut inside its second
-# row, named in the error); NaN and Infinity are written as bare tokens,
-# and HUGE becomes 1e999, which json reads as inf
+# (case, edit of the third row, a line inserted before it, or None for a
+# file cut inside its second row, named in the error); NaN and Infinity
+# are written as bare tokens, and HUGE becomes 1e999, which json reads
+# as inf
 MALFORMED_SNAPSHOTS = [
     ("truncated", None, "line 2"),
     ("nan-token", _edit_row("x", float("nan")), "NaN"),
@@ -741,6 +742,8 @@ MALFORMED_SNAPSHOTS = [
     ("beta-without-miss", _edit_row("beta", {"3": 0.5}), "beta missing keys: ['miss']"),
     ("beta-non-integer-key", _edit_row("beta", {"miss": 0.5, "x": 0.5}),
      "beta key 'x' must be a decimal integer"),
+    ("blank-line", "\n", "Expecting value"),
+    ("whitespace-line", "   \n", "Expecting value"),
 ]
 
 
@@ -754,6 +757,8 @@ def test_malformed_snapshots_exits_2(tmp_path, capsys, one_run_report, edit, nam
     lines = snapshots_file.read_text(encoding="utf-8").splitlines(keepends=True)
     if edit is None:
         lines[1:] = [lines[1][:10]]
+    elif isinstance(edit, str):
+        lines.insert(2, edit)
     else:
         row = json.loads(lines[2])
         edit(row)

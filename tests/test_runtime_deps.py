@@ -1,5 +1,6 @@
 """The package needs numpy only at run time; scipy is a test-only
-dependency. Each check runs in a fresh interpreter, so modules that
+dependency, and the process pool is imported only for a run with more
+than one job. Each check runs in a fresh interpreter, so modules that
 other tests imported do not count."""
 
 import os
@@ -25,6 +26,18 @@ def test_importing_the_cli_and_harness_loads_no_scipy(tmp_path):
     result = run_python(
         "import sys, spoofbench.cli, spoofbench.harness\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_and_harness_loads_no_process_pool(tmp_path):
+    # a one-process run should not pay for importing multiprocessing
+    result = run_python(
+        "import sys, spoofbench.cli, spoofbench.harness\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))",
         tmp_path,
     )
     assert result.returncode == 0, result.stderr

@@ -23,6 +23,7 @@ from _oracles import (
     jpda_step_per_track,
     kf_predict_per_track,
     kf_update_per_row,
+    snapshot_json_dict,
 )
 from spoofbench import tracker_gnn, tracking
 from spoofbench.estimation import KinematicEstimate, gate_stack, kf_predict_stack, kf_update_stack
@@ -174,7 +175,7 @@ def crossing_frames(seed, n_steps=30):
 def run_bytes(run):
     """The snapshot rows as written, beta included, plus the final
     covariances, which the rows do not show."""
-    rows = json.dumps([r.to_json_dict(True) for r in run.snapshots], allow_nan=False)
+    rows = json.dumps([snapshot_json_dict(r, True) for r in run.snapshots], allow_nan=False)
     covs = b"".join(tr.estimate.P.tobytes() for tr in run.steps[-1].tracks)
     return rows, covs
 

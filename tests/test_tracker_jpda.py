@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import snapshot_json_dict
 from spoofbench.estimation import (
     GateResult,
     KinematicEstimate,
@@ -173,7 +174,7 @@ def test_step_single_detection_reduces_to_kalman():
     [outcome] = result.assignments
     assert outcome.detection_id == 4
     assert outcome.weights[4] == pytest.approx(1.0)
-    assert outcome.to_json_dict(True)["beta"] == {
+    assert snapshot_json_dict(outcome, True)["beta"] == {
         "miss": pytest.approx(0.0), "4": pytest.approx(1.0)
     }
 
@@ -185,7 +186,7 @@ def test_step_empty_gate_coasts():
     result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
     [outcome] = result.assignments
     assert outcome.detection_id is None
-    assert outcome.to_json_dict(True)["beta"] == {"miss": 1.0}
+    assert snapshot_json_dict(outcome, True)["beta"] == {"miss": 1.0}
     np.testing.assert_allclose(result.tracks[0].estimate.x, predicted)
 
 
