@@ -30,7 +30,6 @@ from .estimation import (
     GateResult,
     KinematicEstimate,
     estimate_from_detection,
-    nees,
 )
 from .tracking import (
     Track,
@@ -52,7 +51,7 @@ from .metrics import (
     drift_from_truth,
     match_tracks_to_truth,
     normalized_impact,
-    spoof_stats,
+    recovery_rate,
 )
 from .harness import (
     BenchmarkConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "GateResult",
     "KinematicEstimate",
     "estimate_from_detection",
-    "nees",
     "Track",
     "TrackStatus",
     "TrackerParams",
@@ -107,7 +105,7 @@ __all__ = [
     "drift_from_truth",
     "match_tracks_to_truth",
     "normalized_impact",
-    "spoof_stats",
+    "recovery_rate",
     "BenchmarkConfig",
     "ComparisonTable",
     "compare_trackers",

@@ -4,8 +4,8 @@ State is (px, py, vx, vy); measurements are position-only. The update
 uses the Joseph form and the covariance is re-symmetrized after every
 step so long adversarial runs cannot drift out of PSD.
 
-No product outside the test-only nees goes through BLAS, whose kernels
-round differently: each is summed elementwise in a fixed index order.
+No product goes through BLAS, whose kernels round differently: each
+is summed elementwise in a fixed index order.
 """
 
 from __future__ import annotations
@@ -201,9 +201,3 @@ def estimate_from_detection(
     P[:2, :2] = np.asarray(R, dtype=float)
     P[2, 2] = P[3, 3] = v_max * v_max
     return KinematicEstimate(x=x, P=P)
-
-
-def nees(est: KinematicEstimate, x_true: np.ndarray) -> float:
-    """Normalized estimation error squared against a true state."""
-    e = est.x - np.asarray(x_true, dtype=float)
-    return float(e @ np.linalg.solve(est.P, e))

@@ -1,5 +1,6 @@
 """Run-level metrics: drift from truth, assignment divergence, cluster
-purity, spoof statistics, and normalized impact.
+purity, spoof inclusion, recovery and false attribution, and normalized
+impact.
 
 All metrics are pure post-processing over snapshot records, ground
 truth, and the provenance of the detections the tracks consumed, looked
@@ -8,7 +9,9 @@ up by (t, detection_id) in one map built from the spoofed stream
 per timestep as a min-cost one-to-one matching between confirmed track
 positions and true platform positions with a hard distance cutoff; the
 matcher's index (matched records and their distances) is the one source
-every truth-based metric and the plot-data export read.
+every truth-based metric and the plot-data export read. Each statistic
+is computed in the walk that already holds its inputs: one pass over the
+snapshots, one over the matched records' weights.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ D_NORM_M = 500.0
 # consecutive in-band steps after the window that count as a recovery
 MIN_RECOVERY_STEPS = 5
 
+# read once: each enum `.value` is a Python-level descriptor call
+_CONFIRMED = TrackStatus.CONFIRMED.value
+
 
 @dataclass(frozen=True)
 class TruthCorrespondence:
@@ -51,10 +57,6 @@ class TruthCorrespondence:
 
     def platform_of(self, t: int, track_id: int) -> Optional[int]:
         return self.by_step.get(t, {}).get(track_id)
-
-    def track_of(self, t: int, platform_id: int) -> Optional[int]:
-        record = self.records.get((t, platform_id))
-        return None if record is None else record.track_id
 
     def switches(self) -> Iterator[tuple]:
         """(t, platform_id, previous track_id, new track_id) wherever a
@@ -89,7 +91,7 @@ def match_tracks_to_truth(
     distances: dict = {}
     platform_ids = tuple(truth.platform_ids)
     confirmed = [
-        r for r in snapshots if r.status == TrackStatus.CONFIRMED.value and r.t < truth.n_steps
+        r for r in snapshots if r.status == _CONFIRMED and r.t < truth.n_steps
     ]
     if not confirmed or not platform_ids:
         return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
@@ -141,14 +143,12 @@ class DriftReport:
 
     Overall mean/max pool every matched (platform, step) sample;
     unmatched platform-steps are reported as coverage gaps, not errors.
-    The empty flag marks runs with no matched samples at all.
     """
 
     per_platform: dict
     mean_m: Optional[float]
     max_m: Optional[float]
     matched_steps: int
-    empty: bool
 
 
 def drift_from_truth(correspondence: TruthCorrespondence, truth: GroundTruth) -> DriftReport:
@@ -169,7 +169,6 @@ def drift_from_truth(correspondence: TruthCorrespondence, truth: GroundTruth) ->
         mean_m=float(np.mean(pooled)) if pooled else None,
         max_m=float(np.max(pooled)) if pooled else None,
         matched_steps=len(pooled),
-        empty=not pooled,
     )
 
 
@@ -184,15 +183,12 @@ def _collapse_origin(origin: str) -> str:
     return "spoof" if origin.startswith("spoof") else origin
 
 
-def _spoof_weight(record: SnapshotRecord, origins: dict) -> float:
-    return sum(w for d, w in record.weights.items() if origins[record.t, d].startswith("spoof"))
-
-
 @dataclass(frozen=True)
 class DivergenceReport:
     switch_count: int
     per_platform_switches: dict
     confusion: dict
+    false_attribution: float
 
 
 def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) -> DivergenceReport:
@@ -203,19 +199,28 @@ def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) ->
     platform matched at least once has a switch count.
     Confusion row r holds the fraction of detection weight, consumed by
     tracks matched to platform r, that originated from each source;
-    rows sum to 1. origins is detection_origins of the tracked stream.
+    rows sum to 1. False attribution is the share of clean-detection
+    weight that those tracks consumed from a platform other than their
+    own. origins is detection_origins of the tracked stream.
     """
     per_platform = dict.fromkeys(correspondence.distances, 0)
     for _, pid, _, _ in correspondence.switches():
         per_platform[pid] += 1
     weight_rows: dict = {}
+    clean_weight = 0.0
+    misattributed = 0.0
     for (t, pid), record in correspondence.records.items():
         if not record.weights:
             continue
         row = weight_rows.setdefault(pid, {})
         for det_id, weight in record.weights.items():
-            source = _collapse_origin(origins[t, det_id])
+            origin = origins[t, det_id]
+            source = _collapse_origin(origin)
             row[source] = row.get(source, 0.0) + weight
+            if origin.startswith("platform:"):
+                clean_weight += weight
+                if int(origin.split(":", 1)[1]) != pid:
+                    misattributed += weight
     confusion: dict = {}
     for pid, row in weight_rows.items():
         total = sum(row.values())
@@ -225,6 +230,7 @@ def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) ->
         switch_count=int(sum(per_platform.values())),
         per_platform_switches=per_platform,
         confusion=confusion,
+        false_attribution=misattributed / clean_weight if clean_weight > 0.0 else 0.0,
     )
 
 
@@ -238,26 +244,38 @@ class PurityPoint(NamedTuple):
     spoof_majority_fraction: float
 
 
-def cluster_purity(snapshots: Sequence[SnapshotRecord], origins: dict) -> list[PurityPoint]:
+def cluster_purity(
+    snapshots: Sequence[SnapshotRecord], origins: dict
+) -> tuple[list[PurityPoint], float]:
     """Per step: purity = (weight of the majority origin source) /
     (total consumed weight), averaged over tracks that consumed weight.
     Steps where no track consumed anything are absent from the timeline.
+    Returns the timeline and the spoof inclusion rate: the fraction of
+    track updates (records that consumed weight, every step, every track)
+    whose spoof-labeled weight is more than half their total.
     origins is detection_origins of the tracked stream.
     """
     steps: dict = {}  # t -> ([purity per track], [spoof-majority flag per track])
+    updates = 0
+    spoof_dominated = 0
     for record in snapshots:
         total = sum(record.weights.values())
         if total <= 0.0:
             continue
         sums: dict = {}
+        spoof = 0.0
         for det_id, weight in record.weights.items():
             origin = origins[record.t, det_id]
             sums[origin] = sums.get(origin, 0.0) + weight
+            if origin.startswith("spoof"):
+                spoof += weight
         majority = max(sorted(sums), key=lambda k: sums[k])
         purities, spoof_major = steps.setdefault(record.t, ([], []))
         purities.append(sums[majority] / total)
         spoof_major.append(majority.startswith("spoof"))
-    return [
+        updates += 1
+        spoof_dominated += spoof > 0.5 * total
+    timeline = [
         PurityPoint(
             t=t,
             purity=float(np.mean(purities)),
@@ -265,83 +283,40 @@ def cluster_purity(snapshots: Sequence[SnapshotRecord], origins: dict) -> list[P
         )
         for t, (purities, spoof_major) in sorted(steps.items())
     ]
+    return timeline, spoof_dominated / updates if updates else 0.0
 
 
-@dataclass(frozen=True)
-class SpoofStats:
-    inclusion_rate: float
-    recovery_rate: float
-    false_attribution: float
-
-
-def spoof_stats(
-    snapshots: Sequence[SnapshotRecord],
+def recovery_rate(
     correspondence: TruthCorrespondence,
     truth: GroundTruth,
     origins: dict,
     noise_sigma_m: float,
     injection_window: tuple[int, int],
-) -> SpoofStats:
-    """Spoof inclusion, post-window recovery, and false attribution.
-
-    inclusion: fraction of all track updates (every step, every track)
-    whose consumed weight is majority spoof-labeled. recovery: fraction
-    of spoof-affected platforms (their matched track consumed spoof
-    weight inside the window) whose matched distance returns within
+) -> float:
+    """Fraction of spoof-affected platforms (their matched track consumed
+    spoof weight inside the window) whose matched distance returns within
     eps = 3 * noise_sigma_m for at least MIN_RECOVERY_STEPS consecutive
     steps after the window; vacuously 1 when nothing was affected.
-    false_attribution: weight share of clean detections consumed by
-    tracks matched to a different platform. origins is
-    detection_origins of the tracked stream.
+    origins is detection_origins of the tracked stream.
     """
     eps = 3.0 * noise_sigma_m
     t_start, t_end = injection_window
-
-    updates = 0
-    spoof_dominated = 0
-    for record in snapshots:
-        total = sum(record.weights.values())
-        if total <= 0.0:
+    affected = recovered = 0
+    for pid, by_t in correspondence.distances.items():
+        in_window = (correspondence.records[t, pid] for t in by_t if t_start <= t <= t_end)
+        if not any(
+            sum(w for d, w in r.weights.items() if origins[r.t, d].startswith("spoof")) > 0.0
+            for r in in_window
+        ):
             continue
-        updates += 1
-        if _spoof_weight(record, origins) > 0.5 * total:
-            spoof_dominated += 1
-    inclusion = spoof_dominated / updates if updates else 0.0
-
-    affected = {
-        pid
-        for (t, pid), record in correspondence.records.items()
-        if t_start <= t <= t_end and _spoof_weight(record, origins) > 0.0
-    }
-    recovered = 0
-    for pid in affected:
-        distances = correspondence.distances[pid]
+        affected += 1
         run_length = 0
         for t in range(t_end + 1, truth.n_steps):
-            in_band = distances.get(t, np.inf) <= eps
-            run_length = run_length + 1 if in_band else 0
+            run_length = run_length + 1 if by_t.get(t, np.inf) <= eps else 0
             if run_length >= MIN_RECOVERY_STEPS:
                 recovered += 1
                 break
-    recovery = recovered / len(affected) if affected else 1.0
-
-    clean_weight = 0.0
-    misattributed = 0.0
-    for (t, pid), record in correspondence.records.items():
-        for det_id, weight in record.weights.items():
-            origin = origins[t, det_id]
-            if not origin.startswith("platform:"):
-                continue
-            clean_weight += weight
-            if int(origin.split(":", 1)[1]) != pid:
-                misattributed += weight
-    false_attribution = misattributed / clean_weight if clean_weight > 0.0 else 0.0
-
-    return SpoofStats(
-        inclusion_rate=inclusion,
-        recovery_rate=recovery,
-        false_attribution=false_attribution,
-    )
+    return recovered / affected if affected else 1.0
 
 
 def normalized_impact(mean_drift_m: float) -> float:
@@ -389,14 +364,9 @@ def compute_run_report(
     origins = detection_origins(spoofed_run.spoofed_frames)
     drift = drift_from_truth(correspondence, truth)
     divergence = assignment_divergence(correspondence, origins)
-    purity = cluster_purity(run.snapshots, origins)
-    stats = spoof_stats(
-        run.snapshots,
-        correspondence,
-        truth,
-        origins,
-        noise_sigma_m=noise_sigma_m,
-        injection_window=spoofed_run.config.injection_window,
+    purity, inclusion = cluster_purity(run.snapshots, origins)
+    recovery = recovery_rate(
+        correspondence, truth, origins, noise_sigma_m, spoofed_run.config.injection_window
     )
     impact = normalized_impact(drift.mean_m) if drift.mean_m is not None else None
     return RunReport(
@@ -413,9 +383,9 @@ def compute_run_report(
         per_platform_switches=divergence.per_platform_switches,
         confusion=divergence.confusion,
         purity_timeline=purity,
-        spoof_inclusion_rate=stats.inclusion_rate,
-        recovery_rate=stats.recovery_rate,
-        false_association_ratio=stats.false_attribution,
+        spoof_inclusion_rate=inclusion,
+        recovery_rate=recovery,
+        false_association_ratio=divergence.false_attribution,
     )
 
 

@@ -265,6 +265,9 @@ _ROW_KEY_SET = frozenset(_ROW_KEYS)
 _BETA_ROW_KEY_SET = _ROW_KEY_SET | {"beta"}
 _STATUSES = tuple(s.value for s in TrackStatus)  # a tuple: rows may hold unhashables
 _STATUS_TEXT = {status: json.dumps(status) for status in _STATUSES}
+# member -> plain text, so a row looks its status up in a dict, not via
+# the enum's per-call `.value` descriptor
+_STATUS_VALUE = {status: status.value for status in TrackStatus}
 _INF = math.inf
 
 
@@ -299,7 +302,7 @@ def snapshot_record(
     is miss."""
     x, y, vx, vy = track.estimate.x.tolist()
     return SnapshotRecord(
-        t, track.track_id, track.status.value, x, y, vx, vy, detection_id, score,
+        t, track.track_id, _STATUS_VALUE[track.status], x, y, vx, vy, detection_id, score,
         weights=weights, miss=miss,
     )
 

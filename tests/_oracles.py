@@ -87,6 +87,12 @@ def cv_transition(dt):
     return F
 
 
+def nees(est, x_true):
+    """Normalized estimation error squared of an estimate against a true state."""
+    e = est.x - np.asarray(x_true, dtype=float)
+    return float(e @ np.linalg.solve(est.P, e))
+
+
 def mahalanobis2_by_solve(z, x, P, R):
     """nu^T S^-1 nu with S = H P H^T + R, by a general linear solve."""
     S = H @ P @ H.T + R

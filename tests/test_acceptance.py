@@ -16,7 +16,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from _oracles import assignment_cost, cv_transition, min_cost_by_enumeration
+from _oracles import assignment_cost, cv_transition, min_cost_by_enumeration, nees
 
 from spoofbench.cli import main
 from spoofbench.estimation import (
@@ -25,7 +25,6 @@ from spoofbench.estimation import (
     gate_stack,
     kf_predict_stack,
     kf_update_stack,
-    nees,
 )
 from spoofbench.metrics import (
     RunReport,

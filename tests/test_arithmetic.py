@@ -18,21 +18,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "spoofbench").glob("*.py"))
 BLAS_FUNCTIONS = {f"np.{f}" for f in ("dot", "matmul", "einsum", "inner", "vdot", "tensordot")}
-# nees is a consistency check that only tests call
-EXEMPT = {"nees"}
 
 
 def blas_uses(tree):
-    """Sorted (line, text) of every BLAS-backed product outside EXEMPT."""
-    exempt = {
-        id(node)
-        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in EXEMPT
-        for node in ast.walk(fn)
-    }
+    """Sorted (line, text) of every BLAS-backed product."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
         if isinstance(getattr(node, "op", None), ast.MatMult):
             found.append((node.lineno, "@"))
         elif isinstance(node, ast.Attribute):
@@ -54,7 +45,8 @@ def test_no_blas_products_in_the_package(path):
         ("y = A @ B\nA @= B", ["@", "@"]),
         ("y = a.dot(b) + np.einsum('ij,j', a, b)", ["a.dot", "np.einsum"]),
         ("f = numpy.matmul\ny = np.linalg.norm(a)", ["np.matmul", "np.linalg.norm"]),
-        ("def nees(a, b):\n    return a @ np.linalg.solve(b, a)", []),
+        # no function is exempt, whatever its name
+        ("def nees(a, b):\n    return a @ np.linalg.solve(b, a)", ["@", "np.linalg.solve"]),
         ("raise np.linalg.LinAlgError(a * b + c * d)", []),
     ],
 )

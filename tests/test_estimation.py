@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import cv_transition
+from _oracles import cv_transition, nees
 from spoofbench.estimation import (
     GAMMA_DEFAULT,
     estimate_from_detection,
     gate_stack,
     kf_predict_stack,
     kf_update_stack,
-    nees,
     white_accel_Q,
     KinematicEstimate,
 )

@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +31,8 @@ from spoofbench.spoofing import SpoofConfig, SpoofType
 
 
 REGION = Region(x_min=0.0, x_max=400.0, y_min=0.0, y_max=400.0)
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_CONFIG = ROOT / "demos" / "benchmark_config.json"
 
 
 def tiny_config(trackers=("gnn",), seeds=(0,), spoofs=None, clutter=0.5, out=None):
@@ -248,6 +252,30 @@ def test_cli_parallel_grid_equals_serial_grid(tmp_path):
     for out in (serial, parallel):
         runs = json.loads((out / "manifest.json").read_text())["runs"]
         assert [run["run_id"] for run in runs] == planned
+
+
+def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # PYTHONHASHSEED reorders str hashes, hence sets; no artifact may follow
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        for args in (
+            ["run", "--config", str(DEMO_CONFIG), "--out", str(out), "--seeds", "1",
+             "--spoofs", "ghost,clean"],
+            ["export", "--report", str(out)],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "spoofbench", *args],
+                env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+        files = [p for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"]
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert "ghost-jpda-s0/snapshots.jsonl" in trees[0]
+    differ = [name for name in trees[0] if trees[0][name] != trees[1][name]]
+    assert not differ, f"{len(differ)} of {len(trees[0])} files differ: {differ[:5]}"
 
 
 def fake_report_dir(tmp_path, drifts):

@@ -89,6 +89,36 @@ def test_unassigned_cost_must_be_finite(unassigned):
         hungarian(np.array([[1.0]]), unassigned)
 
 
+# A truth-matcher call recorded from the stock_grid workload, base seed
+# 80, cell mirror-jpda-s81 (the 46th of its 95 calls): (row, column) ->
+# cost at cutoff 100.0. Rows 9 and 10 both reach only column 1, row 10
+# one ulp cheaper; minus the cutoff, the two costs round to the same
+# saving. The solver takes row 9, scipy's LAP takes row 10, and the
+# choice moves the cell's switch_count, so a change to it is a change
+# of the artifact contract.
+NEAR_TIE_COSTS = {
+    (0, 0): "0x1.194d7df6d65aap+2",
+    (1, 1): "0x1.17960b0a3c517p+2",
+    (2, 3): "0x1.0bf65fbf127fap+3",
+    (3, 2): "0x1.7c45ef063ead1p+1",
+    (4, 1): "0x1.179dbba40dabdp+2",
+    (5, 0): "0x1.194287c5c3738p+2",
+    (7, 2): "0x1.7c46a23633f86p+1",
+    (9, 1): "0x1.10e523e325922p+2",
+    (10, 1): "0x1.10e523e325921p+2",
+    (14, 0): "0x1.4177e3e36fc56p+2",
+}
+
+
+def test_recorded_near_tie_takes_the_pinned_row():
+    costs = np.full((15, 4), INF)
+    for cell, text in NEAR_TIE_COSTS.items():
+        costs[cell] = float.fromhex(text)
+    assert costs[10, 1] < costs[9, 1]
+    assert costs[10, 1] - 100.0 == costs[9, 1] - 100.0
+    assert hungarian(costs, 100.0) == {2: 3, 3: 2, 5: 0, 9: 1}
+
+
 # (rows, columns) per shape family, drawn per trial
 ORACLE_SHAPES = {
     "square": lambda rng: (int(rng.integers(1, 7)),) * 2,

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -9,7 +10,12 @@ import pytest
 
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
-from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
+from spoofbench.scenario import (
+    PlatformSpec,
+    ScenarioConfig,
+    build_scenario,
+    default_scenario_config,
+)
 from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
 from spoofbench.tracking import (
     Track,
@@ -271,3 +277,26 @@ def test_snapshot_rows_pinned(tmp_path, step_fn, name, p_birth):
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=name == "jpda")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name, p_birth]
+
+
+@pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
+def test_hit_history_does_not_depend_on_a_huge_window(tmp_path, step_fn, name):
+    # a window as long as the run never drops a hit, so the largest window
+    # TrackerParams accepts must give the same rows
+    scenario = default_scenario_config()
+    truth = build_scenario(scenario)
+    sensor = SensorConfig()
+    frames = generate_clean_run(truth, sensor, seed=3)
+    rows = []
+    for window in (truth.n_steps, sys.maxsize):
+        run_params = TrackerParams(
+            dt_s=scenario.dt_s,
+            p_detect=sensor.p_detect,
+            clutter_density=sensor.clutter_rate / sensor.fov.area,
+            confirm_window=window,
+        )
+        path = tmp_path / f"{name}-{window}.jsonl"
+        run = run_tracker(frames, run_params, step_fn)
+        write_snapshots_jsonl(path, run, include_beta=name == "jpda")
+        rows.append(path.read_bytes())
+    assert rows[0] == rows[1]
