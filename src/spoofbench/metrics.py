@@ -91,7 +91,7 @@ def match_tracks_to_truth(
     distances: dict = {}
     platform_ids = tuple(truth.platform_ids)
     confirmed = [
-        r for r in snapshots if r.status == _CONFIRMED and r.t < truth.n_steps
+        r for r in snapshots if r.status == _CONFIRMED and 0 <= r.t < truth.n_steps
     ]
     if not confirmed or not platform_ids:
         return TruthCorrespondence(by_step=by_step, records=records, distances=distances)

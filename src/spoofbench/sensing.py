@@ -22,6 +22,11 @@ from .streams import TAG_SENSE, substream
 # slots are their indices, which stay far below this
 CLUTTER_SLOT = 2**20
 
+# bound on a clutter or ghost rate, the Poisson mean of detections per
+# frame: far above every rate the repo uses (at most 30), and far below
+# a count that would exhaust memory or numpy's Poisson sampler
+MAX_RATE_PER_FRAME = 1_000.0
+
 DEFAULT_FOV = Region(-600.0, 600.0, -600.0, 600.0)
 
 LABEL_CLEAN = "clean"
@@ -94,8 +99,10 @@ class SensorConfig(Record):
             raise ConfigError(f"p_detect {self.p_detect} outside [0, 1]")
         if self.noise_sigma_m <= 0.0:
             raise ConfigError("noise_sigma_m must be positive")
-        if self.clutter_rate < 0.0:
-            raise ConfigError("clutter_rate must be non-negative")
+        if not 0.0 <= self.clutter_rate <= MAX_RATE_PER_FRAME:
+            raise ConfigError(
+                f"clutter_rate {self.clutter_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"
+            )
         if self.seed_stream_tag < 0:
             raise ConfigError("seed_stream_tag must be non-negative")
 

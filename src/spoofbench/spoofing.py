@@ -10,7 +10,7 @@ that preserves the original position where one exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import Region
-from .sensing import LABEL_CLEAN, Detection, DetectionFrame
+from .sensing import LABEL_CLEAN, MAX_RATE_PER_FRAME, Detection, DetectionFrame
 from .streams import TAG_SPOOF, substream
 
 GHOST_MODE_UNIFORM = "uniform"
@@ -76,8 +76,10 @@ class SpoofConfig(Record):
             if abs(norm - 1.0) > 1e-9:
                 raise ConfigError(f"drift_dir must be a unit vector, |v|={norm}")
         if self.spoof_type is SpoofType.GHOST:
-            if self.ghost_rate < 0.0:
-                raise ConfigError("ghost_rate must be non-negative")
+            if not 0.0 <= self.ghost_rate <= MAX_RATE_PER_FRAME:
+                raise ConfigError(
+                    f"ghost_rate {self.ghost_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"
+                )
             if self.ghost_mode not in (GHOST_MODE_UNIFORM, GHOST_MODE_NEAR_TRACK):
                 raise ConfigError(f"unknown ghost_mode {self.ghost_mode!r}")
             if self.ghost_sigma_m <= 0.0:
@@ -138,113 +140,49 @@ def reflect_across_axis(position, x0: float) -> np.ndarray:
     return np.array([2.0 * x0 - p[0], p[1]])
 
 
-def _drift_frame(
-    frame: DetectionFrame, cfg: SpoofConfig, t_rel: float
-) -> tuple[DetectionFrame, list[SpoofLogEntry]]:
-    """Move targeted clean detections by alpha * t_rel along drift_dir.
-
-    t_rel is seconds since injection start; the offset grows linearly
-    from zero at the start of the window. Labels become spoof:drift and
-    detection ids are preserved (the true detection itself is moved).
-    """
-    offset = cfg.alpha * t_rel * np.asarray(cfg.drift_dir, dtype=float)
-    detections: list[Detection] = []
-    entries: list[SpoofLogEntry] = []
-    for det in frame.detections:
-        if det.label == LABEL_CLEAN and cfg.targets(det.truth_id):
-            detections.append(replace(det, z=det.z + offset, label="spoof:drift"))
-            entries.append(
-                SpoofLogEntry(frame.t, det.detection_id, SpoofType.DRIFT.value, *det.z.tolist())
-            )
-        else:
-            detections.append(det)
-    return DetectionFrame(t=frame.t, detections=tuple(detections)), entries
-
-
-def _ghost_frame(
-    frame: DetectionFrame, cfg: SpoofConfig, rng: np.random.Generator, next_id: int
-) -> tuple[DetectionFrame, list[SpoofLogEntry], int]:
-    """Append Poisson(ghost_rate) detections with no platform origin.
+def _ghost_positions(
+    frame: DetectionFrame, cfg: SpoofConfig, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Positions of the frame's Poisson(ghost_rate) ghosts.
 
     Placement is uniform over ghost_region, or, in near_track mode,
     uniform in the annulus [ghost_inner_m, ghost_radius_m] around a
     randomly chosen clean detection of the frame, shifted by
-    ghost_offset_m. Existing detections are untouched.
+    ghost_offset_m along ghost_offset_dir.
     """
     count = int(rng.poisson(cfg.ghost_rate))
-    if count == 0:
-        return frame, [], next_id
-    R = np.eye(2) * cfg.ghost_sigma_m * cfg.ghost_sigma_m
-    clean = [d for d in frame.detections if d.label == LABEL_CLEAN]
-    added: list[Detection] = []
-    entries: list[SpoofLogEntry] = []
+    anchors = [d.z for d in frame.detections if d.label == LABEL_CLEAN]
+    offset = cfg.ghost_offset_m * np.asarray(cfg.ghost_offset_dir, dtype=float)
+    r2_lo = cfg.ghost_inner_m * cfg.ghost_inner_m
+    r2_hi = cfg.ghost_radius_m * cfg.ghost_radius_m
+    positions: list[np.ndarray] = []
     for _ in range(count):
-        if cfg.ghost_mode == GHOST_MODE_NEAR_TRACK and clean:
-            anchor = clean[int(rng.integers(len(clean)))].z
-            center = anchor + cfg.ghost_offset_m * np.asarray(cfg.ghost_offset_dir, dtype=float)
-            # uniform over the annulus [ghost_inner_m, ghost_radius_m]
-            r2_lo = cfg.ghost_inner_m * cfg.ghost_inner_m
-            r2_hi = cfg.ghost_radius_m * cfg.ghost_radius_m
+        if cfg.ghost_mode == GHOST_MODE_NEAR_TRACK and anchors:
+            center = anchors[int(rng.integers(len(anchors)))] + offset
             radius = math.sqrt(r2_lo + rng.random() * (r2_hi - r2_lo))
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            z = center + radius * np.array([math.cos(theta), math.sin(theta)])
+            positions.append(center + radius * np.array([math.cos(theta), math.sin(theta)]))
         elif cfg.ghost_region is not None:
-            z = cfg.ghost_region.sample(rng, 1)[0]
-        else:
-            # near_track with nothing to anchor on and no fallback
-            # region: skip the draw rather than invent a position
-            continue
-        added.append(
-            Detection(
-                t=frame.t,
-                detection_id=next_id,
-                z=z,
-                R=R.copy(),
-                label="spoof:ghost",
-            )
-        )
-        entries.append(SpoofLogEntry(frame.t, next_id, SpoofType.GHOST.value, None, None))
-        next_id += 1
-    out = DetectionFrame(t=frame.t, detections=frame.detections + tuple(added))
-    return out, entries, next_id
+            positions.append(cfg.ghost_region.sample(rng, 1)[0])
+        # near_track with nothing to anchor on and no fallback region
+        # skips the draw rather than invent a position
+    return positions
 
 
-def _mirror_frame(
-    frame: DetectionFrame, cfg: SpoofConfig, next_id: int
-) -> tuple[DetectionFrame, list[SpoofLogEntry], int]:
-    """Append, for each targeted clean detection, its reflection across
-    x = mirror_x0. Originals are retained; echoes get fresh ids."""
-    added: list[Detection] = []
-    entries: list[SpoofLogEntry] = []
-    for det in frame.detections:
-        if det.label != LABEL_CLEAN or not cfg.targets(det.truth_id):
-            continue
-        added.append(
-            Detection(
-                t=frame.t,
-                detection_id=next_id,
-                z=reflect_across_axis(det.z, cfg.mirror_x0),
-                R=det.R.copy(),
-                label="spoof:mirror",
-                truth_id=det.truth_id,
-            )
-        )
-        entries.append(
-            SpoofLogEntry(frame.t, next_id, SpoofType.MIRROR.value, *det.z.tolist())
-        )
-        next_id += 1
-    out = DetectionFrame(t=frame.t, detections=frame.detections + tuple(added))
-    return out, entries, next_id
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> SpoofedRun:
     """Apply one spoof campaign over its injection window.
 
+    In each frame of the window the spoof type names its spoofed
+    detections as (source, position) pairs, the source being the clean
+    detection a spoofed one is made from, or None for a ghost; this loop
+    alone gives them ids, labels and log rows and builds the frame.
     Deterministic given (clean_run, cfg): ghost draws come from streams
     keyed by (cfg.seed, timestep). Frames outside the window pass
     through unchanged; a window starting beyond the final frame is a
     no-op. The clean input is returned untouched alongside the spoofed
-    stream.
+    stream. A spoofed position that overflows raises ConfigError, the
+    one report of it: numpy's overflow warnings are off in here.
     """
     if cfg.spoof_type is SpoofType.GHOST and cfg.ghost_mode == GHOST_MODE_UNIFORM:
         if cfg.ghost_region is None:
@@ -252,26 +190,47 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
     clean_frames = tuple(clean_run)
     if cfg.spoof_type is SpoofType.CLEAN:
         return SpoofedRun(clean_frames, clean_frames, (), cfg)
-    next_id = max(
-        (d.detection_id for f in clean_frames for d in f.detections), default=-1
-    ) + 1
-    t_start = cfg.injection_window[0]
+    kind = cfg.spoof_type.value
+    label = f"spoof:{kind}"
+    ghost_R = np.eye(2) * cfg.ghost_sigma_m * cfg.ghost_sigma_m
+    next_id = 1 + max((d.detection_id for f in clean_frames for d in f.detections), default=-1)
     spoofed: list[DetectionFrame] = []
     log: list[SpoofLogEntry] = []
     for frame in clean_frames:
         if not cfg.in_window(frame.t):
             spoofed.append(frame)
             continue
-        if cfg.spoof_type is SpoofType.DRIFT:
-            t_rel = (frame.t - t_start) * cfg.dt_s
-            out, entries = _drift_frame(frame, cfg, t_rel)
-        elif cfg.spoof_type is SpoofType.GHOST:
+        if cfg.spoof_type is SpoofType.GHOST:
             rng = substream(cfg.seed, TAG_SPOOF, frame.t)
-            out, entries, next_id = _ghost_frame(frame, cfg, rng, next_id)
+            named = [(None, z) for z in _ghost_positions(frame, cfg, rng)]
         else:
-            out, entries, next_id = _mirror_frame(frame, cfg, next_id)
-        spoofed.append(out)
-        log.extend(entries)
+            targeted = [
+                d for d in frame.detections if d.label == LABEL_CLEAN and cfg.targets(d.truth_id)
+            ]
+            if cfg.spoof_type is SpoofType.DRIFT:
+                t_rel = (frame.t - cfg.injection_window[0]) * cfg.dt_s
+                offset = cfg.alpha * t_rel * np.asarray(cfg.drift_dir, dtype=float)
+                named = [(d, d.z + offset) for d in targeted]
+            else:
+                named = [(d, reflect_across_axis(d.z, cfg.mirror_x0)) for d in targeted]
+        # by id, so a drifted detection takes its source's place
+        detections = {d.detection_id: d for d in frame.detections}
+        for source, z in named:
+            if not np.isfinite(z).all():
+                raise ConfigError(
+                    f"{kind} spoof puts a detection at a non-finite position at step {frame.t}"
+                )
+            if cfg.spoof_type is SpoofType.DRIFT:
+                det_id = source.detection_id
+            else:
+                det_id, next_id = next_id, next_id + 1
+            if source is None:
+                R, truth_id, orig = ghost_R, None, (None, None)
+            else:
+                R, truth_id, orig = source.R, source.truth_id, source.z.tolist()
+            detections[det_id] = Detection(frame.t, det_id, z, R.copy(), label, truth_id)
+            log.append(SpoofLogEntry(frame.t, det_id, kind, *orig))
+        spoofed.append(DetectionFrame(frame.t, tuple(detections.values())) if named else frame)
     return SpoofedRun(clean_frames, tuple(spoofed), tuple(log), cfg)
 
 

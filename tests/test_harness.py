@@ -583,6 +583,10 @@ BAD_VALUES = [
     pytest.param("output_dir", 5, "output_dir", id="output_dir"),
     # tracker params derive p_detect from the sensor, and they need p_detect > 0
     pytest.param("sensor.p_detect", 0, "tracker_params", id="sensor.p_detect"),
+    # finite rates that numpy's Poisson sampler rejects, or that would
+    # draw a billion detections per frame
+    pytest.param("sensor.clutter_rate", 1e19, "sensor", id="sensor.clutter_rate"),
+    pytest.param("spoof_grid[1].ghost_rate", 1e9, "spoof_grid[1]", id="spoof_grid[1].ghost_rate"),
 ]
 
 
@@ -593,6 +597,36 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     config = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+# finite spoofs that pass validate but put a detection at a non-finite
+# position: an offset or reflection past the float range, and a ghost
+# annulus whose squared radius overflows
+NON_FINITE_SPOOFS = [
+    pytest.param({"spoof_type": "drift", "alpha": 1e308}, id="drift"),
+    pytest.param({"spoof_type": "mirror", "mirror_x0": 1e308}, id="mirror"),
+    pytest.param(
+        {"spoof_type": "ghost", "ghost_rate": 6.0, "ghost_mode": "near_track",
+         "ghost_radius_m": 1e200},
+        id="ghost",
+    ),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("spoof", NON_FINITE_SPOOFS)
+def test_cli_run_non_finite_spoof_exits_2(tmp_path, capfd, spoof, jobs):
+    payload = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    payload.update(spoof_grid=[spoof], trackers=["gnn"])
+    path = write_config_file(tmp_path, payload)
+    assert main(["validate", "--config", str(path)]) == 0
+    capfd.readouterr()
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", str(path), "--out", out, "--seeds", "2", "--jobs", jobs]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: {spoof['spoof_type']} spoof puts a detection")
+    assert "non-finite position at step" in err
+    assert "Traceback" not in err
 
 
 def test_grid_size_is_bounded_before_building(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_match_tentative_ignored():
     assert corr.by_step == {}
 
 
+def test_match_ignores_steps_outside_the_run():
+    # a record at t = -1 would otherwise be read against the final truth
+    # step, counted from the end, where it sits at distance 0
+    truth = truth_of({0: [(float(t), 0.0) for t in range(3)]}, T=3)
+    snaps = [snap(-1, 1, 2.0, 0.0), snap(3, 2, 2.0, 0.0)]
+    corr = match_tracks_to_truth(snaps, truth)
+    assert corr.by_step == {} and corr.distances == {}
+
+
 def test_match_crossed_pairs_minimize_total_distance():
     # tracks sit between two platforms; the optimal pairing is not the
     # greedy nearest-first one

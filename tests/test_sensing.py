@@ -8,6 +8,7 @@ from spoofbench.geometry import Region
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
 from spoofbench.sensing import (
     DETECTION_CSV_HEADER,
+    MAX_RATE_PER_FRAME,
     Detection,
     DetectionRow,
     SensorConfig,
@@ -15,6 +16,7 @@ from spoofbench.sensing import (
     read_detection_csv,
     write_detection_csv,
 )
+from spoofbench.spoofing import SpoofConfig, SpoofType
 
 REGION = Region(-600.0, 600.0, -600.0, 600.0)
 
@@ -181,6 +183,18 @@ def test_sensor_config_validation():
     d["bogus"] = True
     with pytest.raises(ConfigError):
         SensorConfig.from_dict(d)
+
+
+def test_rates_are_bounded_per_frame():
+    SensorConfig(clutter_rate=MAX_RATE_PER_FRAME)
+    SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=MAX_RATE_PER_FRAME)
+    above = math.nextafter(MAX_RATE_PER_FRAME, math.inf)
+    with pytest.raises(ConfigError, match="clutter_rate"):
+        SensorConfig(clutter_rate=above)
+    with pytest.raises(ConfigError, match="ghost_rate"):
+        SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=above)
+    # a rate is bounded only where it is drawn from
+    SpoofConfig(spoof_type=SpoofType.DRIFT, ghost_rate=above)
 
 
 def test_header_shape():

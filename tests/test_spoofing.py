@@ -1,12 +1,21 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
+from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
-from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
+from spoofbench.sensing import (
+    Detection,
+    DetectionFrame,
+    SensorConfig,
+    generate_clean_run,
+    write_detection_csv,
+)
 from spoofbench.spoofing import (
     SpoofConfig,
     SpoofType,
@@ -17,6 +26,7 @@ from spoofbench.spoofing import (
 )
 
 REGION = Region(-600.0, 600.0, -600.0, 600.0)
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
 
 
 def frame_with(points, t=0):
@@ -418,3 +428,47 @@ def test_config_validation():
         SpoofConfig(spoof_type=SpoofType.GHOST, ghost_offset_m=5.0, ghost_offset_dir=(2.0, 0.0))
     # unit vector tolerance
     SpoofConfig(spoof_type=SpoofType.DRIFT, alpha=1.0, drift_dir=(math.sqrt(0.5), math.sqrt(0.5)))
+
+
+
+# sha256 of spoofed.csv and spoof_log.csv for one campaign of each kind
+# on the demo scenario and sensor, seed 0: any change to a spoofed
+# position, id, label or log row, or to their order, shows here
+PINNED_STREAMS = {
+    "drift-subset": (
+        dict(spoof_type=SpoofType.DRIFT, alpha=3.0, drift_dir=(0.6, 0.8),
+             target_platform_ids=frozenset([0, 2])),
+        "8efb189602732b84213e22cf4d37d1560e3d5d2ac5163030b35f178325dadb5c",
+        "0046f38eb8a5c09bc62f8345169fd01ab60818549a9b908f077d9adcc481389c",
+    ),
+    "mirror-subset": (
+        dict(spoof_type=SpoofType.MIRROR, mirror_x0=50.0, target_platform_ids=frozenset([1, 3])),
+        "6ba17d2feb11716cc49b85d9bd6a233d28d3f58c34c1f35ac8bc9ac89fb72e76",
+        "35245bcf72f3003f5c04ad70c5e474b7dc98f48392c49e8275c2038ac062c566",
+    ),
+    "ghost-near-track": (
+        dict(spoof_type=SpoofType.GHOST, ghost_rate=6.0, ghost_mode="near_track",
+             ghost_radius_m=8.0, ghost_inner_m=2.0, ghost_offset_m=15.0,
+             ghost_offset_dir=(0.0, 1.0)),
+        "d1663c040e57e82ca5d3cdf350fff82edb57c5d6922547e46ffb126d5b96b808",
+        "c7ed0fa2414c6e1fc7007b8a47a0f1477ffb79fe9bbaa86317f6e8bca337fc9a",
+    ),
+    "ghost-uniform": (
+        dict(spoof_type=SpoofType.GHOST, ghost_rate=3.0, ghost_mode="uniform",
+             ghost_region=REGION),
+        "4b196c415669a713421582e59255159c402c4e18c18d4c20a2ef96b5f8b2cd8f",
+        "73ab015c422ddafca4cf47f87bf6c8e379f8cd1153472042b8f04b3c4cdbd693",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STREAMS))
+def test_spoofed_streams_pinned(case, tmp_path):
+    demo = load_benchmark_config(DEMO_CONFIG)
+    frames = generate_clean_run(build_scenario(demo.scenario), demo.sensor, seed=0)
+    fields, spoofed_digest, log_digest = PINNED_STREAMS[case]
+    run = apply_spoof(frames, SpoofConfig(injection_window=(20, 79), seed=5, **fields))
+    write_detection_csv(tmp_path / "spoofed.csv", run.spoofed_frames, case)
+    write_spoof_log_csv(tmp_path / "spoof_log.csv", run.spoof_log)
+    for name, digest in (("spoofed.csv", spoofed_digest), ("spoof_log.csv", log_digest)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
