@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid config or arguments, or a malformed
-report.json, manifest.json or snapshots.jsonl (the error names the file,
-and the JSON path or line), 3 I/O failure.
+report.json, manifest.json or snapshots.jsonl, or one of another config
+(the error names the file, and the JSON path or line), 3 I/O failure.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ Every CSV artifact is written by write_csv and read back by read_csv
 into a NamedTuple row type. A number is written as its shortest
 round-trip text (repr of the float) and None as an empty cell. Both
 work column by column on chunks of rows, so that the per-cell work runs
-in C; a file with a fault is read again cell by cell, to name it.
+in C; a file with a fault is read again through the same decoder a row
+at a time, so that the error names the faulty line and cell.
 """
 
 from __future__ import annotations
@@ -244,41 +245,27 @@ def _csv_columns(row_type) -> tuple:
     return tuple(columns)
 
 
-def _parse_cell(text: str, name: str, tp, optional: bool):
-    if text == "":
-        if optional:
-            return None
-        raise ConfigError(f"{name} must not be empty")
-    if tp is str:
-        return text
-    try:
-        value = tp(text)
-    except ValueError:
-        value = None
-    if tp is int:
-        if value is None or str(value) != text:
-            raise ConfigError(f"{name} must be a decimal integer, got {text!r}")
-    elif value is None or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {text!r}")
-    return value
-
-
-def _parse_column(texts: tuple, tp, optional: bool):
-    """Column-wise _parse_cell: the same values, but a bad cell raises a
-    ValueError that does not name it."""
+def _parse_column(texts: tuple, name: str, tp, optional: bool):
+    """The cells of column name as tp, an empty one as None if optional:
+    an int in canonical decimal, a float finite. A bad cell raises a
+    ConfigError quoting the column's first cell, which is the bad one
+    when the column holds one cell."""
     if "" in texts:
         if not optional:
-            raise ValueError("empty cell")
-        values = iter(_parse_column(tuple(filter(None, texts)), tp, False))
+            raise ConfigError(f"{name} must not be empty")
+        values = iter(_parse_column(tuple(filter(None, texts)), name, tp, False))
         return [next(values) if text else None for text in texts]
     if tp is str:
         return texts
-    values = list(map(tp, texts))
+    try:
+        values = list(map(tp, texts))
+    except ValueError:
+        values = []
     if tp is int:
         if tuple(map(str, values)) != texts:
-            raise ValueError("non-canonical int")
-    elif not all(map(math.isfinite, values)):
-        raise ValueError("non-finite float")
+            raise ConfigError(f"{name} must be a decimal integer, got {texts[0]!r}")
+    elif len(values) != len(texts) or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be a finite number, got {texts[0]!r}")
     return values
 
 
@@ -293,39 +280,20 @@ def read_csv(path, row_type, check=None) -> list:
     try:
         return _read_csv_columns(path, row_type, check)
     except (ValueError, csv.Error):
-        # the file has a fault: the cell-by-cell reader names it
-        return _read_csv_cells(path, row_type, check)
+        # the file has a fault: read it again a row at a time, so the
+        # error names its line and its first bad cell
+        return _read_csv_columns(path, row_type, check, chunk_rows=1)
 
 
-def _read_csv_columns(path, row_type, check) -> list:
-    """read_csv's rows, decoded column-wise in chunks; any fault raises
-    an error that does not say where it is."""
-    columns = _csv_columns(row_type)
-    # what row_type._make does, less its length check: zip made the rows
-    make_row = functools.partial(tuple.__new__, row_type)
-    rows: list = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != [name for name, _, _ in columns]:
-            raise ValueError("bad header")
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            texts = list(zip(*chunk, strict=True))
-            if len(texts) != len(columns):
-                raise ValueError("wrong cell count")
-            values = [_parse_column(t, tp, opt) for t, (_, tp, opt) in zip(texts, columns)]
-            block = list(map(make_row, zip(*values)))
-            if check is not None:
-                for row in block:
-                    check(row)
-            rows += block
-    return rows
-
-
-def _read_csv_cells(path, row_type, check) -> list:
-    """read_csv's rows, decoded cell by cell: slower, but a fault is a
-    ConfigError naming the file, the line and the column."""
+def _read_csv_columns(path, row_type, check, chunk_rows=_CHUNK_ROWS) -> list:
+    """read_csv's rows, decoded column by column in chunks of chunk_rows
+    rows. Any fault is a ConfigError naming the file and the last line
+    read; only with one row per chunk is that line the faulty one and
+    the quoted cell its first bad one."""
     columns = _csv_columns(row_type)
     names = [name for name, _, _ in columns]
+    # what row_type._make does, less its length check: zip made the rows
+    make_row = functools.partial(tuple.__new__, row_type)
     rows: list = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -333,15 +301,16 @@ def _read_csv_cells(path, row_type, check) -> list:
             header = next(reader, None)
             if header != names:
                 raise ConfigError(f"header must be {names}, got {header}")
-            for cells in reader:
-                if len(cells) != len(names):
-                    raise ConfigError(f"expected {len(names)} cells, got {len(cells)}")
-                row = row_type._make(
-                    [_parse_cell(text, *column) for text, column in zip(cells, columns)]
-                )
+            while chunk := list(itertools.islice(reader, chunk_rows)):
+                texts = list(zip(*chunk, strict=True))
+                if len(texts) != len(columns):
+                    raise ConfigError(f"expected {len(columns)} cells, got {len(texts)}")
+                values = [_parse_column(t, *column) for t, column in zip(texts, columns)]
+                block = list(map(make_row, zip(*values)))
                 if check is not None:
-                    check(row)
-                rows.append(row)
+                    for row in block:
+                        check(row)
+                rows += block
         except (ValueError, csv.Error) as exc:  # ConfigError, bad UTF-8, bad quoting
             raise ConfigError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from None
     return rows

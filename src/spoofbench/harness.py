@@ -19,6 +19,8 @@ import re
 import shutil
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Optional
 
@@ -182,9 +184,11 @@ def _resolve_tracker_params(
     scenario: ScenarioConfig, sensor: SensorConfig, overrides: dict
 ) -> TrackerParams:
     """Tracker params derived from the sensor, under explicit overrides;
-    the scenario clock always wins over an override of dt_s."""
+    dt_s is the scenario's, never an override."""
     if not isinstance(overrides, dict):
         raise ConfigError("tracker_params must be an object")
+    if "dt_s" in overrides:
+        raise ConfigError("tracker_params.dt_s must not be set: scenario.dt_s sets it")
     derived = {
         "p_detect": sensor.p_detect,
         "clutter_density": sensor.clutter_rate / sensor.fov.area,
@@ -208,6 +212,8 @@ def _resolve_spoof_template(
     """Fill scenario/sensor-dependent defaults into one grid entry."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be an object")
+    if "dt_s" in raw:
+        raise ConfigError(f"{path}.dt_s must not be set: scenario.dt_s sets it")
     raw = dict(raw)
     name = decode(Optional[str], raw.pop("name", None), f"{path}.name")
     if name == "":
@@ -468,6 +474,13 @@ def _read_manifest(report_path: Path) -> BenchmarkManifest:
     return load_record(BenchmarkManifest, manifest_file)
 
 
+def _check_digest(path: Path, digest: str, expected: str) -> None:
+    """A file stamped with another config digest than the top-level
+    manifest's was written by another config's run."""
+    if digest != expected:
+        raise ConfigError(f"{path}: config_digest {digest} is not manifest.json's {expected}")
+
+
 @dataclass(frozen=True)
 class CellStats:
     tracker: str
@@ -500,8 +513,9 @@ class ComparisonTable:
 
 
 def _mean_and_impact(drifts: list) -> tuple[float, float]:
-    """Unweighted mean drift of a cell or an average, with its impact."""
-    drift = float(sum(drifts) / len(drifts))
+    """Unweighted mean drift of a cell or an average, with its impact;
+    the drifts are added left to right, as in metrics."""
+    drift = float(reduce(add, drifts, 0.0) / len(drifts))
     return drift, normalized_impact(drift)
 
 
@@ -519,6 +533,7 @@ def compare_trackers(report_dir) -> ComparisonTable:
         if not report_file.exists():
             continue
         report = read_report_json(report_file)
+        _check_digest(report_file, report.config_digest, manifest.config_digest)
         if report.mean_drift_m is None:
             continue
         drifts.setdefault((entry.tracker, entry.spoof_name), []).append(report.mean_drift_m)
@@ -582,15 +597,17 @@ def export_plot_data(report_dir) -> list:
             # run_benchmark writes the top-level manifest after every run
             # folder, so a listed run without one is a damaged directory
             raise ConfigError(f"{run_manifest}: missing for listed run {entry.run_id}")
-        written.extend(_export_run(run_manifest.parent))
+        written.extend(_export_run(run_manifest.parent, manifest.config_digest))
     return written
 
 
-def _export_run(run_dir: Path) -> list:
+def _export_run(run_dir: Path, digest: str) -> list:
     manifest = load_record(RunManifest, run_dir / "manifest.json")
+    _check_digest(run_dir / "manifest.json", manifest.config_digest, digest)
     truth = build_scenario(manifest.scenario)
     snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
     report = read_report_json(run_dir / "report.json")
+    _check_digest(run_dir / "report.json", report.config_digest, digest)
     correspondence = match_tracks_to_truth(snapshots, truth)
     T = truth.n_steps
     written = []

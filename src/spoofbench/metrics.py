@@ -11,13 +11,17 @@ positions and true platform positions with a hard distance cutoff; the
 matcher's index (matched records and their distances) is the one source
 every truth-based metric and the plot-data export read. Each statistic
 is computed in the walk that already holds its inputs: one pass over the
-snapshots, one over the matched records' weights.
+snapshots, one over the matched records' weights. A float total whose
+value a report holds is added left to right from 0.0, not by sum(),
+which compensates from Python 3.12 on, so a report's bytes do not
+depend on the Python minor version.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -223,7 +227,7 @@ def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) ->
                     misattributed += weight
     confusion: dict = {}
     for pid, row in weight_rows.items():
-        total = sum(row.values())
+        total = reduce(add, row.values(), 0.0)
         if total > 0.0:
             confusion[pid] = {src: w / total for src, w in sorted(row.items())}
     return DivergenceReport(
@@ -259,7 +263,7 @@ def cluster_purity(
     updates = 0
     spoof_dominated = 0
     for record in snapshots:
-        total = sum(record.weights.values())
+        total = reduce(add, record.weights.values(), 0.0)
         if total <= 0.0:
             continue
         sums: dict = {}

@@ -10,6 +10,8 @@ detection may contribute weight to several tracks.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,13 +63,14 @@ def _weigh(ids: list, d2: list, det_S: list, C: float, shift: float = 0.0) -> tu
     d2 - shift."""
     if not ids:
         return 1.0, {}
-    # per-pair math.exp and a Python sum, which round differently from
-    # their numpy counterparts
+    # per-pair math.exp and a left-to-right Python sum, which round
+    # differently from their numpy counterparts; not sum(), which
+    # compensates from Python 3.12 on
     likes = [
         math.exp(-0.5 * (d - shift)) / (2.0 * math.pi * math.sqrt(det))
         for d, det in zip(d2, det_S)
     ]
-    denom = C + sum(likes)
+    denom = C + reduce(add, likes, 0.0)
     if denom == 0.0:
         # C is 0 and every likelihood underflowed; the nearest detection's
         # is exp(0) at shift min(d2), so this recurses once

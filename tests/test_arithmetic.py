@@ -85,3 +85,56 @@ def test_artifacts_identical_across_openblas_kernels(tmp_path):
     assert "drift-jpda-s0/snapshots.jsonl" in default
     differ = [name for name in default if default[name] != prescott[name]]
     assert not differ, f"{len(differ)} of {len(default)} files differ: {differ[:5]}"
+
+
+# builtins.sum as CPython 3.12 and later computes it: exact floats are
+# added with Neumaier's compensation, anything else as before
+COMPENSATED_SUM = """
+import builtins, math
+
+def compensated_sum(iterable, /, start=0):
+    total, c, compensating = start, 0.0, False
+    for item in iterable:
+        if type(item) is float and type(total) in (int, float):
+            if not compensating:
+                total, compensating = float(total), True
+            t = total + item
+            c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+            continue
+        if compensating:
+            total, c, compensating = total + c, 0.0, False
+        total = total + item
+    return total + c if compensating and c and math.isfinite(c) else total
+
+builtins.sum = compensated_sum
+assert sum([0.1] * 10) == 1.0
+"""
+
+
+def run_grid_with(out, prelude):
+    """`run` then `export` of the grid run_grid runs, in one process that
+    first executes prelude; returns the same bytes as run_grid."""
+    config = str(ROOT / "demos" / "benchmark_config.json")
+    script = prelude + (
+        "from spoofbench.cli import main\n"
+        f"assert main(['run', '--config', {config!r}, '--out', {str(out)!r}, '--seeds', '1',"
+        " '--spoofs', 'drift,ghost', '--trackers', 'gnn,jpda']) == 0\n"
+        f"assert main(['export', '--report', {str(out)!r}]) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    files = [p for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"]
+    return {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+
+def test_artifacts_identical_under_a_compensated_sum(tmp_path):
+    plain = run_grid_with(tmp_path / "plain", "")
+    compensated = run_grid_with(tmp_path / "compensated", COMPENSATED_SUM)
+    assert sorted(plain) == sorted(compensated)
+    assert "ghost-jpda-s0/report.json" in plain
+    differ = [name for name in plain if plain[name] != compensated[name]]
+    assert not differ, f"{len(differ)} of {len(plain)} files differ: {differ[:5]}"

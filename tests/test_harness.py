@@ -414,18 +414,18 @@ def test_export_overlay_blocks(tmp_path):
     assert len(truth_rows) == 20  # one platform, T=20
 
 
-def _exported_demo_cell(tmp_path_factory, spoof_name):
-    """The <spoof_name>-gnn-s0 folder of the demo config, run alone and exported."""
+def _exported_demo_cell(tmp_path_factory, spoof_name, tracker="gnn"):
+    """The <spoof_name>-<tracker>-s0 folder of the demo config, run alone and exported."""
     cfg = load_benchmark_config(DEMO_CONFIG)
     cfg = replace(
         cfg,
         spoof_grid=tuple(e for e in cfg.spoof_grid if e[0] == spoof_name),
-        trackers=("gnn",),
+        trackers=(tracker,),
         seeds=(0,),
     )
     out = run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("demo"))
     export_plot_data(out)
-    return out / f"{spoof_name}-gnn-s0"
+    return out / f"{spoof_name}-{tracker}-s0"
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +460,56 @@ def test_report_bytes_pinned(exported_demo_run, tmp_path_factory):
         for name, digest in PINNED_REPORTS[spoof_name].items():
             got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             assert got == digest, f"{spoof_name}/{name}"
+
+
+# sha256 of the export files that PINNED_REPORTS leaves out, and of a
+# JPDA cell, whose association weights are summed: overlay.csv carries
+# the detection rows read back from clean.csv and spoofed.csv. Recorded
+# like PINNED_REPORTS.
+PINNED_EXPORTS = {
+    ("drift", "gnn"): {
+        "overlay.csv": "82ee77ab7904dd5eddd6d6ff6cd29e5185aa4d1820c88a1cc29001965307bf7f",
+        "events.csv": "0be9d1c83a91d306b0c90f358e75b74b35e4451d0f6a97ff1704d832780bba90",
+        "purity_timeline.csv": "9f7507a259a7f6d9ca451dcc44a11f766bc0cb6e6dd9b525c9fd542c03733c95",
+    },
+    ("ghost", "gnn"): {
+        "overlay.csv": "21e89653eb01ca587827b614e6ae905dbf386972a793c42fa01cd695d4581bc1",
+        "events.csv": "0900386b2f6409f80c107b66c4ca8501aa0079ef5763bfea286755392063bde9",
+        "purity_timeline.csv": "8421e78d3e5dae00ad950558b3c0086d3f9842e72b060a8afe1ed3eb2f97a147",
+    },
+    ("ghost", "jpda"): {
+        "report.json": "3929d4e3e87e9bccd0193875d7ca117ccb6aaa3d887ae63f34144f210e563cec",
+        "drift_matrix.csv": "5d69fc93b60e32493edc1a852327615df7757ff3c233c4c73c175dcf1dabfce0",
+        "overlay.csv": "7adbafa6f20ad0cf51d6a4ef60f2386937bb3865d1ca27a1c42b1e4b01b70507",
+        "events.csv": "0293e14d4b00977a7a3c93e6ffd7a31ceee085a214cb267b19304768de6ab3a5",
+        "purity_timeline.csv": "120210996f37d43db5ce1a81242ab4961f208e8018bba4b274e09584983ee9ce",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_EXPORTS), ids="-".join)
+def test_export_bytes_pinned(exported_demo_run, tmp_path_factory, cell):
+    spoof_name, tracker = cell
+    if cell == ("drift", "gnn"):
+        run_dir = exported_demo_run[0]
+    else:
+        run_dir = _exported_demo_cell(tmp_path_factory, spoof_name, tracker)
+    for name, digest in PINNED_EXPORTS[cell].items():
+        got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        assert got == digest, f"{spoof_name}-{tracker}/{name}"
+
+
+# sha256 of comparison.csv of the demo grid with seed 0 alone: every
+# drift and mean on the path to the table. Recorded like PINNED_REPORTS.
+PINNED_COMPARISON = "a844d74a2f208882dc0b57bc9a4fc5decc32548c1d624e44109936e6f2f6a0f0"
+
+
+def test_comparison_bytes_pinned(tmp_path):
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(0,))
+    out = run_benchmark(cfg, out_dir=tmp_path / "rep")
+    compare_trackers(out)
+    got = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+    assert got == PINNED_COMPARISON
 
 
 def test_drift_matrix_rows_are_the_report_samples(exported_demo_run):
@@ -587,6 +637,9 @@ BAD_VALUES = [
     # draw a billion detections per frame
     pytest.param("sensor.clutter_rate", 1e19, "sensor", id="sensor.clutter_rate"),
     pytest.param("spoof_grid[1].ghost_rate", 1e9, "spoof_grid[1]", id="spoof_grid[1].ghost_rate"),
+    # the scenario clock sets both; an entry of its own used to be replaced
+    pytest.param("tracker_params.dt_s", 7.0, "tracker_params.dt_s", id="tracker_params.dt_s"),
+    pytest.param("spoof_grid[0].dt_s", 3.0, "spoof_grid[0].dt_s", id="spoof_grid[0].dt_s"),
 ]
 
 
@@ -720,6 +773,28 @@ def test_malformed_report_exits_2(tmp_path, capsys, one_run_report, edit, named)
         assert err.startswith("config error:")
         assert str(report_file) in err
         assert named in err
+
+
+@pytest.mark.parametrize(
+    "name,commands",
+    [("report.json", ("compare", "export")), ("manifest.json", ("export",))],
+)
+def test_file_of_another_config_exits_2(tmp_path, capsys, one_run_report, name, commands):
+    # the same cell of a grid whose drift alpha differs: a copied file
+    # would pass every other check
+    [(spoof_name, spoof)] = tiny_config().spoof_grid[:1]
+    other = tiny_config(spoofs=((spoof_name, replace(spoof, alpha=3.0)),))
+    other_out = run_benchmark(other, out_dir=tmp_path / "other")
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    target = out / "drift-gnn-s0" / name
+    shutil.copyfile(other_out / "drift-gnn-s0" / name, target)
+    for command in commands:
+        assert main([command, "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(target) in err
+        assert "config_digest" in err
 
 
 def _drop(key):
