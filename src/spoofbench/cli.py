@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid config or arguments, or a malformed
-report.json, manifest.json or snapshots.jsonl, or one of another config
+report.json, manifest.json or snapshots.jsonl, or one of another config or run
 (the error names the file, and the JSON path or line), 3 I/O failure.
 """
 
@@ -78,6 +78,8 @@ def _print_table(table) -> None:
         print(f"{tracker:<10} {spoof_name:<12} {drift:>10.2f} {impact:>10.2f}")
     for gap in table.missing:
         print(f"missing cell: {gap}")
+    for run_id, reason in table.left_out:
+        print(f"left out: {run_id} ({reason})")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -296,6 +296,21 @@ class BenchmarkManifest(Record):
     seeds: list[int]
     runs: list[RunSummary]
 
+    def __post_init__(self) -> None:
+        # compare and export index runs by these: one outside the grid
+        # would be dropped or exported, one listed twice averaged twice
+        names = {s.name for s in self.spoofs}
+        grid = {"tracker": set(self.trackers), "spoof_name": names, "seed": set(self.seeds)}
+        listed: set = set()
+        for i, run in enumerate(self.runs):
+            for name, values in grid.items():
+                if (value := getattr(run, name)) not in values:
+                    raise ConfigError(f"runs[{i}].{name} {value!r} is not in the grid")
+            for key in (run.run_id, (run.tracker, run.spoof_name, run.seed)):
+                if key in listed:
+                    raise ConfigError(f"runs[{i}]: {key!r} is listed twice")
+                listed.add(key)
+
 
 @dataclass(frozen=True)
 class DerivedSeeds(Record):
@@ -383,12 +398,13 @@ def run_group(
             run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
         )
         write_report_json(run_dir / "report.json", report)
+        # the run's identity, shared by its manifest and its index entry
+        identity = dict(
+            run_id=spec.run_id, tracker=spec.tracker, spoof_name=spec.spoof_name,
+            spoof_type=spec.spoof_cfg.spoof_type, seed=spec.seed,
+        )
         manifest = RunManifest(
-            run_id=spec.run_id,
-            tracker=spec.tracker,
-            spoof_name=spec.spoof_name,
-            spoof_type=spec.spoof_cfg.spoof_type,
-            seed=spec.seed,
+            **identity,
             config_digest=config_digest,
             created_utc=_utc_now(),
             derived_seeds=DerivedSeeds(sensing=spec.seed, spoof=spec.spoof_cfg.seed, birth=birth_seed),
@@ -400,13 +416,7 @@ def run_group(
         _write_json(run_dir / "manifest.json", manifest.as_dict())
         summaries.append(
             RunSummary(
-                run_id=spec.run_id,
-                tracker=spec.tracker,
-                spoof_name=spec.spoof_name,
-                spoof_type=spec.spoof_cfg.spoof_type,
-                seed=spec.seed,
-                mean_drift_m=report.mean_drift_m,
-                switch_count=report.switch_count,
+                **identity, mean_drift_m=report.mean_drift_m, switch_count=report.switch_count
             )
         )
         # release this tracker's run before the next one starts, so a
@@ -474,11 +484,22 @@ def _read_manifest(report_path: Path) -> BenchmarkManifest:
     return load_record(BenchmarkManifest, manifest_file)
 
 
-def _check_digest(path: Path, digest: str, expected: str) -> None:
-    """A file stamped with another config digest than the top-level
-    manifest's was written by another config's run."""
-    if digest != expected:
-        raise ConfigError(f"{path}: config_digest {digest} is not manifest.json's {expected}")
+def _read_listed(path: Path, entry: RunSummary, digest: str):
+    """A listed run's report.json or manifest.json, which must hold its
+    index entry's values: another config_digest means another config's
+    run wrote it, another run, tracker, spoof or seed another run of the
+    same grid. report.json names its spoof in spoof_type, and no run_id."""
+    expected = {"config_digest": digest, "tracker": entry.tracker, "seed": entry.seed}
+    if path.name == "report.json":
+        record = read_report_json(path)
+        expected["spoof_type"] = entry.spoof_name
+    else:
+        record = load_record(RunManifest, path)
+        expected.update(spoof_name=entry.spoof_name, run_id=entry.run_id)
+    for name, want in expected.items():
+        if (found := getattr(record, name)) != want:
+            raise ConfigError(f"{path}: {name} is {found!r}, manifest.json lists {want!r}")
+    return record
 
 
 @dataclass(frozen=True)
@@ -494,22 +515,21 @@ class CellStats:
 class ComparisonTable:
     """Mean drift and normalized impact per (tracker, spoof) cell, with
     unweighted group averages. Per-tracker averages cover spoofed cells
-    only; the clean cell keeps its own per-spoof average row."""
+    only; the clean cell keeps its own per-spoof average row. left_out
+    holds (run_id, reason) of each listed run outside its cell's mean."""
 
     cells: dict
     tracker_averages: dict
     spoof_averages: dict
     missing: list
+    left_out: list
 
     def rows(self) -> list:
-        out = []
-        for (tracker, spoof_name), cell in self.cells.items():
-            out.append((tracker, spoof_name, cell.drift_m, cell.impact_pct))
-        for tracker, (drift, impact) in self.tracker_averages.items():
-            out.append((tracker, AVERAGE, drift, impact))
-        for spoof_name, (drift, impact) in self.spoof_averages.items():
-            out.append((AVERAGE, spoof_name, drift, impact))
-        return out
+        return [
+            *((*key, cell.drift_m, cell.impact_pct) for key, cell in self.cells.items()),
+            *((tracker, AVERAGE, *means) for tracker, means in self.tracker_averages.items()),
+            *((AVERAGE, name, *means) for name, means in self.spoof_averages.items()),
+        ]
 
 
 def _mean_and_impact(drifts: list) -> tuple[float, float]:
@@ -519,64 +539,44 @@ def _mean_and_impact(drifts: list) -> tuple[float, float]:
     return drift, normalized_impact(drift)
 
 
+def _averages(cells: dict, axis: int, names: list) -> dict:
+    """Mean and impact, per name in order, of the cells whose (tracker,
+    spoof) key holds that name at axis, added in cell order."""
+    groups: dict = {name: [] for name in names}
+    for key, cell in cells.items():
+        groups[key[axis]].append(cell.drift_m)
+    return {name: _mean_and_impact(drifts) for name, drifts in groups.items() if drifts}
+
+
 def compare_trackers(report_dir) -> ComparisonTable:
     """Aggregate run reports into the cross-tracker comparison and write
-    comparison.csv next to the manifest. Missing or drift-less cells are
-    reported in the table's missing list, never silently dropped."""
+    comparison.csv next to the manifest. Runs left out of a cell's mean
+    and cells with no run left are listed, never silently dropped."""
     report_path = Path(report_dir)
     manifest = _read_manifest(report_path)
-    trackers = manifest.trackers
-    spoofs = [(s.name, s.spoof_type) for s in manifest.spoofs]
-    drifts: dict = {}
+    digest = manifest.config_digest
+    names = [s.name for s in manifest.spoofs]
+    # every cell of the grid, tracker then spoof, to the drifts of its
+    # listed runs in manifest order
+    drifts: dict = {(tracker, name): [] for tracker in manifest.trackers for name in names}
+    left_out: list = []
     for entry in manifest.runs:
-        report_file = report_path / entry.run_id / "report.json"
-        if not report_file.exists():
-            continue
-        report = read_report_json(report_file)
-        _check_digest(report_file, report.config_digest, manifest.config_digest)
-        if report.mean_drift_m is None:
-            continue
-        drifts.setdefault((entry.tracker, entry.spoof_name), []).append(report.mean_drift_m)
-    cells: dict = {}
-    missing: list = []
-    for tracker in trackers:
-        for spoof_name, _ in spoofs:
-            values = drifts.get((tracker, spoof_name), [])
-            if not values:
-                missing.append(f"{tracker}/{spoof_name}")
-                continue
-            drift, impact = _mean_and_impact(values)
-            cells[(tracker, spoof_name)] = CellStats(
-                tracker=tracker,
-                spoof_name=spoof_name,
-                drift_m=drift,
-                impact_pct=impact,
-                n_runs=len(values),
-            )
-    spoofed_names = [name for name, stype in spoofs if stype is not SpoofType.CLEAN]
-    tracker_averages: dict = {}
-    for tracker in trackers:
-        members = [
-            cells[(tracker, name)].drift_m
-            for name in spoofed_names
-            if (tracker, name) in cells
-        ]
-        if members:
-            tracker_averages[tracker] = _mean_and_impact(members)
-    spoof_averages: dict = {}
-    for spoof_name, _ in spoofs:
-        members = [
-            cells[(tracker, spoof_name)].drift_m
-            for tracker in trackers
-            if (tracker, spoof_name) in cells
-        ]
-        if members:
-            spoof_averages[spoof_name] = _mean_and_impact(members)
+        run_dir = report_path / entry.run_id
+        if not (run_dir / "report.json").exists():
+            left_out.append((entry.run_id, "no report.json"))
+        elif (drift := _read_listed(run_dir / "report.json", entry, digest).mean_drift_m) is None:
+            left_out.append((entry.run_id, "no matched step"))
+        else:
+            drifts[(entry.tracker, entry.spoof_name)].append(drift)
+    cells = {key: CellStats(*key, *_mean_and_impact(v), len(v)) for key, v in drifts.items() if v}
+    spoofed = {s.name for s in manifest.spoofs if s.spoof_type is not SpoofType.CLEAN}
+    spoofed_cells = {key: cell for key, cell in cells.items() if key[1] in spoofed}
     table = ComparisonTable(
         cells=cells,
-        tracker_averages=tracker_averages,
-        spoof_averages=spoof_averages,
-        missing=missing,
+        tracker_averages=_averages(spoofed_cells, 0, manifest.trackers),
+        spoof_averages=_averages(cells, 1, names),
+        missing=[f"{tracker}/{name}" for (tracker, name), v in drifts.items() if not v],
+        left_out=left_out,
     )
     header = ["tracker", "spoof_type", "drift_m", "impact_pct"]
     write_csv(report_path / "comparison.csv", header, table.rows())
@@ -597,17 +597,15 @@ def export_plot_data(report_dir) -> list:
             # run_benchmark writes the top-level manifest after every run
             # folder, so a listed run without one is a damaged directory
             raise ConfigError(f"{run_manifest}: missing for listed run {entry.run_id}")
-        written.extend(_export_run(run_manifest.parent, manifest.config_digest))
+        written.extend(_export_run(run_manifest.parent, entry, manifest.config_digest))
     return written
 
 
-def _export_run(run_dir: Path, digest: str) -> list:
-    manifest = load_record(RunManifest, run_dir / "manifest.json")
-    _check_digest(run_dir / "manifest.json", manifest.config_digest, digest)
+def _export_run(run_dir: Path, entry: RunSummary, digest: str) -> list:
+    manifest = _read_listed(run_dir / "manifest.json", entry, digest)
     truth = build_scenario(manifest.scenario)
     snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
-    report = read_report_json(run_dir / "report.json")
-    _check_digest(run_dir / "report.json", report.config_digest, digest)
+    report = _read_listed(run_dir / "report.json", entry, digest)
     correspondence = match_tracks_to_truth(snapshots, truth)
     T = truth.n_steps
     written = []

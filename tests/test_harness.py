@@ -512,6 +512,27 @@ def test_comparison_bytes_pinned(tmp_path):
     assert got == PINNED_COMPARISON
 
 
+# sha256 of comparison.csv of the demo grid with seeds (0, 1, 2), whole
+# and with drift-gnn-s1/report.json deleted: each cell a mean over seeds,
+# and one cell over the two seeds left. Recorded like PINNED_REPORTS.
+PINNED_SEED_COMPARISONS = {
+    "whole": "39f950fd17ce20dc009e58b562ee18176fdd8b7c023fadf9c2821832e9c314b5",
+    "without drift-gnn-s1": "c3535daf9ea8084686f09dbd542fb4a5b0bbedb9b2d4951c15bba4871ddd017c",
+}
+
+
+def test_seed_averaged_comparison_bytes_pinned(tmp_path):
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(0, 1, 2))
+    out = run_benchmark(cfg, out_dir=tmp_path / "rep")
+    got = {}
+    compare_trackers(out)
+    got["whole"] = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+    (out / "drift-gnn-s1" / "report.json").unlink()
+    compare_trackers(out)
+    got["without drift-gnn-s1"] = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+    assert got == PINNED_SEED_COMPARISONS
+
+
 def test_drift_matrix_rows_are_the_report_samples(exported_demo_run):
     run_dir, report = exported_demo_run
     with open(run_dir / "drift_matrix.csv", encoding="utf-8", newline="") as fh:
@@ -797,6 +818,77 @@ def test_file_of_another_config_exits_2(tmp_path, capsys, one_run_report, name, 
         assert "config_digest" in err
 
 
+@pytest.fixture(scope="module")
+def seeded_report(tmp_path_factory):
+    """A two-tracker, two-spoof, two-seed report directory, exported."""
+    cfg = tiny_config(trackers=("gnn", "jpda"), seeds=(0, 1))
+    out = run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("seeded") / "rep")
+    compare_trackers(out)
+    export_plot_data(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,commands",
+    [("report.json", ("compare", "export")), ("manifest.json", ("export",))],
+)
+@pytest.mark.parametrize(
+    "source,named",
+    [("drift-gnn-s0", "seed"), ("drift-jpda-s1", "tracker"), ("clean-gnn-s1", "spoof_")],
+)
+def test_file_of_another_run_of_the_grid_exits_2(
+    tmp_path, capsys, seeded_report, name, commands, source, named
+):
+    # both files carry the grid's config digest, so only the run's
+    # identity can tell the copy
+    out = tmp_path / "rep"
+    shutil.copytree(seeded_report, out)
+    target = out / "drift-gnn-s1" / name
+    shutil.copyfile(out / source / name, target)
+    for command in commands:
+        assert main([command, "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {target}: {named}")
+
+
+def _compare_lines(capsys, out):
+    assert main(["compare", "--report", str(out)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_compare_lists_runs_left_out_of_a_mean(tmp_path, capsys, seeded_report):
+    out = tmp_path / "rep"
+    shutil.copytree(seeded_report, out)
+    complete = _compare_lines(capsys, out)
+    assert not [line for line in complete if line.startswith(("left out", "missing"))]
+    (out / "drift-gnn-s1" / "report.json").unlink()
+    lines = _compare_lines(capsys, out)
+    assert lines[-1] == "left out: drift-gnn-s1 (no report.json)"
+    assert lines[:-1] != complete
+    assert len(lines) == len(complete) + 1
+    # the cell is the one seed left
+    table = compare_trackers(out)
+    assert table.cells[("gnn", "drift")].n_runs == 1
+    assert table.left_out == [("drift-gnn-s1", "no report.json")]
+
+
+def test_a_cell_with_no_run_left_stays_missing(tmp_path, capsys, seeded_report):
+    out = tmp_path / "rep"
+    shutil.copytree(seeded_report, out)
+    (out / "drift-gnn-s1" / "report.json").unlink()
+    report_file = out / "drift-gnn-s0" / "report.json"
+    report = json.loads(report_file.read_text(encoding="utf-8"))
+    report["mean_drift_m"] = None
+    report_file.write_text(json.dumps(report), encoding="utf-8")
+    lines = _compare_lines(capsys, out)
+    assert lines[-3:] == [
+        "missing cell: gnn/drift",
+        "left out: drift-gnn-s0 (no matched step)",
+        "left out: drift-gnn-s1 (no report.json)",
+    ]
+    assert not any(line.startswith("gnn        drift ") for line in lines)
+
+
 def _drop(key):
     return lambda d: d.pop(key)
 
@@ -809,6 +901,17 @@ MALFORMED_MANIFESTS = [
      ("compare", "export"), "trackers[0]"),
     ("top-bad-spoof-type", "manifest.json", lambda m: m["runs"][0].update(spoof_type="x"),
      ("compare", "export"), "runs[0].spoof_type"),
+    ("top-run-tracker-outside-grid", "manifest.json", lambda m: m.update(trackers=["jpda"]),
+     ("compare", "export"), "runs[0].tracker 'gnn' is not in the grid"),
+    ("top-run-spoof-outside-grid", "manifest.json", lambda m: m.update(spoofs=[]),
+     ("compare", "export"), "runs[0].spoof_name 'drift' is not in the grid"),
+    ("top-run-seed-outside-grid", "manifest.json", lambda m: m["runs"][0].update(seed=1),
+     ("compare", "export"), "runs[0].seed 1 is not in the grid"),
+    ("top-run-listed-twice", "manifest.json", lambda m: m["runs"].append(m["runs"][0]),
+     ("compare", "export"), "runs[1]: 'drift-gnn-s0' is listed twice"),
+    ("top-cell-seed-listed-twice", "manifest.json",
+     lambda m: m["runs"].append(dict(m["runs"][0], run_id="again")),
+     ("compare", "export"), "runs[1]: ('gnn', 'drift', 0) is listed twice"),
     ("run-missing-spoof", "drift-gnn-s0/manifest.json", _drop("spoof"), ("export",), "spoof"),
     ("run-bad-params", "drift-gnn-s0/manifest.json",
      lambda m: m["tracker_params"].update(q="x"), ("export",), "tracker_params.q"),
