@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid config or arguments, or a malformed
 report.json, manifest.json or snapshots.jsonl, or one of another config or run
-(the error names the file, and the JSON path or line), 3 I/O failure.
+(the error names the file, and the JSON path or line), or a file export reads
+missing from a listed run, 3 I/O failure.
 """
 
 from __future__ import annotations

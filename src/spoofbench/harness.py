@@ -2,11 +2,12 @@
 layout, cross-tracker comparison, and plot-data export.
 
 Reproducibility contract: the whole pipeline is a pure function of the
-benchmark config. The clean detection stream of a run depends only on
-its seed, the spoof stream on (seed, spoof name), and tracker birth
-draws on (seed, tracker), so adding or removing grid entries never
-changes the randomness of the remaining runs, and both trackers face
-bit-identical detection streams. Timestamps appear only in manifests.
+benchmark config. Randomness enters only at sensing and spoofing: the
+clean detection stream of a run depends only on its seed, the spoof
+stream on (seed, spoof name), and the trackers draw nothing, so adding,
+removing or reordering grid entries never changes the remaining runs,
+and both trackers face bit-identical detection streams. Timestamps
+appear only in manifests.
 """
 
 from __future__ import annotations
@@ -50,11 +51,7 @@ from .tracking import (
 
 TRACKER_STEPS = {"gnn": gnn_step, "jpda": jpda_step}
 
-# fixed slots so birth streams do not depend on grid composition
-_TRACKER_SLOT = {"gnn": 0, "jpda": 1}
-
 _SPOOF_STREAM_TAG = 101
-_BIRTH_STREAM_TAG = 202
 
 
 # the row and column label of the averages in comparison.csv, so no
@@ -271,8 +268,6 @@ class RunSummary(Record):
     spoof_name: str
     spoof_type: SpoofType
     seed: int
-    mean_drift_m: Optional[float]
-    switch_count: int
 
     def __post_init__(self) -> None:
         # compare and export join it to the report directory
@@ -313,13 +308,6 @@ class BenchmarkManifest(Record):
 
 
 @dataclass(frozen=True)
-class DerivedSeeds(Record):
-    sensing: int
-    spoof: int
-    birth: int
-
-
-@dataclass(frozen=True)
 class RunManifest(Record):
     """manifest.json of one run folder: everything needed to rebuild it."""
 
@@ -330,7 +318,6 @@ class RunManifest(Record):
     seed: int
     config_digest: str
     created_utc: str
-    derived_seeds: DerivedSeeds
     scenario: ScenarioConfig
     sensor: SensorConfig
     spoof: SpoofConfig
@@ -341,6 +328,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _identity(spec: RunSpec) -> dict:
+    """A run's identity, shared by its manifest and its index entry."""
+    return dict(
+        run_id=spec.run_id, tracker=spec.tracker, spoof_name=spec.spoof_name,
+        spoof_type=spec.spoof_cfg.spoof_type, seed=spec.seed,
+    )
+
+
 def run_group(
     specs: list,
     scenario: ScenarioConfig,
@@ -348,10 +343,9 @@ def run_group(
     params: TrackerParams,
     out_dir: str,
     config_digest: str,
-) -> list:
+) -> None:
     """Build, spoof and write one (spoof, seed) stream, then track,
-    measure and write one run folder per spec on it; returns the specs'
-    summaries in order.
+    measure and write one run folder per spec on it.
 
     Top-level function so worker pools can pickle it.
     """
@@ -370,20 +364,13 @@ def run_group(
         stream_dir / "spoofed.csv", spoofed_run.spoofed_frames, f"{first.spoof_name}-s{first.seed}"
     )
     write_spoof_log_csv(stream_dir / "spoof_log.csv", spoofed_run.spoof_log)
-    summaries: list = []
     for spec in specs:
         run_dir = Path(out_dir) / spec.run_id
         if run_dir != stream_dir:
             run_dir.mkdir(parents=True, exist_ok=True)
             for name in ("clean.csv", "spoofed.csv", "spoof_log.csv"):
                 shutil.copyfile(stream_dir / name, run_dir / name)
-        birth_seed = derive_seed(spec.seed, _BIRTH_STREAM_TAG, _TRACKER_SLOT[spec.tracker])
-        run = run_tracker(
-            spoofed_run.spoofed_frames,
-            params,
-            TRACKER_STEPS[spec.tracker],
-            birth_seed=birth_seed,
-        )
+        run = run_tracker(spoofed_run.spoofed_frames, params, TRACKER_STEPS[spec.tracker])
         report = compute_run_report(
             run,
             truth,
@@ -398,31 +385,19 @@ def run_group(
             run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
         )
         write_report_json(run_dir / "report.json", report)
-        # the run's identity, shared by its manifest and its index entry
-        identity = dict(
-            run_id=spec.run_id, tracker=spec.tracker, spoof_name=spec.spoof_name,
-            spoof_type=spec.spoof_cfg.spoof_type, seed=spec.seed,
-        )
         manifest = RunManifest(
-            **identity,
+            **_identity(spec),
             config_digest=config_digest,
             created_utc=_utc_now(),
-            derived_seeds=DerivedSeeds(sensing=spec.seed, spoof=spec.spoof_cfg.seed, birth=birth_seed),
             scenario=scenario,
             sensor=sensor,
             spoof=spec.spoof_cfg,
             tracker_params=params,
         )
         _write_json(run_dir / "manifest.json", manifest.as_dict())
-        summaries.append(
-            RunSummary(
-                **identity, mean_drift_m=report.mean_drift_m, switch_count=report.switch_count
-            )
-        )
         # release this tracker's run before the next one starts, so a
         # group peaks no higher than one run
         del run, report
-    return summaries
 
 
 def worker_count(jobs: int, n_groups: int, cpus: Optional[int]) -> int:
@@ -460,18 +435,18 @@ def run_benchmark(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run_group, groups, *(itertools.repeat(a) for a in common)))
+            # consumed so that a worker's exception surfaces here
+            list(pool.map(run_group, groups, *(itertools.repeat(a) for a in common)))
     else:
-        done = [run_group(group, *common) for group in groups]
-    by_id = {summary.run_id: summary for summary in itertools.chain.from_iterable(done)}
-    summaries = [by_id[spec.run_id] for spec in specs]
+        for group in groups:
+            run_group(group, *common)
     manifest = BenchmarkManifest(
         config_digest=digest,
         created_utc=_utc_now(),
         trackers=list(cfg.trackers),
         spoofs=[SpoofEntry(name, c.spoof_type) for name, c in cfg.spoof_grid],
         seeds=list(cfg.seeds),
-        runs=summaries,
+        runs=[RunSummary(**_identity(spec)) for spec in specs],
     )
     _write_json(out_path / "manifest.json", manifest.as_dict())
     return out_path
@@ -583,6 +558,10 @@ def compare_trackers(report_dir) -> ComparisonTable:
     return table
 
 
+# every file of a run folder that _export_run reads
+_EXPORT_INPUTS = ("manifest.json", "snapshots.jsonl", "report.json", "clean.csv", "spoofed.csv")
+
+
 def export_plot_data(report_dir) -> list:
     """Write per-run plot-data CSVs: drift matrix (platforms x steps),
     purity timeline, assignment/switch events with spoof-window
@@ -592,12 +571,13 @@ def export_plot_data(report_dir) -> list:
     manifest = _read_manifest(report_path)
     written: list = []
     for entry in manifest.runs:
-        run_manifest = report_path / entry.run_id / "manifest.json"
-        if not run_manifest.exists():
-            # run_benchmark writes the top-level manifest after every run
-            # folder, so a listed run without one is a damaged directory
-            raise ConfigError(f"{run_manifest}: missing for listed run {entry.run_id}")
-        written.extend(_export_run(run_manifest.parent, entry, manifest.config_digest))
+        run_dir = report_path / entry.run_id
+        for name in _EXPORT_INPUTS:
+            if not (run_dir / name).exists():
+                # run_benchmark writes the top-level manifest after every
+                # run folder, so a listed run without it is a damaged directory
+                raise ConfigError(f"{run_dir / name}: missing for listed run {entry.run_id}")
+        written.extend(_export_run(run_dir, entry, manifest.config_digest))
     return written
 
 

@@ -92,7 +92,6 @@ class SensorConfig(Record):
     noise_sigma_m: float = 5.0
     clutter_rate: float = 2.0
     fov: Region = DEFAULT_FOV
-    seed_stream_tag: int = TAG_SENSE
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_detect <= 1.0:
@@ -103,8 +102,6 @@ class SensorConfig(Record):
             raise ConfigError(
                 f"clutter_rate {self.clutter_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"
             )
-        if self.seed_stream_tag < 0:
-            raise ConfigError("seed_stream_tag must be non-negative")
 
 
 def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFrame]:
@@ -117,7 +114,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
     the field of view.
 
     Replay is bit-exact: every draw is addressed by
-    (seed, seed_stream_tag, timestep, platform slot).
+    (seed, TAG_SENSE, timestep, platform slot).
     """
     sigma = cfg.noise_sigma_m
     R = np.eye(2) * sigma * sigma
@@ -129,7 +126,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
             pos = truth.positions[pid][k]
             if not cfg.fov.contains(pos):
                 continue
-            rng = substream(seed, cfg.seed_stream_tag, k, idx)
+            rng = substream(seed, TAG_SENSE, k, idx)
             if rng.random() >= cfg.p_detect:
                 continue
             z = pos + rng.normal(0.0, sigma, size=2)
@@ -139,7 +136,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
                 )
             )
             next_id += 1
-        rng = substream(seed, cfg.seed_stream_tag, k, CLUTTER_SLOT)
+        rng = substream(seed, TAG_SENSE, k, CLUTTER_SLOT)
         n_clutter = int(rng.poisson(cfg.clutter_rate))
         if n_clutter:
             points = cfg.fov.sample(rng, n_clutter)

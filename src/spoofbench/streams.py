@@ -2,7 +2,8 @@
 
 Every random draw in the package comes from a generator keyed by
 (seed, tag, *counters) rather than from one sequentially-consumed stream.
-Two consequences matter for reproducibility:
+Only sensing and spoofing draw; tracking and metrics are pure functions
+of the detection streams. Two consequences matter for reproducibility:
 
 * replaying any (seed, path) yields the identical draw sequence, and
 * adding draws under one path (say, spoof injection at one timestep) never
@@ -19,7 +20,6 @@ import numpy as np
 TAG_SENSE = 1
 # 2 is free: clutter draws use TAG_SENSE with sensing.CLUTTER_SLOT
 TAG_SPOOF = 3
-TAG_BIRTH = 4
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

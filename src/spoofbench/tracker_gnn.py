@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -173,7 +173,6 @@ def gnn_step(
     tracks: list,
     frame: DetectionFrame,
     params: TrackerParams,
-    birth_rng: Optional[np.random.Generator] = None,
     *,
     id_source: Iterator[int],
 ) -> StepResult:
@@ -217,5 +216,5 @@ def gnn_step(
 
     assigned = set(assignment.values())
     unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
-    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    births = birth_tracks(unassigned, params, id_source=id_source)
     return step_result(frame.t, tracks, records, births)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -126,7 +126,6 @@ def jpda_step(
     tracks: list,
     frame: DetectionFrame,
     params: TrackerParams,
-    birth_rng: Optional[np.random.Generator] = None,
     *,
     id_source: Iterator[int],
 ) -> StepResult:
@@ -166,5 +165,5 @@ def jpda_step(
 
     gated_cols = gated.inside.any(axis=0).tolist()
     unassigned = [d for d, g in zip(frame.detections, gated_cols) if not g]
-    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    births = birth_tracks(unassigned, params, id_source=id_source)
     return step_result(frame.t, tracks, records, births)

@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult, KinematicEstimate
 from .estimation import estimate_from_detection, gate_stack, kf_predict_stack
 from .sensing import Detection, DetectionFrame
-from .streams import TAG_BIRTH, substream
 
 class TrackStatus(str, Enum):
     TENTATIVE = "tentative"
@@ -47,7 +46,6 @@ class TrackerParams(Record):
     confirm_hits: int = 2          # M of the M-of-N confirmation rule
     confirm_window: int = 3        # N of the M-of-N confirmation rule
     delete_misses: int = 5         # consecutive misses before deletion
-    p_birth: float = 1.0           # per unassigned detection per frame
     v_max_mps: float = V_MAX_DEFAULT
     hit_threshold: float = 0.5     # JPDA: hit iff 1 - beta_miss >= this
 
@@ -78,8 +76,6 @@ class TrackerParams(Record):
             raise ConfigError(f"confirm_window must be at most {sys.maxsize}")
         if self.delete_misses < 1:
             raise ConfigError("delete_misses must be at least 1")
-        if not 0.0 <= self.p_birth <= 1.0:
-            raise ConfigError("p_birth must be in [0, 1]")
 
 
 @dataclass
@@ -158,19 +154,15 @@ def lifecycle_update(track: Track, hit: bool, params: TrackerParams) -> Track:
 def birth_tracks(
     unassigned: Sequence[Detection],
     params: TrackerParams,
-    rng: Optional[np.random.Generator] = None,
     *,
     id_source: Iterator[int],
 ) -> list[Track]:
-    """Spawn a tentative track per unassigned detection with p_birth.
+    """Spawn a tentative track per unassigned detection.
 
     The spawning detection counts as the new track's first hit.
     """
     births: list[Track] = []
     for det in sorted(unassigned, key=lambda d: d.detection_id):
-        if params.p_birth < 1.0:
-            if rng is None or rng.random() >= params.p_birth:
-                continue
         history: deque = deque(maxlen=params.confirm_window)
         history.append(True)
         births.append(
@@ -331,21 +323,18 @@ def run_tracker(
     frames: Sequence[DetectionFrame],
     params: TrackerParams,
     step_fn: Callable[..., StepResult],
-    birth_seed: int = 0,
 ) -> TrackerRun:
     """Drive a step function over a detection stream.
 
-    Track ids are unique within the run and never reused; birth draws
-    come from streams keyed by (birth_seed, timestep), built only when
-    p_birth < 1 makes birth_tracks draw.
+    Track ids are unique within the run and never reused. Nothing here
+    draws a random number: the run is a pure function of its frames.
     """
     live: list[Track] = []
     id_source = itertools.count()
     steps: list[StepResult] = []
     snapshots: list[SnapshotRecord] = []
     for frame in frames:
-        rng = substream(birth_seed, TAG_BIRTH, frame.t) if params.p_birth < 1.0 else None
-        result = step_fn(live, frame, params, birth_rng=rng, id_source=id_source)
+        result = step_fn(live, frame, params, id_source=id_source)
         steps.append(result)
         snapshots.extend(result.assignments)
         # a birth's spawning detection is informational, not a consumed update

@@ -195,7 +195,7 @@ def association_per_track(gated, params):
     return C / denom, {det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)}
 
 
-def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
+def gnn_step_per_track(tracks, frame, params, *, id_source):
     """GNN step that predicts, gates and updates one track at a time."""
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
     for track in tracks:
@@ -221,7 +221,7 @@ def gnn_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
             records.append(snapshot_record(frame.t, track, None, None, {}))
     assigned = set(assignment.values())
     unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
-    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    births = birth_tracks(unassigned, params, id_source=id_source)
     return step_result(frame.t, tracks, records, births)
 
 
@@ -249,7 +249,7 @@ def _composite_update_per_track(track, gated, miss, betas, frame):
     prior.P = 0.5 * (P + P.T)
 
 
-def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
+def jpda_step_per_track(tracks, frame, params, *, id_source):
     """JPDA step that predicts, gates, weights and updates one track at a
     time."""
     tracks = sorted(tracks, key=lambda tr: tr.track_id)
@@ -270,7 +270,7 @@ def jpda_step_per_track(tracks, frame, params, birth_rng=None, *, id_source):
         score = evidence if len(gated.indices) > 0 else None
         records.append(snapshot_record(frame.t, track, best, score, betas, miss))
     unassigned = [d for d in frame.detections if d.detection_id not in gated_ids]
-    births = birth_tracks(unassigned, params, birth_rng, id_source=id_source)
+    births = birth_tracks(unassigned, params, id_source=id_source)
     return step_result(frame.t, tracks, records, births)
 
 

@@ -37,7 +37,7 @@ from spoofbench.metrics import (
 from spoofbench.scenario import build_scenario, default_scenario_config
 from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
 from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof, reflect_across_axis
-from spoofbench.streams import TAG_BIRTH, TAG_SPOOF, derive_seed, substream
+from spoofbench.streams import TAG_SPOOF, derive_seed
 from spoofbench.tracker_gnn import gnn_step, hungarian
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
 from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker, stack_estimates
@@ -221,7 +221,6 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
             )
         live = []
         id_source = itertools.count()
-        birth_seed = derive_seed(seed, 202, 0)
         for frame in frames:
             ghosts = [d for d in frame.detections if d.label.startswith("spoof")]
             x, P = kf_predict_stack(*stack_estimates(live), params.dt_s, params.q)
@@ -232,13 +231,7 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
                     d2 = float(nu @ np.linalg.solve(S, nu))
                     min_mahalanobis = min(min_mahalanobis, math.sqrt(d2))
             origin = {d.detection_id: d.origin_key() for d in frame.detections}
-            result = gnn_step(
-                live,
-                frame,
-                params,
-                birth_rng=substream(birth_seed, TAG_BIRTH, frame.t),
-                id_source=id_source,
-            )
+            result = gnn_step(live, frame, params, id_source=id_source)
             for outcome in result.assignments:
                 for det_id in outcome.weights:
                     updates_seen += 1
@@ -253,7 +246,7 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
     )
 
 
-def _mean_drift_under_ghosts(truth, sensor, params, step_fn, slot, seed):
+def _mean_drift_under_ghosts(truth, sensor, params, step_fn, seed):
     frames = generate_clean_run(truth, sensor, seed=seed)
     cfg = SpoofConfig(
         spoof_type=SpoofType.GHOST,
@@ -269,12 +262,7 @@ def _mean_drift_under_ghosts(truth, sensor, params, step_fn, slot, seed):
         seed=derive_seed(seed, TAG_SPOOF, 0),
     )
     spoofed = apply_spoof(frames, cfg)
-    run = run_tracker(
-        spoofed.spoofed_frames,
-        params,
-        step_fn,
-        birth_seed=derive_seed(seed, 202, slot),
-    )
+    run = run_tracker(spoofed.spoofed_frames, params, step_fn)
     corr = match_tracks_to_truth(run.snapshots, truth)
     drift = drift_from_truth(corr, truth)
     assert drift.mean_m is not None
@@ -298,10 +286,10 @@ def test_criterion_5_gnn_outdrifts_jpda_under_ingate_ghosts():
     jpda_drifts = []
     for seed in seeds:
         gnn_drifts.append(
-            _mean_drift_under_ghosts(truth, sensor, params, gnn_step, 0, seed)
+            _mean_drift_under_ghosts(truth, sensor, params, gnn_step, seed)
         )
         jpda_drifts.append(
-            _mean_drift_under_ghosts(truth, sensor, params, jpda_step, 1, seed)
+            _mean_drift_under_ghosts(truth, sensor, params, jpda_step, seed)
         )
     wins = sum(g < j for g, j in zip(gnn_drifts, jpda_drifts))
     mean_gnn = float(np.mean(gnn_drifts))
@@ -343,7 +331,7 @@ def _reference_report_dir(tmp_path):
         run_id = f"{spoof}-{tracker}-s0"
         runs.append(
             {"run_id": run_id, "tracker": tracker, "spoof_name": spoof,
-             "spoof_type": spoof, "seed": 0, "mean_drift_m": drift, "switch_count": 0}
+             "spoof_type": spoof, "seed": 0}
         )
         run_dir = tmp_path / run_id
         run_dir.mkdir()
@@ -573,16 +561,11 @@ def test_criterion_9_clean_scenario_sanity():
     )
     threshold = 3.0 * sensor.noise_sigma_m
     results = {}
-    for name, step_fn, slot in (("gnn", gnn_step, 0), ("jpda", jpda_step, 1)):
+    for name, step_fn in (("gnn", gnn_step), ("jpda", jpda_step)):
         ok = 0
         for seed in range(100):
             frames = generate_clean_run(truth, sensor, seed=seed)
-            run = run_tracker(
-                frames,
-                params,
-                step_fn,
-                birth_seed=derive_seed(seed, 202, slot),
-            )
+            run = run_tracker(frames, params, step_fn)
             corr = match_tracks_to_truth(run.snapshots, truth)
             drift = drift_from_truth(corr, truth)
             divergence = assignment_divergence(corr, detection_origins(frames))

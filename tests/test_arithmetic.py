@@ -3,7 +3,9 @@
 numpy's matrix products go through OpenBLAS, which picks a kernel per
 CPU (or as OPENBLAS_CORETYPE says), and kernels round differently. So
 the package keeps BLAS off the artifact path: a static rule over its
-source, and a run under two kernels that must write the same bytes.
+source, and a run under two kernels that must write the same bytes. A
+second static rule keeps randomness to sensing and spoofing, so the
+trackers stay pure functions of their detection streams.
 """
 
 import ast
@@ -52,6 +54,63 @@ def test_no_blas_products_in_the_package(path):
 )
 def test_rule_catches_each_form(source, want):
     assert [text for _, text in blas_uses(ast.parse(source))] == want
+
+
+# the modules that may open a random stream; streams.py alone builds one
+# from np.random, whose Generator may still name a parameter's type
+STREAM_OPENERS = {"sensing.py", "spoofing.py"}
+
+
+def random_uses(tree, module):
+    """Sorted (line, text) of every reach for randomness that module may
+    not make: substream outside STREAM_OPENERS, np.random outside
+    streams.py. Imports count as reaches."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inner:
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            name = name.replace("numpy.", "np.", 1)
+            opens = name == "substream" or name.endswith(".substream")
+            draws = name == "np.random" or name.startswith("np.random.")
+            if opens and module not in STREAM_OPENERS:
+                found.append((node.lineno, name))
+            elif draws and name != "np.random.Generator" and module != "streams.py":
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_sensing_and_spoofing_open_random_streams(path):
+    assert random_uses(ast.parse(path.read_text()), path.name) == []
+
+
+@pytest.mark.parametrize(
+    "module,source,want",
+    [
+        ("tracking.py", "from .streams import TAG_BIRTH, substream\nrng = substream(seed, 4, t)",
+         ["streams.substream", "substream"]),
+        ("metrics.py", "rng = np.random.default_rng(0)\nx = numpy.random.normal(size=2)",
+         ["np.random.default_rng", "np.random.normal"]),
+        ("harness.py", "from numpy.random import default_rng\nfrom numpy import random",
+         ["np.random.default_rng", "np.random"]),
+        # sensing opens substreams, but builds no generator of its own
+        ("sensing.py", "a = substream(seed, 1, k)\nb = np.random.default_rng(seed)",
+         ["np.random.default_rng"]),
+        ("streams.py", "ss = np.random.SeedSequence(seed)\nrng = substream(seed, 1)",
+         ["substream"]),
+        ("geometry.py", "def sample(rng: np.random.Generator, n):\n    return rng.random(n)", []),
+    ],
+)
+def test_stream_rule_catches_each_form(module, source, want):
+    assert [text for _, text in random_uses(ast.parse(source), module)] == want
 
 
 def run_grid(out, coretype):

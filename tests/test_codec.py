@@ -22,13 +22,13 @@ DEMO_CONFIG = ROOT / "demos" / "benchmark_config.json"
     "path,digest",
     [
         ("demos/benchmark_config.json",
-         "6d0505ef7993af08a26c014e00aa730301d0b3454fc07bb27b385dfae20b96c3"),
+         "8de96203229030e6104ef1c8796fbab3def3827f6ef56611f1877e90747a8869"),
         ("perfbench/configs/stock_grid.json",
-         "6d0505ef7993af08a26c014e00aa730301d0b3454fc07bb27b385dfae20b96c3"),
+         "8de96203229030e6104ef1c8796fbab3def3827f6ef56611f1877e90747a8869"),
         ("perfbench/configs/dense_ghost.json",
-         "2507b6db8eef95522231fc88d8242a7e75180769c2033c724725c6da4a4c1bb9"),
+         "627a042e4dbfc1e94065fd536b7f0a41635d24d8be1b43843e2643547db0a9ec"),
         ("perfbench/configs/sparse_clean.json",
-         "3ba6be721761cfb36fc168615041607a692cdcb71c6e6d2c07f165803b6d7752"),
+         "33f7339e351526ce3f311e91b29e3e7bfec877750c2917ef6ccefe2d6ac4117c"),
     ],
 )
 def test_config_digests_are_pinned(path, digest):

@@ -289,7 +289,7 @@ def fake_report_dir(tmp_path, drifts):
             run_id = f"{spoof}-{tracker}-s{seed}"
             runs.append(
                 {"run_id": run_id, "tracker": tracker, "spoof_name": spoof,
-                 "spoof_type": spoof, "seed": seed, "mean_drift_m": value, "switch_count": 0}
+                 "spoof_type": spoof, "seed": seed}
             )
             if value is None:
                 continue
@@ -444,11 +444,11 @@ def exported_demo_run(tmp_path_factory):
 # x86_64.
 PINNED_REPORTS = {
     "drift": {
-        "report.json": "f1ce21e23ae79554f0638d84f79ca0a5552d044b8463392c2922eb55eb97893d",
+        "report.json": "1294108e1d6e685898cdedbedf172b960b7a9b969777b8de8035a5acc58a1ce3",
         "drift_matrix.csv": "73538c57bde035d46346f5820c7ad45c2f3789274ef5bd89e79437ad4cc0f90a",
     },
     "ghost": {
-        "report.json": "759affea6835b39e52eb14f74cb5146ae289d3daa3221848f6e1ffc470f900d4",
+        "report.json": "a83318e5ca9bc7ddc3e20840bec2e95a8868c5abfc360e92704f1c8ddadd9585",
         "drift_matrix.csv": "404bc471c747adc39d9729f0438e11a249d4ca01c5b30944c9166b0fbbc5e12e",
     },
 }
@@ -478,7 +478,7 @@ PINNED_EXPORTS = {
         "purity_timeline.csv": "8421e78d3e5dae00ad950558b3c0086d3f9842e72b060a8afe1ed3eb2f97a147",
     },
     ("ghost", "jpda"): {
-        "report.json": "3929d4e3e87e9bccd0193875d7ca117ccb6aaa3d887ae63f34144f210e563cec",
+        "report.json": "e62d056e1578f8f1b7ab78f1fb373635fa8dac1a58baf5c245021a110d489b53",
         "drift_matrix.csv": "5d69fc93b60e32493edc1a852327615df7757ff3c233c4c73c175dcf1dabfce0",
         "overlay.csv": "7adbafa6f20ad0cf51d6a4ef60f2386937bb3865d1ca27a1c42b1e4b01b70507",
         "events.csv": "0293e14d4b00977a7a3c93e6ffd7a31ceee085a214cb267b19304768de6ab3a5",
@@ -624,7 +624,9 @@ BAD_VALUES = [
     pytest.param(
         "tracker_params.confirm_window", 10**20, "tracker_params", id="confirm_window-huge"
     ),
-    pytest.param("tracker_params.p_birth", True, "tracker_params.p_birth", id="bool"),
+    pytest.param(
+        "tracker_params.clutter_density", True, "tracker_params.clutter_density", id="bool"
+    ),
     pytest.param("tracker_params.v_max_mps", 10**400, "tracker_params.v_max_mps", id="overflow"),
     pytest.param("tracker_params", [1], "tracker_params", id="not-an-object"),
     pytest.param("spoof_grid[0].alpha", "x", "spoof_grid[0].alpha", id="spoof_grid[0].alpha"),
@@ -671,6 +673,23 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     config = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+# keys no config takes: the trackers draw no random numbers, and sensing
+# addresses its streams by streams.TAG_SENSE
+@pytest.mark.parametrize(
+    "section,key,value", [("tracker_params", "p_birth", 1.0), ("sensor", "seed_stream_tag", 1)]
+)
+def test_removed_stream_keys_exit_2(tmp_path, capsys, section, key, value):
+    payload = json.loads(DEMO_CONFIG.read_text())
+    payload.setdefault(section, {})[key] = value
+    config = write_config_file(tmp_path, payload)
+    out = str(tmp_path / "o")
+    for argv in (["validate"], ["run", "--out", out, "--seeds", "1", "--spoofs", "clean"]):
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown {section} keys: [{key!r}]")
+    assert not (tmp_path / "o").exists()
 
 
 # finite spoofs that pass validate but put a detection at a non-finite
@@ -912,6 +931,9 @@ MALFORMED_MANIFESTS = [
     ("top-cell-seed-listed-twice", "manifest.json",
      lambda m: m["runs"].append(dict(m["runs"][0], run_id="again")),
      ("compare", "export"), "runs[1]: ('gnn', 'drift', 0) is listed twice"),
+    # the index lists runs; their results live in each report.json only
+    ("top-run-keeps-its-drift", "manifest.json", lambda m: m["runs"][0].update(mean_drift_m=1.0),
+     ("compare", "export"), "unknown runs[0] keys: ['mean_drift_m']"),
     ("run-missing-spoof", "drift-gnn-s0/manifest.json", _drop("spoof"), ("export",), "spoof"),
     ("run-bad-params", "drift-gnn-s0/manifest.json",
      lambda m: m["tracker_params"].update(q="x"), ("export",), "tracker_params.q"),
@@ -1078,6 +1100,19 @@ def test_export_rejects_a_listed_run_without_manifest(tmp_path, capsys, one_run_
     assert main(["export", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {run_manifest}: missing")
+
+
+@pytest.mark.parametrize("name", ["report.json", "snapshots.jsonl", "clean.csv", "spoofed.csv"])
+def test_export_rejects_a_listed_run_without_a_file_it_reads(
+    tmp_path, capsys, one_run_report, name
+):
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    missing = out / "drift-gnn-s0" / name
+    missing.unlink()
+    assert main(["export", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {missing}: missing for listed run drift-gnn-s0\n"
 
 
 def test_cli_run_overrides(tmp_path):

@@ -30,7 +30,6 @@ from spoofbench.tracking import (
 from spoofbench.tracker_gnn import gnn_step
 from spoofbench.tracker_jpda import jpda_step
 from spoofbench.estimation import estimate_from_detection
-from spoofbench.streams import substream
 
 REGION = Region(-600.0, 600.0, -600.0, 600.0)
 
@@ -113,13 +112,6 @@ def test_birth_all_unassigned():
         np.testing.assert_allclose(track.estimate.position(), d.z)
 
 
-def test_birth_zero_probability():
-    p = params(p_birth=0.0)
-    dets = [det(0, 1.0, 2.0), det(1, 3.0, 4.0)]
-    tracks = birth_tracks(dets, p, rng=substream(0, 1), id_source=iter(range(10)))
-    assert tracks == []
-
-
 def test_birth_records_assignment():
     [track] = birth_tracks([det(7, 1.0, 2.0, t=3)], params(), id_source=iter([42]))
     assert (track.track_id, track.birth_detection_id) == (42, 7)
@@ -129,7 +121,7 @@ def test_birth_records_assignment():
         DetectionFrame(t=0, detections=()),
         DetectionFrame(t=1, detections=(det(7, 1.0, 2.0, t=1),)),
     ]
-    run = run_tracker(frames, params(), gnn_step, birth_seed=0)
+    run = run_tracker(frames, params(), gnn_step)
     [born] = run.steps[1].births
     assert born.hit_history[-1] is True
     [row] = run.snapshots
@@ -155,7 +147,7 @@ def test_params_validation_and_round_trip():
         TrackerParams.from_dict(bad)
 
 
-@pytest.mark.parametrize("field", ["gamma", "q", "dt_s", "p_birth", "hit_threshold"])
+@pytest.mark.parametrize("field", ["gamma", "q", "dt_s", "v_max_mps", "hit_threshold"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_built_directly_reject_non_finite(field, value):
     # NaN passes every range comparison, so only the finiteness check stops it
@@ -186,7 +178,7 @@ def two_platform_frames(duration=40.0, seed=0, clutter=0.0):
 @pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
 def test_track_ids_unique_never_reused(step_fn, name):
     _, frames = two_platform_frames(clutter=2.0)
-    run = run_tracker(frames, params(), step_fn, birth_seed=5)
+    run = run_tracker(frames, params(), step_fn)
     born = [t for step in run.steps for t in step.births]
     ids = [t.track_id for t in born]
     assert len(ids) == len(set(ids))
@@ -199,7 +191,7 @@ def test_confirmed_count_settles_to_platforms(step_fn, name):
     ok = 0
     for seed in range(20):
         _, frames = two_platform_frames(seed=seed)
-        run = run_tracker(frames, params(gamma=18.4), step_fn, birth_seed=seed)
+        run = run_tracker(frames, params(gamma=18.4), step_fn)
         by_t = {}
         for snap in run.snapshots:
             if snap.status == TrackStatus.CONFIRMED.value:
@@ -216,7 +208,7 @@ def _bits(value):
 
 def test_snapshots_jsonl_round_trip(tmp_path):
     _, frames = two_platform_frames(clutter=1.0)
-    run = run_tracker(frames, params(), jpda_step, birth_seed=3)
+    run = run_tracker(frames, params(), jpda_step)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=True)
     again = read_snapshots_jsonl(path)
@@ -237,7 +229,7 @@ def test_snapshots_jsonl_round_trip(tmp_path):
 
 def test_deleted_tracks_get_final_snapshot():
     _, frames = two_platform_frames(clutter=3.0, seed=4)
-    run = run_tracker(frames, params(), gnn_step, birth_seed=1)
+    run = run_tracker(frames, params(), gnn_step)
     deleted_ids = {tid for step in run.steps for tid in step.deletions}
     assert deleted_ids, "expected clutter births to die"
     snapshot_by_track = {}
@@ -252,31 +244,20 @@ def test_deleted_tracks_get_final_snapshot():
 # change to a row's content or to the row order shows here. The tracker
 # does its arithmetic elementwise in a fixed order, so one set holds under
 # every OpenBLAS kernel (see test_harness.PINNED_REPORTS). Recorded with
-# numpy 2.4 on x86_64. The p_birth 0.5 runs draw from the birth streams,
-# so they pin those too.
+# numpy 2.4 on x86_64.
 PINNED_SNAPSHOTS = {
-    ("gnn", 1.0): "4aa8c80261289cf57db7c34462383b622bd8ec7a6528b2b1323dcb4a12d7dcbe",
-    ("jpda", 1.0): "3a1bb594c155fe1a846dbe728c545ab47aedddb58f0c1e21ec3166444c61a451",
-    ("gnn", 0.5): "08c8989088e51786d91a0f3e5cd79506109536e8b78100c568ef6239d491ec07",
-    ("jpda", 0.5): "f1d5253599d61395d65750071d548100e5759760b12b330f137c347c12c71d4d",
+    "gnn": "4aa8c80261289cf57db7c34462383b622bd8ec7a6528b2b1323dcb4a12d7dcbe",
+    "jpda": "3a1bb594c155fe1a846dbe728c545ab47aedddb58f0c1e21ec3166444c61a451",
 }
 
 
-@pytest.mark.parametrize(
-    "step_fn,name,p_birth",
-    [
-        pytest.param(gnn_step, "gnn", 1.0, id="gnn_step-gnn"),
-        pytest.param(jpda_step, "jpda", 1.0, id="jpda_step-jpda"),
-        pytest.param(gnn_step, "gnn", 0.5, id="gnn_step-gnn-p_birth0.5"),
-        pytest.param(jpda_step, "jpda", 0.5, id="jpda_step-jpda-p_birth0.5"),
-    ],
-)
-def test_snapshot_rows_pinned(tmp_path, step_fn, name, p_birth):
+@pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
+def test_snapshot_rows_pinned(tmp_path, step_fn, name):
     _, frames = two_platform_frames(clutter=3.0, seed=4)
-    run = run_tracker(frames, params(p_birth=p_birth), step_fn, birth_seed=1)
+    run = run_tracker(frames, params(), step_fn)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=name == "jpda")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name, p_birth]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name]
 
 
 @pytest.mark.parametrize("step_fn,name", [(gnn_step, "gnn"), (jpda_step, "jpda")])
