@@ -45,8 +45,6 @@ from .tracker_jpda import association_probabilities, jpda_step
 from .metrics import (
     DriftReport,
     RunReport,
-    assignment_divergence,
-    cluster_purity,
     compute_run_report,
     drift_from_truth,
     match_tracks_to_truth,
@@ -99,8 +97,6 @@ __all__ = [
     "jpda_step",
     "DriftReport",
     "RunReport",
-    "assignment_divergence",
-    "cluster_purity",
     "compute_run_report",
     "drift_from_truth",
     "match_tracks_to_truth",

@@ -37,7 +37,8 @@ from .metrics import (
     write_report_json,
 )
 from .scenario import ScenarioConfig, build_scenario
-from .sensing import SensorConfig, generate_clean_run, read_detection_csv, write_detection_csv
+from .sensing import CLEAN_STREAM_LABELS, SensorConfig, generate_clean_run
+from .sensing import read_detection_csv, write_detection_csv
 from .spoofing import SpoofConfig, SpoofType, apply_spoof, write_spoof_log_csv
 from .streams import derive_seed
 from .tracker_gnn import gnn_step
@@ -209,8 +210,9 @@ def _resolve_spoof_template(
     """Fill scenario/sensor-dependent defaults into one grid entry."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be an object")
-    if "dt_s" in raw:
-        raise ConfigError(f"{path}.dt_s must not be set: scenario.dt_s sets it")
+    for key, source in (("dt_s", "scenario.dt_s"), ("seed", "each grid seed")):
+        if key in raw:
+            raise ConfigError(f"{path}.{key} must not be set: {source} sets it")
     raw = dict(raw)
     name = decode(Optional[str], raw.pop("name", None), f"{path}.name")
     if name == "":
@@ -617,7 +619,9 @@ def _export_run(run_dir: Path, entry: RunSummary, digest: str) -> list:
     for t, pid, previous, track_id in correspondence.switches():
         rows.append((t, "switch", pid, track_id, "", f"from={previous}"))
     window = manifest.spoof.injection_window
+    spoofed_labels = CLEAN_STREAM_LABELS
     if manifest.spoof.spoof_type is not SpoofType.CLEAN:
+        spoofed_labels += (manifest.spoof.spoof_type.label,)
         for t in range(max(0, window[0]), min(T - 1, window[1]) + 1):
             rows.append((t, "spoof_window", "", "", "", manifest.spoof_name))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), str(r[3])))
@@ -630,10 +634,13 @@ def _export_run(run_dir: Path, entry: RunSummary, digest: str) -> list:
         for pid in truth.platform_ids
         for t in range(T)
     ]
-    for kind, name in (("clean_detection", "clean.csv"), ("spoofed_detection", "spoofed.csv")):
+    for kind, name, labels in (
+        ("clean_detection", "clean.csv", CLEAN_STREAM_LABELS),
+        ("spoofed_detection", "spoofed.csv", spoofed_labels),
+    ):
         rows.extend(
             (kind, d.t, d.detection_id, d.x, d.y, d.label)
-            for d in read_detection_csv(run_dir / name)
+            for d in read_detection_csv(run_dir / name, labels)
         )
     rows.extend(
         ("estimate", record.t, record.track_id, record.x, record.y, record.status)

@@ -1,6 +1,6 @@
-"""Run-level metrics: drift from truth, assignment divergence, cluster
-purity, spoof inclusion, recovery and false attribution, and normalized
-impact.
+"""Run-level metrics: drift from truth, identity switches, cluster
+purity, spoof inclusion, confusion, recovery and false attribution, and
+normalized impact.
 
 All metrics are pure post-processing over snapshot records, ground
 truth, and the provenance of the detections the tracks consumed, looked
@@ -11,10 +11,10 @@ positions and true platform positions with a hard distance cutoff; the
 matcher's index (matched records and their distances) is the one source
 every truth-based metric and the plot-data export read. Each statistic
 is computed in the walk that already holds its inputs: one pass over the
-snapshots, one over the matched records' weights. A float total whose
-value a report holds is added left to right from 0.0, not by sum(),
-which compensates from Python 3.12 on, so a report's bytes do not
-depend on the Python minor version.
+snapshot rows (score_consumption) scores every consumed weight. A float
+total whose value a report holds is added left to right from 0.0, not
+by sum(), which compensates from Python 3.12 on, so a report's bytes do
+not depend on the Python minor version.
 """
 
 from __future__ import annotations
@@ -181,63 +181,6 @@ def detection_origins(frames: Sequence[DetectionFrame]) -> dict:
     return {(d.t, d.detection_id): d.origin_key() for f in frames for d in f.detections}
 
 
-def _collapse_origin(origin: str) -> str:
-    # confusion buckets: per-platform sources, clutter, and one spoof
-    # bucket regardless of spoof type
-    return "spoof" if origin.startswith("spoof") else origin
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    switch_count: int
-    per_platform_switches: dict
-    confusion: dict
-    false_attribution: float
-
-
-def assignment_divergence(correspondence: TruthCorrespondence, origins: dict) -> DivergenceReport:
-    """Identity switches and detection-origin confusion.
-
-    A switch is a change of matched track id between consecutive matched
-    steps of one platform (coverage gaps neither count nor reset); every
-    platform matched at least once has a switch count.
-    Confusion row r holds the fraction of detection weight, consumed by
-    tracks matched to platform r, that originated from each source;
-    rows sum to 1. False attribution is the share of clean-detection
-    weight that those tracks consumed from a platform other than their
-    own. origins is detection_origins of the tracked stream.
-    """
-    per_platform = dict.fromkeys(correspondence.distances, 0)
-    for _, pid, _, _ in correspondence.switches():
-        per_platform[pid] += 1
-    weight_rows: dict = {}
-    clean_weight = 0.0
-    misattributed = 0.0
-    for (t, pid), record in correspondence.records.items():
-        if not record.weights:
-            continue
-        row = weight_rows.setdefault(pid, {})
-        for det_id, weight in record.weights.items():
-            origin = origins[t, det_id]
-            source = _collapse_origin(origin)
-            row[source] = row.get(source, 0.0) + weight
-            if origin.startswith("platform:"):
-                clean_weight += weight
-                if int(origin.split(":", 1)[1]) != pid:
-                    misattributed += weight
-    confusion: dict = {}
-    for pid, row in weight_rows.items():
-        total = reduce(add, row.values(), 0.0)
-        if total > 0.0:
-            confusion[pid] = {src: w / total for src, w in sorted(row.items())}
-    return DivergenceReport(
-        switch_count=int(sum(per_platform.values())),
-        per_platform_switches=per_platform,
-        confusion=confusion,
-        false_attribution=misattributed / clean_weight if clean_weight > 0.0 else 0.0,
-    )
-
-
 class PurityPoint(NamedTuple):
     """Track-averaged purity at one step; spoof_majority_fraction is the
     share of contributing tracks whose majority source is a spoof.
@@ -248,79 +191,114 @@ class PurityPoint(NamedTuple):
     spoof_majority_fraction: float
 
 
-def cluster_purity(
-    snapshots: Sequence[SnapshotRecord], origins: dict
-) -> tuple[list[PurityPoint], float]:
-    """Per step: purity = (weight of the majority origin source) /
-    (total consumed weight), averaged over tracks that consumed weight.
-    Steps where no track consumed anything are absent from the timeline.
-    Returns the timeline and the spoof inclusion rate: the fraction of
-    track updates (records that consumed weight, every step, every track)
-    whose spoof-labeled weight is more than half their total.
-    origins is detection_origins of the tracked stream.
+class Consumption(NamedTuple):
+    """What the tracks consumed, scored by where it came from."""
+
+    purity_timeline: list
+    spoof_inclusion_rate: float
+    confusion: dict
+    false_attribution: float
+    spoofed_platforms: frozenset
+
+
+def score_consumption(
+    snapshots: Sequence[SnapshotRecord],
+    correspondence: TruthCorrespondence,
+    origins: dict,
+    injection_window: tuple[int, int],
+) -> Consumption:
+    """One walk over the rows that consumed weights, each detection's
+    origin looked up once in origins, detection_origins of the tracked
+    stream.
+
+    Purity per step = (weight of the majority origin) / (total weight),
+    averaged over the rows that consumed weight; steps where none did are
+    absent. Inclusion is the share of those rows whose spoof weight is
+    more than half their total. Confusion row r holds the fraction of the
+    weight consumed by platform r's matched tracks from each source
+    (platform:<id>, clutter, one spoof bucket); rows sum to 1. False
+    attribution is the share of clean weight that matched tracks consumed
+    from another platform. spoofed_platforms: those whose matched track
+    consumed spoof weight inside the window.
+
+    A matched row whose weights sum to 0 still adds its 0.0 entries to
+    confusion and attribution; purity and inclusion skip it. Totals add
+    in row order: a tracker run's confirmed rows are in (t, track_id)
+    order, the order of correspondence.records, so each platform's
+    weights add step by step.
     """
-    steps: dict = {}  # t -> ([purity per track], [spoof-majority flag per track])
-    updates = 0
-    spoof_dominated = 0
+    t_start, t_end = injection_window
+    steps: dict = {}  # t -> ([purity per row], [spoof-majority flag per row])
+    updates = spoof_dominated = 0
+    weight_rows: dict = {}
+    clean_weight = misattributed = 0.0
+    spoofed_platforms = set()
     for record in snapshots:
-        total = reduce(add, record.weights.values(), 0.0)
+        if not record.weights:
+            continue
+        t = record.t
+        pid = correspondence.platform_of(t, record.track_id)
+        row = None if pid is None else weight_rows.setdefault(pid, {})
+        sums: dict = {}
+        total = spoof = 0.0
+        for det_id, weight in record.weights.items():
+            origin = origins[t, det_id]
+            sums[origin] = sums.get(origin, 0.0) + weight
+            total += weight
+            is_spoof = origin.startswith("spoof")
+            if is_spoof:
+                spoof += weight
+            if row is not None:
+                source = "spoof" if is_spoof else origin
+                row[source] = row.get(source, 0.0) + weight
+                if origin.startswith("platform:"):
+                    clean_weight += weight
+                    if int(origin.split(":", 1)[1]) != pid:
+                        misattributed += weight
+        if row is not None and spoof > 0.0 and t_start <= t <= t_end:
+            spoofed_platforms.add(pid)
         if total <= 0.0:
             continue
-        sums: dict = {}
-        spoof = 0.0
-        for det_id, weight in record.weights.items():
-            origin = origins[record.t, det_id]
-            sums[origin] = sums.get(origin, 0.0) + weight
-            if origin.startswith("spoof"):
-                spoof += weight
         majority = max(sorted(sums), key=lambda k: sums[k])
-        purities, spoof_major = steps.setdefault(record.t, ([], []))
+        purities, spoof_major = steps.setdefault(t, ([], []))
         purities.append(sums[majority] / total)
         spoof_major.append(majority.startswith("spoof"))
         updates += 1
         spoof_dominated += spoof > 0.5 * total
-    timeline = [
-        PurityPoint(
-            t=t,
-            purity=float(np.mean(purities)),
-            spoof_majority_fraction=sum(spoof_major) / len(purities),
-        )
-        for t, (purities, spoof_major) in sorted(steps.items())
-    ]
-    return timeline, spoof_dominated / updates if updates else 0.0
+    confusion: dict = {}
+    for pid, row in weight_rows.items():
+        row_total = reduce(add, row.values(), 0.0)
+        if row_total > 0.0:
+            confusion[pid] = {src: w / row_total for src, w in sorted(row.items())}
+    return Consumption(
+        [PurityPoint(t, float(np.mean(p)), sum(f) / len(p)) for t, (p, f) in sorted(steps.items())],
+        spoof_dominated / updates if updates else 0.0,
+        confusion,
+        misattributed / clean_weight if clean_weight > 0.0 else 0.0,
+        frozenset(spoofed_platforms),
+    )
 
 
 def recovery_rate(
-    correspondence: TruthCorrespondence,
-    truth: GroundTruth,
-    origins: dict,
-    noise_sigma_m: float,
-    injection_window: tuple[int, int],
+    correspondence: TruthCorrespondence, truth: GroundTruth, spoofed_platforms: frozenset,
+    noise_sigma_m: float, injection_window: tuple[int, int],
 ) -> float:
-    """Fraction of spoof-affected platforms (their matched track consumed
-    spoof weight inside the window) whose matched distance returns within
-    eps = 3 * noise_sigma_m for at least MIN_RECOVERY_STEPS consecutive
-    steps after the window; vacuously 1 when nothing was affected.
-    origins is detection_origins of the tracked stream.
+    """Fraction of spoofed_platforms (see score_consumption) whose matched
+    distance returns within eps = 3 * noise_sigma_m for at least
+    MIN_RECOVERY_STEPS consecutive steps after the window; vacuously 1
+    when there are none.
     """
     eps = 3.0 * noise_sigma_m
-    t_start, t_end = injection_window
-    affected = recovered = 0
-    for pid, by_t in correspondence.distances.items():
-        in_window = (correspondence.records[t, pid] for t in by_t if t_start <= t <= t_end)
-        if not any(
-            sum(w for d, w in r.weights.items() if origins[r.t, d].startswith("spoof")) > 0.0
-            for r in in_window
-        ):
-            continue
-        affected += 1
+    recovered = 0
+    for pid in spoofed_platforms:
+        by_t = correspondence.distances[pid]
         run_length = 0
-        for t in range(t_end + 1, truth.n_steps):
+        for t in range(injection_window[1] + 1, truth.n_steps):
             run_length = run_length + 1 if by_t.get(t, np.inf) <= eps else 0
             if run_length >= MIN_RECOVERY_STEPS:
                 recovered += 1
                 break
-    return recovered / affected if affected else 1.0
+    return recovered / len(spoofed_platforms) if spoofed_platforms else 1.0
 
 
 def normalized_impact(mean_drift_m: float) -> float:
@@ -367,11 +345,14 @@ def compute_run_report(
     correspondence = match_tracks_to_truth(run.snapshots, truth)
     origins = detection_origins(spoofed_run.spoofed_frames)
     drift = drift_from_truth(correspondence, truth)
-    divergence = assignment_divergence(correspondence, origins)
-    purity, inclusion = cluster_purity(run.snapshots, origins)
+    window = spoofed_run.config.injection_window
+    consumed = score_consumption(run.snapshots, correspondence, origins, window)
     recovery = recovery_rate(
-        correspondence, truth, origins, noise_sigma_m, spoofed_run.config.injection_window
+        correspondence, truth, consumed.spoofed_platforms, noise_sigma_m, window
     )
+    switches = dict.fromkeys(correspondence.distances, 0)
+    for _, pid, _, _ in correspondence.switches():
+        switches[pid] += 1
     impact = normalized_impact(drift.mean_m) if drift.mean_m is not None else None
     return RunReport(
         tracker=tracker_name,
@@ -383,13 +364,13 @@ def compute_run_report(
         normalized_impact_pct=impact,
         matched_steps=drift.matched_steps,
         per_platform_drift=drift.per_platform,
-        switch_count=divergence.switch_count,
-        per_platform_switches=divergence.per_platform_switches,
-        confusion=divergence.confusion,
-        purity_timeline=purity,
-        spoof_inclusion_rate=inclusion,
+        switch_count=sum(switches.values()),
+        per_platform_switches=switches,
+        confusion=consumed.confusion,
+        purity_timeline=consumed.purity_timeline,
+        spoof_inclusion_rate=consumed.spoof_inclusion_rate,
         recovery_rate=recovery,
-        false_association_ratio=divergence.false_attribution,
+        false_association_ratio=consumed.false_attribution,
     )
 
 

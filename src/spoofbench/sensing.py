@@ -173,7 +173,8 @@ class DetectionRow(NamedTuple):
 
 DETECTION_CSV_HEADER = list(DetectionRow._fields)
 
-_LABELS = (LABEL_CLEAN, LABEL_CLUTTER, "spoof:drift", "spoof:ghost", "spoof:mirror")
+# the labels of a clean stream; a spoofed one adds its spoof type's label
+CLEAN_STREAM_LABELS = (LABEL_CLEAN, LABEL_CLUTTER)
 
 
 def write_detection_csv(path, frames: Iterable[DetectionFrame], run_id: str) -> None:
@@ -187,13 +188,14 @@ def write_detection_csv(path, frames: Iterable[DetectionFrame], run_id: str) -> 
     write_csv(path, DETECTION_CSV_HEADER, rows)
 
 
-def _check_label(row: DetectionRow) -> None:
-    if row.label not in _LABELS:
-        raise ConfigError(f"label must be one of {list(_LABELS)}, got {row.label!r}")
-    if row.label == LABEL_CLEAN and row.truth_id is None:
-        raise ConfigError("truth_id must not be empty in a clean row")
+def read_detection_csv(path, labels: tuple = CLEAN_STREAM_LABELS) -> list[DetectionRow]:
+    """Strict inverse of write_detection_csv: the rows in file order, each
+    labelled one of labels."""
 
+    def check_label(row: DetectionRow) -> None:
+        if row.label not in labels:
+            raise ConfigError(f"label must be one of {list(labels)}, got {row.label!r}")
+        if row.label == LABEL_CLEAN and row.truth_id is None:
+            raise ConfigError("truth_id must not be empty in a clean row")
 
-def read_detection_csv(path) -> list[DetectionRow]:
-    """Strict inverse of write_detection_csv: the rows in file order."""
-    return read_csv(path, DetectionRow, _check_label)
+    return read_csv(path, DetectionRow, check_label)

@@ -34,6 +34,11 @@ class SpoofType(str, Enum):
     # unspoofed cell through the same code path
     CLEAN = "clean"
 
+    @property
+    def label(self) -> str:
+        """The label of the detections a campaign of this type injects."""
+        return f"spoof:{self.value}"
+
 
 @dataclass(frozen=True)
 class SpoofConfig(Record):
@@ -191,7 +196,7 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
     if cfg.spoof_type is SpoofType.CLEAN:
         return SpoofedRun(clean_frames, clean_frames, (), cfg)
     kind = cfg.spoof_type.value
-    label = f"spoof:{kind}"
+    label = cfg.spoof_type.label
     ghost_R = np.eye(2) * cfg.ghost_sigma_m * cfg.ghost_sigma_m
     next_id = 1 + max((d.detection_id for f in clean_frames for d in f.detections), default=-1)
     spoofed: list[DetectionFrame] = []

@@ -187,7 +187,9 @@ class SnapshotRecord:
     soft associator's miss probability, None elsewhere. A soft
     associator's row writes both as its beta object, {"miss": miss,
     "<detection_id>": weight, ...} in ascending id order, and the read
-    fills them back in; hard rows write neither. The JSON form is
+    fills them back in. A hard associator's row writes neither: it
+    consumed its detection whole if it has a score, so the read gives it
+    weights {detection_id: 1.0}, and nothing otherwise. The JSON form is
     hand-written, not a codec Record: rows are written inside the timed
     run and read back by export. write_snapshots_jsonl formats each
     row's text directly, and from_json_dict checks the common leaves
@@ -249,6 +251,10 @@ class SnapshotRecord:
             det = decode(int, det, "detection_id")
         if score is not None and (type(score) is not float or not -_INF < score < _INF):
             score = decode(float, score, "score")
+        if score is not None and "beta" not in d:
+            if det is None:
+                raise ConfigError("a row with a score and no beta must name its detection_id")
+            weights = {det: 1.0}
         return cls(t, track_id, d["status"], x, y, vx, vy, det, score, weights, miss)
 
 

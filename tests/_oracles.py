@@ -371,7 +371,7 @@ def snapshot_from_json_dict(d):
             else:
                 weights[_decode_key(int, key, "beta")] = decode(float, value, f"beta.{key}")
     det, score = d["detection_id"], d["score"]
-    return SnapshotRecord(
+    record = SnapshotRecord(
         t=decode(int, d["t"], "t"),
         track_id=decode(int, d["track_id"], "track_id"),
         status=d["status"],
@@ -384,6 +384,12 @@ def snapshot_from_json_dict(d):
         weights=weights,
         miss=miss,
     )
+    # a hard row with a score consumed its detection whole
+    if record.score is not None and "beta" not in d:
+        if record.detection_id is None:
+            raise ConfigError("a row with a score and no beta must name its detection_id")
+        record.weights = {record.detection_id: 1.0}
+    return record
 
 
 def _reject_constant(token):

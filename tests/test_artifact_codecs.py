@@ -166,6 +166,9 @@ def test_malformed_csv_errors_match_the_per_cell_codec(tmp_path, where, text):
 
 
 def random_records(n, seed, soft):
+    """n random rows. Hard rows are the ones gnn_step and births write: an
+    assignment (a detection, its score, weight 1.0 on that detection), a
+    coasting track (neither) or a birth (a detection, no score)."""
     rng = random.Random(seed)
     statuses = [s.value for s in TrackStatus]
     records = []
@@ -175,21 +178,24 @@ def random_records(n, seed, soft):
         if soft and rng.random() < 0.7:
             miss = _random_float(rng)
             weights = {rng.randint(0, 10**6): _random_float(rng) for _ in range(rng.randint(0, 4))}
-        records.append(
-            SnapshotRecord(
-                t=rng.randint(0, 10**4),
-                track_id=rng.randint(0, 10**9),
-                status=rng.choice(statuses),
-                x=_random_float(rng),
-                y=_random_float(rng),
-                vx=_random_float(rng),
-                vy=_random_float(rng),
-                detection_id=None if rng.random() < 0.3 else rng.randint(0, 10**6),
-                score=None if rng.random() < 0.3 else _random_float(rng),
-                weights=weights,
-                miss=miss,
-            )
+        record = SnapshotRecord(
+            t=rng.randint(0, 10**4),
+            track_id=rng.randint(0, 10**9),
+            status=rng.choice(statuses),
+            x=_random_float(rng),
+            y=_random_float(rng),
+            vx=_random_float(rng),
+            vy=_random_float(rng),
+            detection_id=None if rng.random() < 0.3 else rng.randint(0, 10**6),
+            score=None if rng.random() < 0.3 else _random_float(rng),
+            weights=weights,
+            miss=miss,
         )
+        if not soft and record.detection_id is None:
+            record.score = None
+        elif not soft and record.score is not None:
+            record.weights = {record.detection_id: 1.0}
+        records.append(record)
     return records
 
 
@@ -244,6 +250,12 @@ def _edit(key, value):
     return edit
 
 
+def _hard_score_without_detection(row):
+    del row["beta"]
+    row.update(detection_id=None, score=0.5)
+    return json.dumps(row) + "\n"
+
+
 def _drop(key):
     def edit(row):
         del row[key]
@@ -277,6 +289,7 @@ MALFORMED_SNAPSHOT_ROWS = [
     ("beta-padded-key", _edit("beta", {"miss": 0.5, "03": 0.5})),
     ("beta-string-weight", _edit("beta", {"miss": 0.5, "3": "0.5"})),
     ("beta-huge-weight", _edit("beta", {"miss": 0.5, "3": "HUGE"})),
+    ("hard-score-without-detection", _hard_score_without_detection),
 ]
 
 

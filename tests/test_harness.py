@@ -15,8 +15,10 @@ import pytest
 from spoofbench.cli import main
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
+from spoofbench.codec import load_record
 from spoofbench.harness import (
     BenchmarkConfig,
+    RunManifest,
     compare_trackers,
     export_plot_data,
     load_benchmark_config,
@@ -24,10 +26,11 @@ from spoofbench.harness import (
     run_benchmark,
     worker_count,
 )
-from spoofbench.metrics import RunReport, write_report_json
-from spoofbench.scenario import PlatformSpec, ScenarioConfig
-from spoofbench.sensing import SensorConfig
-from spoofbench.spoofing import SpoofConfig, SpoofType
+from spoofbench.metrics import RunReport, compute_run_report, write_report_json
+from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
+from spoofbench.sensing import SensorConfig, generate_clean_run
+from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof
+from spoofbench.tracking import TrackerRun, read_snapshots_jsonl
 
 
 REGION = Region(x_min=0.0, x_max=400.0, y_min=0.0, y_max=400.0)
@@ -512,6 +515,30 @@ def test_comparison_bytes_pinned(tmp_path):
     assert got == PINNED_COMPARISON
 
 
+def test_every_run_rescores_from_its_own_files(tmp_path):
+    # report.json is what compute_run_report makes of the run's written
+    # snapshots.jsonl and its re-simulated spoofed stream, for both
+    # trackers: a gnn row's consumption reads back from its score
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(0,))
+    out = run_benchmark(cfg, out_dir=tmp_path / "rep")
+    run_dirs = sorted(path.parent for path in out.glob("*/snapshots.jsonl"))
+    assert {load_record(RunManifest, d / "manifest.json").tracker for d in run_dirs} == {
+        "gnn", "jpda"
+    }
+    for run_dir in run_dirs:
+        m = load_record(RunManifest, run_dir / "manifest.json")
+        truth = build_scenario(m.scenario)
+        spoofed = apply_spoof(generate_clean_run(truth, m.sensor, seed=m.seed), m.spoof)
+        run = TrackerRun(steps=[], snapshots=read_snapshots_jsonl(run_dir / "snapshots.jsonl"))
+        report = compute_run_report(
+            run, truth, spoofed, m.tracker, m.spoof_name, m.seed, m.config_digest,
+            m.sensor.noise_sigma_m,
+        )
+        write_report_json(tmp_path / "again.json", report)
+        again = (tmp_path / "again.json").read_bytes()
+        assert again == (run_dir / "report.json").read_bytes(), run_dir.name
+
+
 # sha256 of comparison.csv of the demo grid with seeds (0, 1, 2), whole
 # and with drift-gnn-s1/report.json deleted: each cell a mean over seeds,
 # and one cell over the two seeds left. Recorded like PINNED_REPORTS.
@@ -673,6 +700,20 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     config = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+def test_grid_entry_seed_exits_2(tmp_path, capsys):
+    # each run's spoof seed derives from its grid seed, which replaced
+    # an entry's own
+    payload = json.loads(DEMO_CONFIG.read_text())
+    payload["spoof_grid"][1]["seed"] = 12345
+    config = write_config_file(tmp_path, payload)
+    out = str(tmp_path / "o")
+    for argv in (["validate"], ["run", "--out", out, "--seeds", "1", "--spoofs", "ghost"]):
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spoof_grid[1].seed must not be set")
+    assert not (tmp_path / "o").exists()
 
 
 # keys no config takes: the trackers draw no random numbers, and sensing
@@ -1071,6 +1112,11 @@ MALFORMED_DETECTIONS = [
     ("clean-without-truth-id", "clean.csv", _clean_row_without_truth_id,
      "truth_id must not be empty in a clean row"),
     ("unknown-label", "spoofed.csv", _edit_cell("label", "spoof:bogus"), "label must be one of"),
+    # the run is a drift run, and a clean stream holds no spoof
+    ("ghost-label-in-drift-run", "spoofed.csv", _edit_cell("label", "spoof:ghost"),
+     "label must be one of ['clean', 'clutter', 'spoof:drift'], got 'spoof:ghost'"),
+    ("spoof-label-in-clean-stream", "clean.csv", _edit_cell("label", "spoof:drift"),
+     "label must be one of ['clean', 'clutter'], got 'spoof:drift'"),
 ]
 
 

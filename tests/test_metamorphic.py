@@ -1,11 +1,98 @@
 """Relations that must hold between two runs, whatever their bytes."""
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spoofbench.cli import main
+from spoofbench.harness import TRACKER_STEPS, load_benchmark_config, plan_runs
+from spoofbench.metrics import compute_run_report
+from spoofbench.scenario import build_scenario
+from spoofbench.sensing import DetectionFrame, generate_clean_run
+from spoofbench.spoofing import apply_spoof
+from spoofbench.tracking import run_tracker
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = ROOT / "demos" / "benchmark_config.json"
+
+
+def turn(v):
+    """Vectors (..., 2) turned by exactly 90 degrees counter-clockwise."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def turn_covariance(R):
+    """Q R Q^T for the exact 90-degree turn Q."""
+    return np.array([[R[1, 1], -R[1, 0]], [-R[0, 1], R[0, 0]]])
+
+
+SHIFT = np.array([1000.0, 1000.0])
+
+# (position map, velocity map, covariance map) of each rigid transform
+TRANSFORMS = {
+    "rotation": (turn, turn, turn_covariance),
+    "shift": (lambda p: p + SHIFT, lambda v: v, lambda R: R),
+}
+
+
+def transformed_run(truth, spoofed_run, transform):
+    """truth and both streams of spoofed_run moved by one transform."""
+    position, velocity, covariance = TRANSFORMS[transform]
+    moved = replace(
+        truth,
+        positions={pid: position(p) for pid, p in truth.positions.items()},
+        velocities={pid: velocity(v) for pid, v in truth.velocities.items()},
+    )
+
+    def move(d):
+        return replace(d, z=position(d.z), R=covariance(d.R))
+
+    def stream(frames):
+        return tuple(DetectionFrame(f.t, tuple(map(move, f.detections))) for f in frames)
+
+    return moved, replace(
+        spoofed_run,
+        clean_frames=stream(spoofed_run.clean_frames),
+        spoofed_frames=stream(spoofed_run.spoofed_frames),
+    )
+
+
+def report(cfg, spec, truth, spoofed_run):
+    step = TRACKER_STEPS[spec.tracker]
+    run = run_tracker(spoofed_run.spoofed_frames, cfg.tracker_params, step)
+    return compute_run_report(
+        run, truth, spoofed_run, spec.tracker, spec.spoof_name, spec.seed, "0" * 64,
+        cfg.sensor.noise_sigma_m,
+    )
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 99),
+    spoof=st.sampled_from(["drift", "ghost", "mirror", "clean"]),
+    tracker=st.sampled_from(["gnn", "jpda"]),
+)
+def test_rigid_motion_moves_no_metric(transform, seed, spoof, tracker):
+    # the tracker and the matcher see only relative positions and
+    # isotropic noise, so turning or shifting the whole picture after
+    # spoofing changes drift by roundoff and the counts not at all
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(seed,))
+    [spec] = [s for s in plan_runs(cfg) if s.spoof_name == spoof and s.tracker == tracker]
+    truth = build_scenario(cfg.scenario)
+    spoofed_run = apply_spoof(generate_clean_run(truth, cfg.sensor, seed=seed), spec.spoof_cfg)
+    base = report(cfg, spec, truth, spoofed_run)
+    moved = report(cfg, spec, *transformed_run(truth, spoofed_run, transform))
+    assert moved.switch_count == base.switch_count
+    assert moved.matched_steps == base.matched_steps
+    if base.mean_drift_m is None:
+        assert moved.mean_drift_m is None
+    else:
+        assert abs(moved.mean_drift_m - base.mean_drift_m) <= 1e-9
 
 
 def run_files(out, trackers):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from spoofbench.metrics import (
     PlatformDrift,
     PurityPoint,
     RunReport,
-    assignment_divergence,
-    cluster_purity,
+    TruthCorrespondence,
+    compute_run_report,
     detection_origins,
     drift_from_truth,
     match_tracks_to_truth,
     normalized_impact,
     read_report_json,
     recovery_rate,
+    score_consumption,
     write_report_json,
 )
 from spoofbench.scenario import GroundTruth
@@ -56,6 +58,22 @@ def snap(t, track_id, x, y, status="confirmed", weights=None):
         score=None,
         weights=weights or {},
     )
+
+
+NO_MATCH = TruthCorrespondence(by_step={}, records={}, distances={})
+
+
+def purity_of(snaps, origins):
+    """The purity timeline and inclusion rate of rows no track matched."""
+    consumed = score_consumption(snaps, NO_MATCH, origins, (0, 0))
+    return consumed.purity_timeline, consumed.spoof_inclusion_rate
+
+
+def report_of(snaps, truth):
+    """compute_run_report of rows that consumed nothing."""
+    run = SimpleNamespace(snapshots=snaps)
+    spoofed = SimpleNamespace(spoofed_frames=(), config=SimpleNamespace(injection_window=(0, 0)))
+    return compute_run_report(run, truth, spoofed, "gnn", "clean", 0, "0" * 64, 5.0)
 
 
 def test_match_exact_position():
@@ -321,9 +339,7 @@ def test_drift_empty_flag():
 def test_switches_stable_zero():
     truth = truth_of({0: (0.0, 0.0)}, T=4)
     snaps = [snap(t, 9, 0.5, 0.0) for t in range(4)]
-    corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr, {})
-    assert div.switch_count == 0
+    assert report_of(snaps, truth).switch_count == 0
 
 
 def test_switches_counts_identity_change():
@@ -337,9 +353,9 @@ def test_switches_counts_identity_change():
     ]
     corr = match_tracks_to_truth(snaps, truth)
     assert list(corr.switches()) == [(2, 0, 1, 2)]
-    div = assignment_divergence(corr, {})
-    assert div.switch_count == 1
-    assert div.per_platform_switches[0] == 1
+    report = report_of(snaps, truth)
+    assert report.switch_count == 1
+    assert report.per_platform_switches[0] == 1
 
 
 def test_confusion_fractions():
@@ -347,8 +363,7 @@ def test_confusion_fractions():
     snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
     origins = {(t, t): "spoof:ghost" if t < 2 else "platform:0" for t in range(10)}
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr, origins)
-    row = div.confusion[0]
+    row = score_consumption(snaps, corr, origins, (0, 0)).confusion[0]
     assert row["platform:0"] == pytest.approx(0.8)
     assert row["spoof"] == pytest.approx(0.2)
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
@@ -368,9 +383,9 @@ def test_confusion_rows_sum_to_one_random():
                 origins[t, det_id] = sources[int(rng.integers(len(sources)))]
             snaps.append(snap(t, tid, px, 0.0, weights=dict(zip(ids, w.tolist()))))
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr, origins)
-    assert div.confusion
-    for row in div.confusion.values():
+    confusion = score_consumption(snaps, corr, origins, (0, 0)).confusion
+    assert confusion
+    for row in confusion.values():
         assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -393,14 +408,14 @@ def test_detection_origins_keys_every_detection_by_step_and_id():
 
 def test_purity_single_origin_is_one():
     snaps = [snap(0, 1, 0.0, 0.0, weights={5: 1.0})]
-    [point], _ = cluster_purity(snaps, {(0, 5): "platform:0"})
+    [point], _ = purity_of(snaps, {(0, 5): "platform:0"})
     assert point.purity == 1.0
     assert point.spoof_majority_fraction == 0.0
 
 
 def test_purity_soft_split():
     snaps = [snap(0, 1, 0.0, 0.0, weights={1: 0.7, 2: 0.3})]
-    [point], _ = cluster_purity(snaps, {(0, 1): "platform:0", (0, 2): "spoof:ghost"})
+    [point], _ = purity_of(snaps, {(0, 1): "platform:0", (0, 2): "spoof:ghost"})
     assert point.purity == pytest.approx(0.7)
     assert point.spoof_majority_fraction == 0.0
 
@@ -408,14 +423,14 @@ def test_purity_soft_split():
 def test_purity_spoof_majority_flagged():
     # a track living entirely on ghosts is pure, just pure spoof
     snaps = [snap(0, 1, 0.0, 0.0, weights={1: 1.0})]
-    [point], _ = cluster_purity(snaps, {(0, 1): "spoof:ghost"})
+    [point], _ = purity_of(snaps, {(0, 1): "spoof:ghost"})
     assert point.purity == 1.0
     assert point.spoof_majority_fraction == 1.0
 
 
 def test_purity_skips_consumptionless_steps():
     snaps = [snap(0, 1, 0.0, 0.0), snap(1, 1, 0.0, 0.0, weights={1: 1.0})]
-    timeline, _ = cluster_purity(snaps, {(1, 1): "clutter"})
+    timeline, _ = purity_of(snaps, {(1, 1): "clutter"})
     assert [p.t for p in timeline] == [1]
 
 
@@ -424,17 +439,19 @@ def test_spoof_stats_clean_run():
     snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
     origins = {(t, t): "platform:0" for t in range(10)}
     corr = match_tracks_to_truth(snaps, truth)
-    _, inclusion = cluster_purity(snaps, origins)
-    assert inclusion == 0.0
-    assert recovery_rate(corr, truth, origins, noise_sigma_m=5.0, injection_window=(2, 5)) == 1.0
-    assert assignment_divergence(corr, origins).false_attribution == 0.0
+    consumed = score_consumption(snaps, corr, origins, (2, 5))
+    assert consumed.spoof_inclusion_rate == 0.0
+    assert recovery_rate(
+        corr, truth, consumed.spoofed_platforms, noise_sigma_m=5.0, injection_window=(2, 5)
+    ) == 1.0
+    assert consumed.false_attribution == 0.0
 
 
 def test_spoof_inclusion_counts_majority_updates():
     truth = truth_of({0: (0.0, 0.0)}, T=10)
     snaps = [snap(t, 1, 0.0, 0.0, weights={t: 1.0}) for t in range(10)]
     origins = {(t, t): "spoof:drift" if t in (3, 4) else "platform:0" for t in range(10)}
-    _, inclusion = cluster_purity(snaps, origins)
+    _, inclusion = purity_of(snaps, origins)
     assert inclusion == pytest.approx(0.2)
 
 
@@ -451,7 +468,8 @@ def test_recovery_requires_sustained_return():
                 origins[t, t], x = "platform:0", tail_offset
             snaps.append(snap(t, 1, x, 0.0, weights={t: 1.0}))
         corr = match_tracks_to_truth(snaps, truth)
-        return recovery_rate(corr, truth, origins, noise_sigma_m=5.0, injection_window=(5, 9))
+        spoofed = score_consumption(snaps, corr, origins, (5, 9)).spoofed_platforms
+        return recovery_rate(corr, truth, spoofed, noise_sigma_m=5.0, injection_window=(5, 9))
 
     # returns to truth after the window: recovered
     assert run_with_tail(0.0) == 1.0
@@ -470,8 +488,31 @@ def test_false_attribution_counts_cross_platform_weight():
         snaps.append(snap(t, 1, 0.0, 0.0, weights={t: 1.0}))
         snaps.append(snap(t, 2, 50.0, 0.0, weights={100 + t: 1.0}))
     corr = match_tracks_to_truth(snaps, truth)
-    div = assignment_divergence(corr, origins)
-    assert div.false_attribution == pytest.approx(1.0 / 8.0)
+    consumed = score_consumption(snaps, corr, origins, (0, 0))
+    assert consumed.false_attribution == pytest.approx(1.0 / 8.0)
+
+
+def test_zero_weight_row_counts_in_confusion_but_not_in_purity():
+    # JPDA betas underflow to exactly 0.0 under a wide gate and positive
+    # clutter mass: such a matched row keeps its 0.0 confusion entry but
+    # is no purity or inclusion update
+    truth = truth_of({0: (0.0, 0.0)}, T=4)
+    snaps, origins = [], {}
+    for t, (weight, origin) in enumerate(
+        [(0.5, "platform:0"), (0.0, "clutter"), (0.5, "platform:0"), (0.5, "platform:0")]
+    ):
+        origins[t, 10 + t] = origin
+        snaps.append(snap(t, 1, 0.0, 0.0, weights={10 + t: weight}))
+    # an unmatched track on a ghost: the one spoof-dominated update
+    origins[0, 20] = "spoof:ghost"
+    snaps.insert(1, snap(0, 2, 500.0, 0.0, weights={20: 1.0}))
+    corr = match_tracks_to_truth(snaps, truth)
+    consumed = score_consumption(snaps, corr, origins, (0, 3))
+    assert consumed.confusion == {0: {"clutter": 0.0, "platform:0": 1.0}}
+    assert [p.t for p in consumed.purity_timeline] == [0, 2, 3]
+    assert consumed.spoof_inclusion_rate == 0.25
+    assert consumed.false_attribution == 0.0
+    assert consumed.spoofed_platforms == frozenset()
 
 
 def test_normalized_impact_values():
