@@ -7,7 +7,9 @@ clean detection stream of a run depends only on its seed, the spoof
 stream on (seed, spoof name), and the trackers draw nothing, so adding,
 removing or reordering grid entries never changes the remaining runs,
 and both trackers face bit-identical detection streams. Timestamps
-appear only in manifests.
+appear only in manifests. plan_runs returns one RunManifest per run,
+and run_group executes and writes exactly those, so each run folder
+rebuilds byte for byte from its manifest.json alone.
 """
 
 from __future__ import annotations
@@ -235,35 +237,8 @@ def load_benchmark_config(path) -> BenchmarkConfig:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    run_id: str
-    spoof_name: str
-    spoof_cfg: SpoofConfig
-    tracker: str
-    seed: int
-
-
-def plan_runs(cfg: BenchmarkConfig) -> list[RunSpec]:
-    specs: list[RunSpec] = []
-    for spoof_name, template in cfg.spoof_grid:
-        for tracker in cfg.trackers:
-            for seed in cfg.seeds:
-                run_seed_spoof = derive_seed(seed, _SPOOF_STREAM_TAG, _name_slot(spoof_name))
-                specs.append(
-                    RunSpec(
-                        run_id=f"{spoof_name}-{tracker}-s{seed}",
-                        spoof_name=spoof_name,
-                        spoof_cfg=replace(template, seed=run_seed_spoof),
-                        tracker=tracker,
-                        seed=seed,
-                    )
-                )
-    return specs
-
-
-@dataclass(frozen=True)
 class RunSummary(Record):
-    """One run's entry in the top-level manifest."""
+    """A run's identity: its entry in the top-level manifest."""
 
     run_id: str
     tracker: str
@@ -274,6 +249,12 @@ class RunSummary(Record):
     def __post_init__(self) -> None:
         # compare and export join it to the report directory
         check_folder_name(self.run_id, "run_id")
+
+    @property
+    def include_beta(self) -> bool:
+        """Whether the run's snapshots.jsonl rows carry a beta object:
+        every row of a soft associator's run, no row of a hard one's."""
+        return self.tracker == "jpda"
 
 
 @dataclass(frozen=True)
@@ -296,13 +277,18 @@ class BenchmarkManifest(Record):
     def __post_init__(self) -> None:
         # compare and export index runs by these: one outside the grid
         # would be dropped or exported, one listed twice averaged twice
-        names = {s.name for s in self.spoofs}
-        grid = {"tracker": set(self.trackers), "spoof_name": names, "seed": set(self.seeds)}
+        types = {s.name: s.spoof_type for s in self.spoofs}
+        grid = {"tracker": set(self.trackers), "spoof_name": types, "seed": set(self.seeds)}
         listed: set = set()
         for i, run in enumerate(self.runs):
             for name, values in grid.items():
                 if (value := getattr(run, name)) not in values:
                     raise ConfigError(f"runs[{i}].{name} {value!r} is not in the grid")
+            if run.spoof_type is not types[run.spoof_name]:
+                raise ConfigError(
+                    f"runs[{i}].spoof_type {run.spoof_type.value!r} is not the "
+                    f"{types[run.spoof_name].value!r} of spoof {run.spoof_name!r}"
+                )
             for key in (run.run_id, (run.tracker, run.spoof_name, run.seed)):
                 if key in listed:
                     raise ConfigError(f"runs[{i}]: {key!r} is listed twice")
@@ -310,14 +296,11 @@ class BenchmarkManifest(Record):
 
 
 @dataclass(frozen=True)
-class RunManifest(Record):
-    """manifest.json of one run folder: everything needed to rebuild it."""
+class RunManifest(RunSummary):
+    """manifest.json of one run folder: the run's plan, its identity and
+    configs. run_group takes nothing else, so the folder rebuilds from
+    its manifest alone; created_utc is the time the grid was planned."""
 
-    run_id: str
-    tracker: str
-    spoof_name: str
-    spoof_type: SpoofType
-    seed: int
     config_digest: str
     created_utc: str
     scenario: ScenarioConfig
@@ -325,36 +308,51 @@ class RunManifest(Record):
     spoof: SpoofConfig
     tracker_params: TrackerParams
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.spoof_type is not self.spoof.spoof_type:
+            raise ConfigError(
+                f"spoof_type {self.spoof_type.value!r} is not the "
+                f"{self.spoof.spoof_type.value!r} of its spoof"
+            )
+
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _identity(spec: RunSpec) -> dict:
-    """A run's identity, shared by its manifest and its index entry."""
-    return dict(
-        run_id=spec.run_id, tracker=spec.tracker, spoof_name=spec.spoof_name,
-        spoof_type=spec.spoof_cfg.spoof_type, seed=spec.seed,
+def plan_runs(cfg: BenchmarkConfig) -> list[RunManifest]:
+    """The manifest of every run of the grid, spoof then tracker then
+    seed; one config digest and one planning time for the whole plan."""
+    common = dict(
+        config_digest=cfg.digest(), created_utc=_utc_now(), scenario=cfg.scenario,
+        sensor=cfg.sensor, tracker_params=cfg.tracker_params,
     )
+    return [
+        RunManifest(
+            run_id=f"{spoof_name}-{tracker}-s{seed}", tracker=tracker, spoof_name=spoof_name,
+            spoof_type=template.spoof_type, seed=seed,
+            spoof=replace(
+                template, seed=derive_seed(seed, _SPOOF_STREAM_TAG, _name_slot(spoof_name))
+            ),
+            **common,
+        )
+        for spoof_name, template in cfg.spoof_grid
+        for tracker in cfg.trackers
+        for seed in cfg.seeds
+    ]
 
 
-def run_group(
-    specs: list,
-    scenario: ScenarioConfig,
-    sensor: SensorConfig,
-    params: TrackerParams,
-    out_dir: str,
-    config_digest: str,
-) -> None:
+def run_group(specs: list[RunManifest], out_dir: str) -> None:
     """Build, spoof and write one (spoof, seed) stream, then track,
-    measure and write one run folder per spec on it.
+    measure and write one run folder per manifest on it.
 
     Top-level function so worker pools can pickle it.
     """
     first = specs[0]
-    truth = build_scenario(scenario)
-    clean_frames = generate_clean_run(truth, sensor, seed=first.seed)
-    spoofed_run = apply_spoof(clean_frames, first.spoof_cfg)
+    truth = build_scenario(first.scenario)
+    clean_frames = generate_clean_run(truth, first.sensor, seed=first.seed)
+    spoofed_run = apply_spoof(clean_frames, first.spoof)
     # detection CSVs are keyed by stream, not by benchmark cell: the clean
     # stream of a spoofed run must byte-equal the clean-only run's CSV,
     # and every tracker of the group shares one spoofed stream, so the
@@ -372,7 +370,9 @@ def run_group(
             run_dir.mkdir(parents=True, exist_ok=True)
             for name in ("clean.csv", "spoofed.csv", "spoof_log.csv"):
                 shutil.copyfile(stream_dir / name, run_dir / name)
-        run = run_tracker(spoofed_run.spoofed_frames, params, TRACKER_STEPS[spec.tracker])
+        run = run_tracker(
+            spoofed_run.spoofed_frames, spec.tracker_params, TRACKER_STEPS[spec.tracker]
+        )
         report = compute_run_report(
             run,
             truth,
@@ -380,23 +380,12 @@ def run_group(
             tracker_name=spec.tracker,
             spoof_name=spec.spoof_name,
             seed=spec.seed,
-            config_digest=config_digest,
-            noise_sigma_m=sensor.noise_sigma_m,
+            config_digest=spec.config_digest,
+            noise_sigma_m=spec.sensor.noise_sigma_m,
         )
-        write_snapshots_jsonl(
-            run_dir / "snapshots.jsonl", run, include_beta=spec.tracker == "jpda"
-        )
+        write_snapshots_jsonl(run_dir / "snapshots.jsonl", run, include_beta=spec.include_beta)
         write_report_json(run_dir / "report.json", report)
-        manifest = RunManifest(
-            **_identity(spec),
-            config_digest=config_digest,
-            created_utc=_utc_now(),
-            scenario=scenario,
-            sensor=sensor,
-            spoof=spec.spoof_cfg,
-            tracker_params=params,
-        )
-        _write_json(run_dir / "manifest.json", manifest.as_dict())
+        _write_json(run_dir / "manifest.json", spec.as_dict())
         # release this tracker's run before the next one starts, so a
         # group peaks no higher than one run
         del run, report
@@ -423,13 +412,11 @@ def run_benchmark(
     out_path = Path(target)
     out_path.mkdir(parents=True, exist_ok=True)
     specs = plan_runs(cfg)
-    digest = cfg.digest()
     # one task per (spoof, seed) stream, its specs in plan order
     by_stream: dict = {}
     for spec in specs:
         by_stream.setdefault((spec.spoof_name, spec.seed), []).append(spec)
     groups = list(by_stream.values())
-    common = (cfg.scenario, cfg.sensor, cfg.tracker_params, str(out_path), digest)
     jobs = worker_count(jobs, len(groups), os.cpu_count())
     if jobs > 1:
         # imported here: the pool pulls in multiprocessing, logging and
@@ -438,17 +425,17 @@ def run_benchmark(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # consumed so that a worker's exception surfaces here
-            list(pool.map(run_group, groups, *(itertools.repeat(a) for a in common)))
+            list(pool.map(run_group, groups, itertools.repeat(str(out_path))))
     else:
         for group in groups:
-            run_group(group, *common)
+            run_group(group, str(out_path))
     manifest = BenchmarkManifest(
-        config_digest=digest,
+        config_digest=cfg.digest(),
         created_utc=_utc_now(),
         trackers=list(cfg.trackers),
         spoofs=[SpoofEntry(name, c.spoof_type) for name, c in cfg.spoof_grid],
         seeds=list(cfg.seeds),
-        runs=[RunSummary(**_identity(spec)) for spec in specs],
+        runs=[RunSummary(s.run_id, s.tracker, s.spoof_name, s.spoof_type, s.seed) for s in specs],
     )
     _write_json(out_path / "manifest.json", manifest.as_dict())
     return out_path
@@ -464,17 +451,21 @@ def _read_manifest(report_path: Path) -> BenchmarkManifest:
 def _read_listed(path: Path, entry: RunSummary, digest: str):
     """A listed run's report.json or manifest.json, which must hold its
     index entry's values: another config_digest means another config's
-    run wrote it, another run, tracker, spoof or seed another run of the
-    same grid. report.json names its spoof in spoof_type, and no run_id."""
+    run wrote it, another identity another run of the same grid.
+    report.json names its spoof in spoof_type, and no run_id; a run
+    manifest holds the whole identity."""
     expected = {"config_digest": digest, "tracker": entry.tracker, "seed": entry.seed}
     if path.name == "report.json":
         record = read_report_json(path)
         expected["spoof_type"] = entry.spoof_name
     else:
         record = load_record(RunManifest, path)
-        expected.update(spoof_name=entry.spoof_name, run_id=entry.run_id)
+        expected.update(
+            spoof_name=entry.spoof_name, spoof_type=entry.spoof_type, run_id=entry.run_id
+        )
     for name, want in expected.items():
         if (found := getattr(record, name)) != want:
+            found, want = encode(found), encode(want)  # spoof_type as its text
             raise ConfigError(f"{path}: {name} is {found!r}, manifest.json lists {want!r}")
     return record
 
@@ -586,7 +577,7 @@ def export_plot_data(report_dir) -> list:
 def _export_run(run_dir: Path, entry: RunSummary, digest: str) -> list:
     manifest = _read_listed(run_dir / "manifest.json", entry, digest)
     truth = build_scenario(manifest.scenario)
-    snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl")
+    snapshots = read_snapshots_jsonl(run_dir / "snapshots.jsonl", manifest.include_beta)
     report = _read_listed(run_dir / "report.json", entry, digest)
     correspondence = match_tracks_to_truth(snapshots, truth)
     T = truth.n_steps

@@ -211,11 +211,12 @@ class SnapshotRecord:
     miss: Optional[float] = None
 
     @classmethod
-    def from_json_dict(cls, d) -> "SnapshotRecord":
-        """Strict read of one row of write_snapshots_jsonl; a bad row is a
-        ConfigError."""
-        if type(d) is not dict or (d.keys() != _ROW_KEY_SET and d.keys() != _BETA_ROW_KEY_SET):
-            check_keys(d, _BETA_ROW_KEY_SET, _ROW_KEYS, "row")  # raises
+    def from_json_dict(cls, d, include_beta: bool) -> "SnapshotRecord":
+        """Strict read of one row of write_snapshots_jsonl with the same
+        include_beta; a bad row is a ConfigError."""
+        keys = _ROW_KEY_SETS[include_beta]
+        if type(d) is not dict or d.keys() != keys:
+            check_keys(d, keys, keys, "row")  # raises
         if d["status"] not in _STATUSES:
             raise ConfigError(f"status must be one of {list(_STATUSES)}")
         beta = d.get("beta")
@@ -251,7 +252,7 @@ class SnapshotRecord:
             det = decode(int, det, "detection_id")
         if score is not None and (type(score) is not float or not -_INF < score < _INF):
             score = decode(float, score, "score")
-        if score is not None and "beta" not in d:
+        if score is not None and not include_beta:
             if det is None:
                 raise ConfigError("a row with a score and no beta must name its detection_id")
             weights = {det: 1.0}
@@ -259,8 +260,8 @@ class SnapshotRecord:
 
 
 _ROW_KEYS = ("t", "track_id", "status", "x", "y", "vx", "vy", "detection_id", "score")
-_ROW_KEY_SET = frozenset(_ROW_KEYS)
-_BETA_ROW_KEY_SET = _ROW_KEY_SET | {"beta"}
+# a row's keys, by include_beta
+_ROW_KEY_SETS = {False: frozenset(_ROW_KEYS), True: frozenset(_ROW_KEYS + ("beta",))}
 _STATUSES = tuple(s.value for s in TrackStatus)  # a tuple: rows may hold unhashables
 _STATUS_TEXT = {status: json.dumps(status) for status in _STATUSES}
 # member -> plain text, so a row looks its status up in a dict, not via
@@ -384,16 +385,18 @@ def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:
             fh.write(line + "}\n")
 
 
-def read_snapshots_jsonl(path) -> list[SnapshotRecord]:
-    """The rows of a snapshots.jsonl file. Any bad line (a blank one,
-    invalid JSON, a NaN/Infinity token, a missing or unknown key, a wrong
-    or non-finite value) is a ConfigError naming the file and line."""
+def read_snapshots_jsonl(path, include_beta: bool) -> list[SnapshotRecord]:
+    """The rows of a snapshots.jsonl file written with the same
+    include_beta. Any bad line (a blank one, invalid JSON, a NaN/Infinity
+    token, a missing or unknown key, beta among them, a wrong or
+    non-finite value) is a ConfigError naming the file and line."""
     records: list[SnapshotRecord] = []
     number = 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
-                records.append(SnapshotRecord.from_json_dict(_ROW_DECODER.decode(line)))
+                row = _ROW_DECODER.decode(line)
+                records.append(SnapshotRecord.from_json_dict(row, include_beta))
         except ValueError as exc:  # ConfigError, JSONDecodeError, bad UTF-8
             raise ConfigError(f"{path}: line {number}: {exc}") from None
     return records

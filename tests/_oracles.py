@@ -352,10 +352,11 @@ def snapshot_row_text(record, include_beta):
     return json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def snapshot_from_json_dict(d):
+def snapshot_from_json_dict(d, include_beta):
     """SnapshotRecord.from_json_dict, one codec decode per leaf."""
-    if type(d) is not dict or d.keys() not in (set(_ROW_KEYS), {*_ROW_KEYS, "beta"}):
-        check_keys(d, {*_ROW_KEYS, "beta"}, _ROW_KEYS, "row")
+    keys = {*_ROW_KEYS, "beta"} if include_beta else set(_ROW_KEYS)
+    if type(d) is not dict or d.keys() != keys:
+        check_keys(d, keys, keys, "row")
     if d["status"] not in _STATUSES:
         raise ConfigError(f"status must be one of {list(_STATUSES)}")
     beta = d.get("beta")
@@ -385,7 +386,7 @@ def snapshot_from_json_dict(d):
         miss=miss,
     )
     # a hard row with a score consumed its detection whole
-    if record.score is not None and "beta" not in d:
+    if record.score is not None and not include_beta:
         if record.detection_id is None:
             raise ConfigError("a row with a score and no beta must name its detection_id")
         record.weights = {record.detection_id: 1.0}
@@ -396,7 +397,7 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not a finite number")
 
 
-def read_snapshots_per_row(path):
+def read_snapshots_per_row(path, include_beta):
     """read_snapshots_jsonl, one codec decode per leaf; it skips blank
     lines, which the package reads as faults."""
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
@@ -406,7 +407,7 @@ def read_snapshots_per_row(path):
         try:
             for number, line in enumerate(fh, 1):
                 if line.strip():
-                    records.append(snapshot_from_json_dict(decoder.decode(line)))
+                    records.append(snapshot_from_json_dict(decoder.decode(line), include_beta))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from None
     return records

@@ -223,8 +223,8 @@ def test_snapshot_rows_match_json_dumps(tmp_path, n, soft):
     assert path.read_text(encoding="utf-8") == "".join(
         snapshot_row_text(r, soft) for r in records
     )
-    again = read_snapshots_jsonl(path)
-    assert _record_bits(again) == _record_bits(read_snapshots_per_row(path))
+    again = read_snapshots_jsonl(path, soft)
+    assert _record_bits(again) == _record_bits(read_snapshots_per_row(path, soft))
     assert _record_bits(again) == _record_bits(records)
 
 
@@ -304,11 +304,40 @@ def test_malformed_snapshot_errors_match_the_per_leaf_codec(tmp_path, at, edit):
     path = tmp_path / "snapshots.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ConfigError) as want:
-        read_snapshots_per_row(path)
+        read_snapshots_per_row(path, True)
     with pytest.raises(ConfigError) as got:
-        read_snapshots_jsonl(path)
+        read_snapshots_jsonl(path, True)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"{path}: line {at + 1}: ")
+
+
+# (case, include_beta of the file, edit of a row with a score, named in
+# the error); the reader is told which kind of file it reads
+MISMATCHED_SNAPSHOT_ROWS = [
+    ("soft-row-without-beta", True, _drop("beta"), "row missing keys: ['beta']"),
+    ("hard-row-with-beta", False, _edit("beta", None), "unknown row keys: ['beta']"),
+    ("hard-row-with-score-without-detection", False, _edit("detection_id", None),
+     "a row with a score and no beta must name its detection_id"),
+]
+
+
+@pytest.mark.parametrize(
+    "include_beta,edit,named",
+    [c[1:] for c in MISMATCHED_SNAPSHOT_ROWS],
+    ids=[c[0] for c in MISMATCHED_SNAPSHOT_ROWS],
+)
+def test_snapshot_row_kind_errors_match_the_per_leaf_codec(tmp_path, include_beta, edit, named):
+    records = random_records(20, seed=4, soft=include_beta)
+    lines = [snapshot_row_text(r, include_beta) for r in records]
+    at = next(i for i, r in enumerate(records) if r.score is not None)
+    lines[at] = edit(json.loads(lines[at]))
+    path = tmp_path / "snapshots.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError) as want:
+        read_snapshots_per_row(path, include_beta)
+    with pytest.raises(ConfigError) as got:
+        read_snapshots_jsonl(path, include_beta)
+    assert str(got.value) == str(want.value) == f"{path}: line {at + 1}: {named}"
 
 
 @pytest.mark.parametrize(
@@ -320,4 +349,6 @@ def test_loose_snapshot_leaves_read_as_the_per_leaf_codec(tmp_path, edit):
     lines[2] = edit(json.loads(lines[2]))
     path = tmp_path / "snapshots.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
-    assert _record_bits(read_snapshots_jsonl(path)) == _record_bits(read_snapshots_per_row(path))
+    assert _record_bits(read_snapshots_jsonl(path, True)) == _record_bits(
+        read_snapshots_per_row(path, True)
+    )

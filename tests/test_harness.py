@@ -24,6 +24,7 @@ from spoofbench.harness import (
     load_benchmark_config,
     plan_runs,
     run_benchmark,
+    run_group,
     worker_count,
 )
 from spoofbench.metrics import RunReport, compute_run_report, write_report_json
@@ -193,8 +194,8 @@ def test_spoof_seed_independent_of_grid_and_tracker():
         trackers=("jpda",),
         spoofs=(("drift", wide.spoof_grid[0][1]),),
     )
-    wide_drift = {s.run_id: s.spoof_cfg.seed for s in plan_runs(wide) if s.spoof_name == "drift"}
-    narrow_drift = {s.run_id: s.spoof_cfg.seed for s in plan_runs(narrow)}
+    wide_drift = {s.run_id: s.spoof.seed for s in plan_runs(wide) if s.spoof_name == "drift"}
+    narrow_drift = {s.run_id: s.spoof.seed for s in plan_runs(narrow)}
     # same spoof name and seed -> same derived spoof seed, regardless of
     # which trackers or other spoofs share the grid
     assert wide_drift["drift-jpda-s0"] == narrow_drift["drift-jpda-s0"]
@@ -255,6 +256,30 @@ def test_cli_parallel_grid_equals_serial_grid(tmp_path):
     for out in (serial, parallel):
         runs = json.loads((out / "manifest.json").read_text())["runs"]
         assert [run["run_id"] for run in runs] == planned
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_run_folder_rebuilds_from_its_manifest(tmp_path, jobs):
+    # a run manifest is the plan run_group executed, so rebuilding a run
+    # from it alone rewrites the folder byte for byte, manifest included;
+    # its created_utc is the one time the grid was planned
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(0,))
+    out = run_benchmark(cfg, out_dir=tmp_path / "rep", jobs=jobs)
+    runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == 8
+    planned = set()
+    for entry in runs:
+        run_dir = out / entry["run_id"]
+        again = tmp_path / "again" / entry["run_id"]
+        manifest = load_record(RunManifest, run_dir / "manifest.json")
+        planned.add(manifest.created_utc)
+        run_group([manifest], str(again.parent))
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert "manifest.json" in names and len(names) == 6
+        for name in names:
+            assert (again / name).read_bytes() == (run_dir / name).read_bytes(), again / name
+    assert len(planned) == 1
 
 
 def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
@@ -529,7 +554,8 @@ def test_every_run_rescores_from_its_own_files(tmp_path):
         m = load_record(RunManifest, run_dir / "manifest.json")
         truth = build_scenario(m.scenario)
         spoofed = apply_spoof(generate_clean_run(truth, m.sensor, seed=m.seed), m.spoof)
-        run = TrackerRun(steps=[], snapshots=read_snapshots_jsonl(run_dir / "snapshots.jsonl"))
+        rows = read_snapshots_jsonl(run_dir / "snapshots.jsonl", m.include_beta)
+        run = TrackerRun(steps=[], snapshots=rows)
         report = compute_run_report(
             run, truth, spoofed, m.tracker, m.spoof_name, m.seed, m.config_digest,
             m.sensor.noise_sigma_m,
@@ -978,6 +1004,13 @@ MALFORMED_MANIFESTS = [
     ("run-missing-spoof", "drift-gnn-s0/manifest.json", _drop("spoof"), ("export",), "spoof"),
     ("run-bad-params", "drift-gnn-s0/manifest.json",
      lambda m: m["tracker_params"].update(q="x"), ("export",), "tracker_params.q"),
+    # a spoof_type must be the type of the spoof it names
+    ("top-run-spoof-type-not-its-spoof", "manifest.json",
+     lambda m: m["runs"][0].update(spoof_type="mirror"), ("compare", "export"),
+     "runs[0].spoof_type 'mirror' is not the 'drift' of spoof 'drift'"),
+    ("run-spoof-type-not-its-spoof", "drift-gnn-s0/manifest.json",
+     lambda m: m.update(spoof_type="ghost"), ("export",),
+     "spoof_type 'ghost' is not the 'drift' of its spoof"),
 ]
 
 
@@ -1003,6 +1036,21 @@ def test_malformed_manifest_exits_2(
         assert named in err
 
 
+def test_run_manifest_of_another_spoof_type_exits_2(tmp_path, capsys, one_run_report):
+    # an index that calls the drift spoof a mirror spoof, consistently,
+    # no longer lists the run whose manifest says drift
+    out = tmp_path / "rep"
+    shutil.copytree(one_run_report, out)
+    index = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    index["spoofs"][0]["spoof_type"] = index["runs"][0]["spoof_type"] = "mirror"
+    (out / "manifest.json").write_text(json.dumps(index), encoding="utf-8")
+    assert main(["export", "--report", str(out)]) == 2
+    run_manifest = out / "drift-gnn-s0" / "manifest.json"
+    assert capsys.readouterr().err == (
+        f"config error: {run_manifest}: spoof_type is 'drift', manifest.json lists 'mirror'\n"
+    )
+
+
 @pytest.mark.parametrize("run_id", ["../outside", "a/b", ".."])
 def test_run_id_unfit_for_a_folder_exits_2(tmp_path, capsys, one_run_report, run_id):
     out = tmp_path / "rep"
@@ -1025,38 +1073,53 @@ def _edit_row(key, value):
     return lambda row: row.update({key: value})
 
 
-# (case, edit of the third row, a line inserted before it, or None for a
-# file cut inside its second row, named in the error); NaN and Infinity
-# are written as bare tokens, and HUGE becomes 1e999, which json reads
-# as inf
+@pytest.fixture(scope="module")
+def two_tracker_report(tmp_path_factory):
+    """A report directory of two runs on one stream: drift-gnn-s0, whose
+    snapshot rows have no beta key, and drift-jpda-s0, whose rows do."""
+    cfg = tiny_config(trackers=("gnn", "jpda"), spoofs=tiny_config().spoof_grid[:1])
+    return run_benchmark(cfg, out_dir=tmp_path_factory.mktemp("two") / "rep")
+
+
+# (case, tracker of the damaged run, edit of the third row, a line
+# inserted before it, or None for a file cut inside its second row, named
+# in the error); NaN and Infinity are written as bare tokens, and HUGE
+# becomes 1e999, which json reads as inf. The third jpda row has a score
+# and a detection.
 MALFORMED_SNAPSHOTS = [
-    ("truncated", None, "line 2"),
-    ("nan-token", _edit_row("x", float("nan")), "NaN"),
-    ("infinity-token", _edit_row("score", float("inf")), "Infinity"),
-    ("huge-number", _edit_row("vy", "HUGE"), "vy must be finite"),
-    ("missing-key", _drop("x"), "missing keys: ['x']"),
-    ("unknown-key", _edit_row("extra", 1), "unknown row keys: ['extra']"),
-    ("string-number", _edit_row("y", "1.0"), "y must be a number"),
-    ("bool-number", _edit_row("vx", True), "vx must be a number"),
-    ("string-score", _edit_row("score", "0.5"), "score must be a number"),
-    ("fractional-t", _edit_row("t", 1.5), "t must be a whole number"),
-    ("unknown-status", _edit_row("status", "lost"), "status must be one of"),
-    ("string-beta", _edit_row("beta", {"miss": "x"}), "beta.miss must be a number"),
-    ("beta-without-miss", _edit_row("beta", {"3": 0.5}), "beta missing keys: ['miss']"),
-    ("beta-non-integer-key", _edit_row("beta", {"miss": 0.5, "x": 0.5}),
+    ("truncated", "gnn", None, "line 2"),
+    ("nan-token", "gnn", _edit_row("x", float("nan")), "NaN"),
+    ("infinity-token", "gnn", _edit_row("score", float("inf")), "Infinity"),
+    ("huge-number", "gnn", _edit_row("vy", "HUGE"), "vy must be finite"),
+    ("missing-key", "gnn", _drop("x"), "missing keys: ['x']"),
+    ("unknown-key", "gnn", _edit_row("extra", 1), "unknown row keys: ['extra']"),
+    ("string-number", "gnn", _edit_row("y", "1.0"), "y must be a number"),
+    ("bool-number", "gnn", _edit_row("vx", True), "vx must be a number"),
+    ("string-score", "gnn", _edit_row("score", "0.5"), "score must be a number"),
+    ("fractional-t", "gnn", _edit_row("t", 1.5), "t must be a whole number"),
+    ("unknown-status", "gnn", _edit_row("status", "lost"), "status must be one of"),
+    ("string-beta", "jpda", _edit_row("beta", {"miss": "x"}), "beta.miss must be a number"),
+    ("beta-without-miss", "jpda", _edit_row("beta", {"3": 0.5}), "beta missing keys: ['miss']"),
+    ("beta-non-integer-key", "jpda", _edit_row("beta", {"miss": 0.5, "x": 0.5}),
      "beta key 'x' must be a decimal integer"),
-    ("blank-line", "\n", "Expecting value"),
-    ("whitespace-line", "   \n", "Expecting value"),
+    # the reader knows from the run's tracker whether rows carry beta,
+    # so neither row can pass for the other tracker's
+    ("jpda-row-without-beta", "jpda", _drop("beta"), "row missing keys: ['beta']"),
+    ("gnn-row-with-beta", "gnn", _edit_row("beta", {"miss": 0.5}), "unknown row keys: ['beta']"),
+    ("blank-line", "gnn", "\n", "Expecting value"),
+    ("whitespace-line", "gnn", "   \n", "Expecting value"),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit,named", [c[1:] for c in MALFORMED_SNAPSHOTS], ids=[c[0] for c in MALFORMED_SNAPSHOTS]
+    "tracker,edit,named",
+    [c[1:] for c in MALFORMED_SNAPSHOTS],
+    ids=[c[0] for c in MALFORMED_SNAPSHOTS],
 )
-def test_malformed_snapshots_exits_2(tmp_path, capsys, one_run_report, edit, named):
+def test_malformed_snapshots_exits_2(tmp_path, capsys, two_tracker_report, tracker, edit, named):
     out = tmp_path / "rep"
-    shutil.copytree(one_run_report, out)
-    snapshots_file = out / "drift-gnn-s0" / "snapshots.jsonl"
+    shutil.copytree(two_tracker_report, out)
+    snapshots_file = out / f"drift-{tracker}-s0" / "snapshots.jsonl"
     lines = snapshots_file.read_text(encoding="utf-8").splitlines(keepends=True)
     if edit is None:
         lines[1:] = [lines[1][:10]]

@@ -61,12 +61,20 @@ def transformed_run(truth, spoofed_run, transform):
     )
 
 
-def report(cfg, spec, truth, spoofed_run):
+def planned_run(cfg, spoof, tracker):
+    """The plan of one run of cfg, its truth and its spoofed streams."""
+    [spec] = [s for s in plan_runs(cfg) if s.spoof_name == spoof and s.tracker == tracker]
+    truth = build_scenario(spec.scenario)
+    spoofed_run = apply_spoof(generate_clean_run(truth, spec.sensor, seed=spec.seed), spec.spoof)
+    return spec, truth, spoofed_run
+
+
+def report(spec, truth, spoofed_run):
     step = TRACKER_STEPS[spec.tracker]
-    run = run_tracker(spoofed_run.spoofed_frames, cfg.tracker_params, step)
+    run = run_tracker(spoofed_run.spoofed_frames, spec.tracker_params, step)
     return compute_run_report(
         run, truth, spoofed_run, spec.tracker, spec.spoof_name, spec.seed, "0" * 64,
-        cfg.sensor.noise_sigma_m,
+        spec.sensor.noise_sigma_m,
     )
 
 
@@ -82,17 +90,58 @@ def test_rigid_motion_moves_no_metric(transform, seed, spoof, tracker):
     # isotropic noise, so turning or shifting the whole picture after
     # spoofing changes drift by roundoff and the counts not at all
     cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(seed,))
-    [spec] = [s for s in plan_runs(cfg) if s.spoof_name == spoof and s.tracker == tracker]
-    truth = build_scenario(cfg.scenario)
-    spoofed_run = apply_spoof(generate_clean_run(truth, cfg.sensor, seed=seed), spec.spoof_cfg)
-    base = report(cfg, spec, truth, spoofed_run)
-    moved = report(cfg, spec, *transformed_run(truth, spoofed_run, transform))
+    spec, truth, spoofed_run = planned_run(cfg, spoof, tracker)
+    base = report(spec, truth, spoofed_run)
+    moved = report(spec, *transformed_run(truth, spoofed_run, transform))
     assert moved.switch_count == base.switch_count
     assert moved.matched_steps == base.matched_steps
     if base.mean_drift_m is None:
         assert moved.mean_drift_m is None
     else:
         assert abs(moved.mean_drift_m - base.mean_drift_m) <= 1e-9
+
+
+# new platform ids for the demo scenario's 0-3, neither sorted nor dense
+RENAMED = {0: 7, 1: 3, 2: 40, 3: 41}
+
+
+def renamed_source(source):
+    """A confusion source with its platform id renamed."""
+    kind, _, pid = source.partition(":")
+    return f"platform:{RENAMED[int(pid)]}" if kind == "platform" else source
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 99),
+    spoof=st.sampled_from(["drift", "ghost", "mirror", "clean"]),
+    tracker=st.sampled_from(["gnn", "jpda"]),
+)
+def test_renaming_platform_ids_moves_no_metric(seed, spoof, tracker):
+    # a platform's id names it and draws nothing: sensing draws by the
+    # platform's place in the list, which the renaming keeps, so every
+    # total is equal and every per-platform value moves to the new id
+    cfg = replace(load_benchmark_config(DEMO_CONFIG), seeds=(seed,))
+    assert not any(template.target_platform_ids for _, template in cfg.spoof_grid)
+    platforms = tuple(
+        replace(p, platform_id=RENAMED[p.platform_id]) for p in cfg.scenario.platforms
+    )
+    renamed_cfg = replace(cfg, scenario=replace(cfg.scenario, platforms=platforms))
+    base = report(*planned_run(cfg, spoof, tracker))
+    renamed = report(*planned_run(renamed_cfg, spoof, tracker))
+    for name in (
+        "mean_drift_m", "max_drift_m", "matched_steps", "switch_count", "purity_timeline",
+        "spoof_inclusion_rate", "recovery_rate", "false_association_ratio",
+    ):
+        assert getattr(renamed, name) == getattr(base, name), name
+    for name in ("per_platform_drift", "per_platform_switches"):
+        assert getattr(renamed, name) == {
+            RENAMED[pid]: value for pid, value in getattr(base, name).items()
+        }, name
+    assert renamed.confusion == {
+        RENAMED[pid]: {renamed_source(source): w for source, w in row.items()}
+        for pid, row in base.confusion.items()
+    }
 
 
 def run_files(out, trackers):

@@ -211,7 +211,7 @@ def test_snapshots_jsonl_round_trip(tmp_path):
     run = run_tracker(frames, params(), jpda_step)
     path = tmp_path / "snapshots.jsonl"
     write_snapshots_jsonl(path, run, include_beta=True)
-    again = read_snapshots_jsonl(path)
+    again = read_snapshots_jsonl(path, include_beta=True)
     assert len(again) == len(run.snapshots)
     for a, b in zip(run.snapshots, again):
         assert (a.t, a.track_id, a.status, a.detection_id) == (b.t, b.track_id, b.status, b.detection_id)
