@@ -32,7 +32,7 @@ from .estimation import (
     estimate_from_detection,
 )
 from .tracking import (
-    Track,
+    TrackBank,
     TrackStatus,
     TrackerParams,
     TrackerRun,
@@ -84,7 +84,7 @@ __all__ = [
     "GateResult",
     "KinematicEstimate",
     "estimate_from_detection",
-    "Track",
+    "TrackBank",
     "TrackStatus",
     "TrackerParams",
     "TrackerRun",

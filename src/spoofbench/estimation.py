@@ -37,7 +37,7 @@ class KinematicEstimate:
         return self.x[2:]
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: gate_row builds one per track, and a frozen __init__ takes 3x as long
 class GateResult:
     """N tracks scored against the M detections of one frame.
 
@@ -191,13 +191,14 @@ def gate_stack(
 def estimate_from_detection(
     z: np.ndarray, R: np.ndarray, v_max: float = V_MAX_DEFAULT
 ) -> KinematicEstimate:
-    """Single-detection track initialization.
-
-    Position from the measurement, zero velocity, velocity variance
-    v_max^2 so the first gate admits any plausible mover.
-    """
-    x = np.array([float(z[0]), float(z[1]), 0.0, 0.0])
-    P = np.zeros((4, 4))
-    P[:2, :2] = np.asarray(R, dtype=float)
-    P[2, 2] = P[3, 3] = v_max * v_max
+    """Track initialization from one detection, z (2,) and R (2, 2), or a
+    stack, z (k, 2) and R (k, 2, 2): position from the measurement, zero
+    velocity, velocity variance v_max^2 so the first gate admits any
+    plausible mover."""
+    z = np.asarray(z, dtype=float)
+    x = np.zeros(z.shape[:-1] + (4,))
+    x[..., :2] = z
+    P = np.zeros(z.shape[:-1] + (4, 4))
+    P[..., :2, :2] = R
+    P[..., 2, 2] = P[..., 3, 3] = v_max * v_max
     return KinematicEstimate(x=x, P=P)

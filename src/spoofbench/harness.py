@@ -101,6 +101,12 @@ class _SeedRange(Record):
     count: int = 1
 
 
+def _check_unique(values, what: str) -> None:
+    """A ConfigError naming the list if any value repeats."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate {what}: {list(values)}")
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark grid. tracker_params=None derives them from the
@@ -127,17 +133,14 @@ class BenchmarkConfig:
                 raise ConfigError(
                     f"unknown tracker {tracker!r}; choose from {sorted(TRACKER_STEPS)}"
                 )
-        if len(set(self.trackers)) != len(self.trackers):
-            raise ConfigError(f"duplicate trackers: {list(self.trackers)}")
+        _check_unique(self.trackers, "trackers")
         names = [name for name, _ in self.spoof_grid]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate spoof names: {names}")
+        _check_unique(names, "spoof names")
         for name in names:
             check_folder_name(name, "spoof name")
         if AVERAGE in names:
             raise ConfigError(f"spoof name {AVERAGE!r} labels the averages of comparison.csv")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("duplicate seeds")
+        _check_unique(self.seeds, "seeds")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative")
         check_run_count(len(self.spoof_grid) * len(self.trackers) * len(self.seeds))
@@ -277,6 +280,9 @@ class BenchmarkManifest(Record):
     def __post_init__(self) -> None:
         # compare and export index runs by these: one outside the grid
         # would be dropped or exported, one listed twice averaged twice
+        _check_unique(self.trackers, "trackers")
+        _check_unique([s.name for s in self.spoofs], "spoof names")
+        _check_unique(self.seeds, "seeds")
         types = {s.name: s.spoof_type for s in self.spoofs}
         grid = {"tracker": set(self.trackers), "spoof_name": types, "seed": set(self.seeds)}
         listed: set = set()

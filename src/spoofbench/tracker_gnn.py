@@ -15,18 +15,10 @@ from typing import Iterator
 import numpy as np
 
 from .sensing import DetectionFrame
-from .tracking import (
-    StepResult,
-    TrackerParams,
-    TrackStack,
-    birth_tracks,
-    lifecycle_update,
-    set_estimates,
-    snapshot_record,
-    step_result,
-)
+from .tracking import StepResult, TrackBank, TrackerParams, TrackStack
+from .tracking import birth_tracks, drop_deleted, lifecycle_update, snapshot_rows
 # under the names that perfbench/tracer.py wraps: the stacked update, and
-# each track's row of the step's stacked predict and gate (TrackStack)
+# each row's read of the step's stacked predict and gate (TrackStack)
 from .estimation import kf_update_stack as kf_update
 from .tracking import gate_row as gate, predict_row as kf_predict
 
@@ -170,51 +162,42 @@ def _min_savings_matching(edges: list, n_dst: int) -> list[int]:
 
 
 def gnn_step(
-    tracks: list,
-    frame: DetectionFrame,
-    params: TrackerParams,
-    *,
-    id_source: Iterator[int],
+    bank: TrackBank, frame: DetectionFrame, params: TrackerParams, *, id_source: Iterator[int]
 ) -> StepResult:
-    """One predict-gate-assign-update cycle over a frame.
+    """One predict-gate-assign-update cycle of the bank over a frame.
 
     Assigned tracks take a Kalman update with the chosen detection and a
     lifecycle hit; unassigned tracks coast on their prediction and take
     a miss. Detections left unassigned spawn tentative tracks.
     """
-    tracks = sorted(tracks, key=lambda tr: tr.track_id)
-    # each track takes its prediction and is gated, one kernel call each
-    # per step; rows are tracks, columns the frame's detections
-    stack = TrackStack(tracks, frame, params)
-    for row, track in enumerate(tracks):
-        track.estimate = kf_predict(stack, row)
+    # the bank is predicted and gated by one kernel call each, and each
+    # row read once; rows are tracks, columns the frame's detections
+    stack = TrackStack(bank, frame, params)
+    for row in range(len(bank)):
+        kf_predict(stack, row)
         gate(stack, row)
     x, P = stack.predicted
     gated = stack.gated
     costs = np.where(gated.inside, gated.d2, np.inf)  # ungated pairs cost +inf
     assignment = hungarian(costs, params.gamma)
 
-    # every assigned track's update in one stacked call; the rest coast
+    # every assigned row's update in one stacked call; the rest coast
+    n = len(bank)
+    rows, cols = list(assignment), list(assignment.values())
+    hits, det_ids, scores, weights = [False] * n, [None] * n, [None] * n, [{} for _ in range(n)]
     if assignment:
-        rows, cols = list(assignment), list(assignment.values())
-        x_post, P_post, _, _ = kf_update(
+        x[rows], P[rows], _, _ = kf_update(
             x[rows], P[rows], frame.positions[cols], frame.covariances[cols]
         )
-        set_estimates([tracks[row] for row in rows], x_post, P_post)
-
-    records = []
-    for row, track in enumerate(tracks):
-        col = assignment.get(row)
-        if col is not None:
+        for row, col, cost in zip(rows, cols, costs[rows, cols].tolist()):
             det_id = frame.detections[col].detection_id
-            lifecycle_update(track, True, params)
-            cost = float(costs[row, col])
-            records.append(snapshot_record(frame.t, track, det_id, cost, {det_id: 1.0}))
-        else:
-            lifecycle_update(track, False, params)
-            records.append(snapshot_record(frame.t, track, None, None, {}))
+            hits[row], det_ids[row], scores[row], weights[row] = True, det_id, cost, {det_id: 1.0}
+    bank.x, bank.P = x, P
 
-    assigned = set(assignment.values())
+    lifecycle_update(bank, hits, params)
+    records = snapshot_rows(frame.t, bank, det_ids, scores, weights, [None] * n)
+    deletions = drop_deleted(bank)
+    assigned = set(cols)
     unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
-    births = birth_tracks(unassigned, params, id_source=id_source)
-    return step_result(frame.t, tracks, records, births)
+    births = birth_tracks(bank, unassigned, params, id_source=id_source)
+    return StepResult(frame.t, records, births, deletions)

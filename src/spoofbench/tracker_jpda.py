@@ -18,18 +18,10 @@ import numpy as np
 
 from .estimation import GateResult
 from .sensing import DetectionFrame
-from .tracking import (
-    StepResult,
-    TrackerParams,
-    TrackStack,
-    birth_tracks,
-    lifecycle_update,
-    set_estimates,
-    snapshot_record,
-    step_result,
-)
+from .tracking import StepResult, TrackBank, TrackerParams, TrackStack
+from .tracking import birth_tracks, drop_deleted, lifecycle_update, snapshot_rows
 # under the names that perfbench/tracer.py wraps: the stacked update, and
-# each track's row of the step's stacked predict and gate (TrackStack)
+# each row's read of the step's stacked predict and gate (TrackStack)
 from .estimation import kf_update_stack as kf_update
 from .tracking import gate_row as gate, predict_row as kf_predict
 
@@ -112,58 +104,64 @@ def _composite_update(
     covs[rows, cols] = post_P
     weights[:, 0] = [miss for miss, _ in probabilities]
     weights[rows, cols] = [beta for _, betas in probabilities for beta in betas.values()]
-    x = np.zeros((n, 4))
-    for k in range(k_max):
-        x += weights[:, k, None] * means[:, k]
-    P = np.zeros((n, 4, 4))
-    for k in range(k_max):
-        dm = means[:, k] - x
-        P += weights[:, k, None, None] * (covs[:, k] + dm[:, :, None] * dm[:, None, :])
+    x = _sum_over_k(weights[:, :, None] * means)
+    dm = means - x[:, None]
+    P = _sum_over_k(weights[:, :, None, None] * (covs + dm[..., :, None] * dm[..., None, :]))
     return x, 0.5 * (P + P.swapaxes(1, 2))
 
 
+def _sum_over_k(terms: np.ndarray) -> np.ndarray:
+    """Sum a temporary (n, k, ...) over k as `s = 0.0; s += terms[:, k]`
+    for k in order would: add.accumulate adds left to right, each partial
+    sum rounded once, and 0.0 + t (made in place) turns a leading -0.0
+    into +0.0."""
+    terms[:, 0] += 0.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 def jpda_step(
-    tracks: list,
-    frame: DetectionFrame,
-    params: TrackerParams,
-    *,
-    id_source: Iterator[int],
+    bank: TrackBank, frame: DetectionFrame, params: TrackerParams, *, id_source: Iterator[int]
 ) -> StepResult:
-    """One predict-gate-weight-update cycle over a frame.
+    """One predict-gate-weight-update cycle of the bank over a frame.
 
     The composite update always applies (a mostly-miss step still nudges
     the state by the residual detection mass); the lifecycle hit fires
     iff 1 - beta_miss >= hit_threshold. Detections gated by no track
     spawn tentative tracks.
     """
-    tracks = sorted(tracks, key=lambda tr: tr.track_id)
-    # each track takes its prediction and is gated, one kernel call each
-    # per step; row i is track i's gate
-    stack = TrackStack(tracks, frame, params)
-    for row, track in enumerate(tracks):
-        track.estimate = kf_predict(stack, row)
+    # the bank is predicted and gated by one kernel call each, and each
+    # row read once; row i is track i's gate
+    stack = TrackStack(bank, frame, params)
+    for row in range(len(bank)):
+        kf_predict(stack, row)
         gate(stack, row)
     x, P = stack.predicted
     gated = stack.gated
     probabilities = association_probabilities(gated, params)
     # a track that gated nothing coasts
-    if len(gated):
-        x_mix, P_mix = _composite_update(x, P, gated.inside, probabilities, frame)
-        updated = gated.inside.any(axis=1)
-        gated_tracks = [track for track, u in zip(tracks, updated.tolist()) if u]
-        set_estimates(gated_tracks, x_mix[updated], P_mix[updated])
+    rows = np.flatnonzero(gated.inside.any(axis=1))
+    if len(rows):
+        x[rows], P[rows] = _composite_update(
+            x[rows], P[rows], gated.inside[rows],
+            [probabilities[row] for row in rows.tolist()], frame,
+        )
+    bank.x, bank.P = x, P
 
-    records = []
-    for track, (miss, betas) in zip(tracks, probabilities):
+    hits, best, scores = [], [], []
+    for miss, betas in probabilities:
         evidence = 1.0 - miss
         hit = evidence >= params.hit_threshold
-        lifecycle_update(track, hit, params)
+        hits.append(hit)
         # a hit names the argmax beta, lowest detection_id on ties
-        best = min(betas, key=lambda k: (-betas[k], k)) if hit and betas else None
-        score = evidence if betas else None
-        records.append(snapshot_record(frame.t, track, best, score, betas, miss))
-
+        best.append(min(betas, key=lambda k: (-betas[k], k)) if hit and betas else None)
+        scores.append(evidence if betas else None)
+    lifecycle_update(bank, hits, params)
+    records = snapshot_rows(
+        frame.t, bank, best, scores, [betas for _, betas in probabilities],
+        [miss for miss, _ in probabilities],
+    )
+    deletions = drop_deleted(bank)
     gated_cols = gated.inside.any(axis=0).tolist()
     unassigned = [d for d, g in zip(frame.detections, gated_cols) if not g]
-    births = birth_tracks(unassigned, params, id_source=id_source)
-    return step_result(frame.t, tracks, records, births)
+    births = birth_tracks(bank, unassigned, params, id_source=id_source)
+    return StepResult(frame.t, records, births, deletions)

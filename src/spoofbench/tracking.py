@@ -1,13 +1,14 @@
 """Track lifecycle and the tracker-agnostic run loop.
 
-Both trackers drive the same machinery: a step function consumes the
-live track list and one detection frame, and returns a StepResult with
-the live tracks, one SnapshotRecord per pre-existing track (built by
-snapshot_record as the track leaves the step), births, and deletions.
-run_tracker adds a row per birth. Provenance stays on the detections:
-the metrics look it up by (t, detection_id) in the spoofed stream, so
-neither the trackers nor this loop read labels. Confirmation is M-of-N
-on the hit history; deletion is a consecutive miss streak.
+Both trackers drive the same machinery: run_tracker carries the live
+tracks from frame to frame as one TrackBank. A step function predicts,
+gates and updates the bank's rows, runs their lifecycle, takes their
+rows (snapshot_rows), drops the deleted ones and appends births, and
+returns a StepResult; run_tracker adds a row per birth. Provenance stays
+on the detections: the metrics look it up by (t, detection_id) in the
+spoofed stream, so neither the trackers nor this loop read labels.
+Confirmation is M-of-N on the hit history; deletion is a consecutive
+miss streak.
 """
 
 from __future__ import annotations
@@ -78,45 +79,42 @@ class TrackerParams(Record):
             raise ConfigError("delete_misses must be at least 1")
 
 
-@dataclass
-class Track:
-    track_id: int
-    estimate: KinematicEstimate
-    status: TrackStatus
-    hit_history: deque            # booleans over the last confirm_window steps
-    miss_streak: int
-    birth_detection_id: int       # the detection that spawned the track
+@dataclass(eq=False)  # rows hold arrays, which == does not reduce to a bool
+class TrackBank:
+    """The live tracks of a run, one row each in track-id order: means x
+    (N, 4), covariances P (N, 4, 4), and per row the track id, status,
+    consecutive miss streak, hit history (booleans over the last
+    confirm_window steps) and the detection that spawned the track.
+    x and P always own their memory."""
+
+    ids: list = field(default_factory=list)
+    x: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    P: np.ndarray = field(default_factory=lambda: np.zeros((0, 4, 4)))
+    status: list = field(default_factory=list)
+    miss_streak: list = field(default_factory=list)
+    hit_history: list = field(default_factory=list)
+    birth_detection_id: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def stack_estimates(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
-    """The tracks' means (N, 4) and covariances (N, 4, 4), in list order."""
-    x = np.array([tr.estimate.x for tr in tracks], dtype=float).reshape(-1, 4)
-    P = np.array([tr.estimate.P for tr in tracks], dtype=float).reshape(-1, 4, 4)
-    return x, P
-
-
-def set_estimates(tracks: Sequence[Track], x: np.ndarray, P: np.ndarray) -> None:
-    """Give each track a copy of its row of x and P. A view would keep
-    the step's whole stack alive for as long as a StepResult holds the
-    track."""
-    for track, x_i, P_i in zip(tracks, x, P):
-        track.estimate = KinematicEstimate(x=x_i.copy(), P=P_i.copy())
+# the members, in definition order, as globals: a lookup on the class costs more
+_TENTATIVE, _CONFIRMED, _DELETED = TrackStatus
 
 
 class TrackStack:
-    """One step's tracks, row i being tracks[i], predicted and gated
-    against its frame by one stacked kernel call each. A step reads
-    each track's row through one predict_row and one gate_row call
-    (which perfbench/tracer.py times and counts); the first read of
-    each runs its kernel over all rows."""
+    """One step's bank, predicted and gated against its frame by one
+    stacked kernel call each. A step reads each row through one
+    predict_row and one gate_row call (which perfbench/tracer.py times
+    and counts); the first read of each runs its kernel over all rows."""
 
-    def __init__(self, tracks: Sequence[Track], frame: DetectionFrame, params: TrackerParams):
-        self.tracks, self.frame, self.params = tracks, frame, params
+    def __init__(self, bank: TrackBank, frame: DetectionFrame, params: TrackerParams):
+        self.bank, self.frame, self.params = bank, frame, params
 
     @cached_property
     def predicted(self) -> tuple[np.ndarray, np.ndarray]:
-        x, P = stack_estimates(self.tracks)
-        return kf_predict_stack(x, P, self.params.dt_s, self.params.q)
+        return kf_predict_stack(self.bank.x, self.bank.P, self.params.dt_s, self.params.q)
 
     @cached_property
     def gated(self) -> GateResult:
@@ -124,58 +122,79 @@ class TrackStack:
 
 
 def predict_row(stack: TrackStack, row: int) -> KinematicEstimate:
-    """Track row's prediction, copied out of the stack."""
+    """Row's prediction, a view into the stack."""
     x, P = stack.predicted
-    return KinematicEstimate(x=x[row].copy(), P=P[row].copy())
+    return KinematicEstimate(x=x[row], P=P[row])
 
 
 def gate_row(stack: TrackStack, row: int) -> GateResult:
-    """Track row's gate, a one-row GateResult; len() counts its detections."""
-    g, cut = stack.gated, slice(row, row + 1)
-    return GateResult(g.d2[cut], g.S[cut], g.inside[cut], g.detection_ids)
+    """Row's gate, a one-row GateResult; len() counts its detections."""
+    g, end = stack.gated, row + 1
+    return GateResult(g.d2[row:end], g.S[row:end], g.inside[row:end], g.detection_ids)
 
 
-def lifecycle_update(track: Track, hit: bool, params: TrackerParams) -> Track:
-    """Advance confirmation/deletion state after a hit or miss.
+def lifecycle_update(bank: TrackBank, hits: Sequence[bool], params: TrackerParams) -> None:
+    """Advance each row's confirmation/deletion state after its hit or
+    miss, hits[i] (a bool) being row i's; a deleted row is refused."""
+    status, streaks, histories = bank.status, bank.miss_streak, bank.hit_history
+    for row, hit in enumerate(hits):
+        if status[row] is _DELETED:
+            raise ValueError(f"track {bank.ids[row]} already deleted")
+        history = histories[row]
+        history.append(hit)
+        streak = streaks[row] = 0 if hit else streaks[row] + 1
+        # a row that is deleted ends deleted, confirmed on this step or not
+        if streak >= params.delete_misses:
+            status[row] = _DELETED
+        elif status[row] is _TENTATIVE and sum(history) >= params.confirm_hits:
+            status[row] = _CONFIRMED
 
-    Updating a deleted track is a contract violation.
-    """
-    if track.status is TrackStatus.DELETED:
-        raise ValueError(f"track {track.track_id} already deleted")
-    track.hit_history.append(bool(hit))
-    track.miss_streak = 0 if hit else track.miss_streak + 1
-    if track.status is TrackStatus.TENTATIVE and sum(track.hit_history) >= params.confirm_hits:
-        track.status = TrackStatus.CONFIRMED
-    if track.miss_streak >= params.delete_misses:
-        track.status = TrackStatus.DELETED
-    return track
+
+def drop_deleted(bank: TrackBank) -> list[int]:
+    """Remove the rows whose lifecycle ended, in one fancy-index pass
+    over x and P; returns their track ids."""
+    gone = [row for row, s in enumerate(bank.status) if s is _DELETED]
+    if not gone:
+        return []
+    keep = np.ones(len(bank), dtype=bool)
+    keep[gone] = False
+    bank.x, bank.P = bank.x[keep], bank.P[keep]
+    deleted = [bank.ids[row] for row in gone]
+    for column in (bank.ids, bank.status, bank.miss_streak, bank.hit_history,
+                   bank.birth_detection_id):
+        for row in reversed(gone):
+            del column[row]
+    return deleted
 
 
 def birth_tracks(
+    bank: TrackBank,
     unassigned: Sequence[Detection],
     params: TrackerParams,
     *,
     id_source: Iterator[int],
-) -> list[Track]:
-    """Spawn a tentative track per unassigned detection.
-
-    The spawning detection counts as the new track's first hit.
-    """
-    births: list[Track] = []
-    for det in sorted(unassigned, key=lambda d: d.detection_id):
-        history: deque = deque(maxlen=params.confirm_window)
-        history.append(True)
-        births.append(
-            Track(
-                track_id=next(id_source),
-                estimate=estimate_from_detection(det.z, det.R, params.v_max_mps),
-                status=TrackStatus.TENTATIVE,
-                hit_history=history,
-                miss_streak=0,
-                birth_detection_id=det.detection_id,
-            )
-        )
-    return births
+) -> list[int]:
+    """Append a tentative row per unassigned detection, in detection-id
+    order, whose detection counts as its first hit; returns the new
+    track ids, which id_source must yield above every id in the bank."""
+    dets = sorted(unassigned, key=lambda d: d.detection_id)
+    if not dets:
+        return []
+    ids = [next(id_source) for _ in dets]
+    order = bank.ids[-1:] + ids
+    if any(a >= b for a, b in zip(order, order[1:])):
+        raise ValueError(f"track ids must increase, got {order}")
+    est = estimate_from_detection(
+        np.array([d.z for d in dets]), np.array([d.R for d in dets]), params.v_max_mps
+    )
+    bank.x = np.concatenate((bank.x, est.x))
+    bank.P = np.concatenate((bank.P, est.P))
+    bank.ids += ids
+    bank.status += [_TENTATIVE] * len(dets)
+    bank.miss_streak += [0] * len(dets)
+    bank.hit_history += [deque((True,), maxlen=params.confirm_window) for _ in dets]
+    bank.birth_detection_id += [d.detection_id for d in dets]
+    return ids
 
 
 @dataclass
@@ -281,49 +300,38 @@ _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 @dataclass
 class StepResult:
     t: int
-    tracks: list                  # live tracks after the step (survivors + births)
     assignments: list             # SnapshotRecord per pre-existing track, by track id
-    births: list
+    births: list                  # track ids born this step, appended to the bank
     deletions: list               # track ids deleted this step
 
 
-def snapshot_record(
-    t: int,
-    track: Track,
-    detection_id: Optional[int],
-    score: Optional[float],
-    weights: dict,
-    miss: Optional[float] = None,
-) -> SnapshotRecord:
-    """The row of a track as it leaves step t. weights maps detection_id
-    to the weight the track consumed: 1 for a hard assignment, the
-    association probabilities for a soft one, whose miss probability
-    is miss."""
-    x, y, vx, vy = track.estimate.x.tolist()
-    return SnapshotRecord(
-        t, track.track_id, _STATUS_VALUE[track.status], x, y, vx, vy, detection_id, score,
-        weights=weights, miss=miss,
-    )
-
-
-def step_result(t: int, tracks: list, assignments: list, births: list) -> StepResult:
-    """Close a step over tracks that have finished their lifecycle
-    update: the deleted ones leave the live list, births join it."""
-    return StepResult(
-        t=t,
-        tracks=[tr for tr in tracks if tr.status is not TrackStatus.DELETED] + births,
-        assignments=assignments,
-        births=births,
-        deletions=[tr.track_id for tr in tracks if tr.status is TrackStatus.DELETED],
-    )
+def snapshot_rows(
+    t: int, bank: TrackBank, detection_ids: Sequence, scores: Sequence, weights: Sequence,
+    misses: Sequence, start: int = 0,
+) -> list[SnapshotRecord]:
+    """The rows of the bank's tracks from row start on, as they leave
+    step t; the sequences give each row's detection_id, score, weights
+    and miss in turn. weights maps detection_id to the weight the track
+    consumed: 1 for a hard assignment, the association probabilities
+    for a soft one, whose miss probability is miss."""
+    value = _STATUS_VALUE
+    return [
+        SnapshotRecord(t, track_id, value[status], x, y, vx, vy, det, score, w, miss)
+        for track_id, status, (x, y, vx, vy), det, score, w, miss in zip(
+            bank.ids[start:], bank.status[start:], bank.x[start:].tolist(),
+            detection_ids, scores, weights, misses,
+        )
+    ]
 
 
 @dataclass
 class TrackerRun:
-    """Everything one tracker produced over one detection stream."""
+    """Everything one tracker produced over one detection stream, and
+    the bank its last step left (None for a run built from rows alone)."""
 
     steps: list
     snapshots: list
+    bank: Optional[TrackBank] = None
 
 
 def run_tracker(
@@ -331,26 +339,26 @@ def run_tracker(
     params: TrackerParams,
     step_fn: Callable[..., StepResult],
 ) -> TrackerRun:
-    """Drive a step function over a detection stream.
+    """Drive a step function over a detection stream, carrying one bank.
 
     Track ids are unique within the run and never reused. Nothing here
     draws a random number: the run is a pure function of its frames.
     """
-    live: list[Track] = []
+    bank = TrackBank()
     id_source = itertools.count()
     steps: list[StepResult] = []
     snapshots: list[SnapshotRecord] = []
     for frame in frames:
-        result = step_fn(live, frame, params, id_source=id_source)
+        result = step_fn(bank, frame, params, id_source=id_source)
         steps.append(result)
-        snapshots.extend(result.assignments)
-        # a birth's spawning detection is informational, not a consumed update
-        snapshots.extend(
-            snapshot_record(frame.t, tr, tr.birth_detection_id, None, {})
-            for tr in result.births
-        )
-        live = result.tracks
-    return TrackerRun(steps=steps, snapshots=snapshots)
+        snapshots += result.assignments
+        if result.births:
+            # a birth's spawning detection is informational, not a consumed update
+            born = len(bank) - len(result.births)
+            none = itertools.repeat(None)
+            snapshots += snapshot_rows(frame.t, bank, bank.birth_detection_id[born:], none,
+                                       [{} for _ in result.births], none, born)
+    return TrackerRun(steps=steps, snapshots=snapshots, bank=bank)
 
 
 def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:

@@ -4,18 +4,23 @@ The solver oracles import nothing from the package's solver modules:
 their results come from independent derivations. The per-track
 functions at the end are frozen copies of the trackers' predict, gate,
 association and steps as they were before each was batched across
-tracks; they carry their own copy of that arithmetic and reuse only the
-package's assignment, process noise and lifecycle code. The artifact
+tracks, with the Track objects, lifecycle, births and run loop they
+drove before the tracks became one bank; they carry their own copy of
+that arithmetic and reuse only the package's assignment and process
+noise code. The artifact
 codecs last are frozen copies of the CSV and snapshot-row codecs as
 they were before each was made column-wise or hand-formatted; they
 reuse only the package's JSON value decoder.
 """
 
 import csv
+import itertools
 import json
 import math
 import types
 import typing
+from collections import deque
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,14 +29,7 @@ from spoofbench.codec import _decode_key, check_keys, decode
 from spoofbench.errors import ConfigError
 from spoofbench.estimation import KinematicEstimate, white_accel_Q
 from spoofbench.tracker_gnn import hungarian
-from spoofbench.tracking import (
-    SnapshotRecord,
-    TrackStatus,
-    birth_tracks,
-    lifecycle_update,
-    snapshot_record,
-    step_result,
-)
+from spoofbench.tracking import SnapshotRecord, TrackStatus
 
 INF = float("inf")
 
@@ -193,6 +191,101 @@ def association_per_track(gated, params):
     ]
     denom = C + sum(likes)
     return C / denom, {det_id: like / denom for det_id, like in zip(gated.detection_ids, likes)}
+
+
+@dataclass
+class Track:
+    track_id: int
+    estimate: KinematicEstimate
+    status: TrackStatus
+    hit_history: deque            # booleans over the last confirm_window steps
+    miss_streak: int
+    birth_detection_id: int       # the detection that spawned the track
+
+
+def lifecycle_update(track, hit, params):
+    """Advance one track's confirmation/deletion state after a hit or
+    miss; updating a deleted track is a contract violation."""
+    if track.status is TrackStatus.DELETED:
+        raise ValueError(f"track {track.track_id} already deleted")
+    track.hit_history.append(bool(hit))
+    track.miss_streak = 0 if hit else track.miss_streak + 1
+    if track.status is TrackStatus.TENTATIVE and sum(track.hit_history) >= params.confirm_hits:
+        track.status = TrackStatus.CONFIRMED
+    if track.miss_streak >= params.delete_misses:
+        track.status = TrackStatus.DELETED
+    return track
+
+
+def birth_tracks(unassigned, params, *, id_source):
+    """A tentative track per unassigned detection, in detection-id
+    order: position from the measurement, zero velocity, velocity
+    variance v_max^2, and the spawning detection as its first hit."""
+    births = []
+    for det in sorted(unassigned, key=lambda d: d.detection_id):
+        x = np.array([float(det.z[0]), float(det.z[1]), 0.0, 0.0])
+        P = np.zeros((4, 4))
+        P[:2, :2] = np.asarray(det.R, dtype=float)
+        P[2, 2] = P[3, 3] = params.v_max_mps * params.v_max_mps
+        history = deque(maxlen=params.confirm_window)
+        history.append(True)
+        births.append(
+            Track(next(id_source), KinematicEstimate(x=x, P=P), TrackStatus.TENTATIVE, history,
+                  0, det.detection_id)
+        )
+    return births
+
+
+def snapshot_record(t, track, detection_id, score, weights, miss=None):
+    """The row of a track as it leaves step t."""
+    x, y, vx, vy = track.estimate.x.tolist()
+    return SnapshotRecord(
+        t, track.track_id, track.status.value, x, y, vx, vy, detection_id, score,
+        weights=weights, miss=miss,
+    )
+
+
+class TrackStep(NamedTuple):
+    t: int
+    tracks: list                  # live tracks after the step (survivors + births)
+    assignments: list             # SnapshotRecord per pre-existing track, by track id
+    births: list                  # the born Tracks
+    deletions: list               # track ids deleted this step
+
+
+def step_result(t, tracks, assignments, births):
+    """Close a step over tracks that have finished their lifecycle
+    update: the deleted ones leave the live list, births join it."""
+    return TrackStep(
+        t=t,
+        tracks=[tr for tr in tracks if tr.status is not TrackStatus.DELETED] + births,
+        assignments=assignments,
+        births=births,
+        deletions=[tr.track_id for tr in tracks if tr.status is TrackStatus.DELETED],
+    )
+
+
+class PerTrackRun(NamedTuple):
+    steps: list
+    snapshots: list
+    tracks: list                  # the live tracks after the last step
+
+
+def run_tracker_per_track(frames, params, step_fn):
+    """The run loop over a per-track step: a list of Track objects
+    passed from step to step, and a row per birth."""
+    live = []
+    id_source = itertools.count()
+    steps, snapshots = [], []
+    for frame in frames:
+        result = step_fn(live, frame, params, id_source=id_source)
+        steps.append(result)
+        snapshots.extend(result.assignments)
+        snapshots.extend(
+            snapshot_record(frame.t, tr, tr.birth_detection_id, None, {}) for tr in result.births
+        )
+        live = result.tracks
+    return PerTrackRun(steps, snapshots, live)
 
 
 def gnn_step_per_track(tracks, frame, params, *, id_source):

@@ -38,7 +38,7 @@ from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof, reflect_acr
 from spoofbench.streams import TAG_SPOOF, derive_seed
 from spoofbench.tracker_gnn import gnn_step, hungarian
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
-from spoofbench.tracking import TrackerParams, birth_tracks, run_tracker, stack_estimates
+from spoofbench.tracking import TrackBank, TrackerParams, birth_tracks, run_tracker
 
 INF = float("inf")
 
@@ -75,7 +75,7 @@ def test_criterion_1_assignment_matches_exhaustive_minimum():
 
 
 def _random_gate_setup(rng):
-    """One track with a predicted prior and k in-gate detections."""
+    """One track's predicted prior and k in-gate detections."""
     params = TrackerParams(
         dt_s=1.0,
         p_detect=float(rng.uniform(0.4, 1.0)),
@@ -83,13 +83,15 @@ def _random_gate_setup(rng):
     )
     z0 = rng.uniform(-200.0, 200.0, 2)
     R = float(rng.uniform(4.0, 49.0)) * np.eye(2)
-    [track] = birth_tracks(
+    bank = TrackBank()
+    birth_tracks(
+        bank,
         [Detection(t=0, detection_id=0, z=z0, R=R, label="clutter")],
         params,
         id_source=iter([0]),
     )
-    x, P = kf_predict_stack(track.estimate.x[None], track.estimate.P[None], params.dt_s, params.q)
-    track.estimate = KinematicEstimate(x=x[0], P=P[0])
+    x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
+    est = KinematicEstimate(x=x[0], P=P[0])
     S = P[0, :2, :2] + R
     chol = np.linalg.cholesky(S)
     k = int(rng.integers(1, 6))
@@ -102,12 +104,12 @@ def _random_gate_setup(rng):
             Detection(
                 t=1,
                 detection_id=i,
-                z=track.estimate.position() + chol @ u,
+                z=est.position() + chol @ u,
                 R=R.copy(),
                 label="clutter",
             )
         )
-    return params, track, dets, R
+    return params, est, dets, R
 
 
 def test_criterion_2_association_normalization_and_dilution():
@@ -119,8 +121,8 @@ def test_criterion_2_association_normalization_and_dilution():
     dilution_ok = 0
     trials = 1000
     for _ in range(trials):
-        params, track, dets, R = _random_gate_setup(rng)
-        x, P = track.estimate.x[None], track.estimate.P[None]
+        params, est, dets, R = _random_gate_setup(rng)
+        x, P = est.x[None], est.P[None]
         gated = gate_stack(DetectionFrame(t=1, detections=tuple(dets)), x, P, params.gamma)
         assert len(gated) == len(dets)
         [(miss, betas)] = association_probabilities(gated, params)
@@ -129,7 +131,7 @@ def test_criterion_2_association_normalization_and_dilution():
         intruder = Detection(
             t=1,
             detection_id=99,
-            z=track.estimate.position().copy(),
+            z=est.position().copy(),
             R=R.copy(),
             label="clutter",
         )
@@ -217,11 +219,11 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
             frames.append(
                 DetectionFrame(t=frame.t, detections=frame.detections + (ghost,))
             )
-        live = []
+        bank = TrackBank()
         id_source = itertools.count()
         for frame in frames:
             ghosts = [d for d in frame.detections if d.label.startswith("spoof")]
-            x, P = kf_predict_stack(*stack_estimates(live), params.dt_s, params.q)
+            x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
             for x_i, P_i in zip(x, P):
                 for g in ghosts:
                     S = P_i[:2, :2] + g.R
@@ -229,13 +231,12 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
                     d2 = float(nu @ np.linalg.solve(S, nu))
                     min_mahalanobis = min(min_mahalanobis, math.sqrt(d2))
             origin = {d.detection_id: d.origin_key() for d in frame.detections}
-            result = gnn_step(live, frame, params, id_source=id_source)
+            result = gnn_step(bank, frame, params, id_source=id_source)
             for outcome in result.assignments:
                 for det_id in outcome.weights:
                     updates_seen += 1
                     if origin[det_id].startswith("spoof"):
                         spoof_consumed += 1
-            live = result.tracks
     _verdict(
         4,
         min_mahalanobis >= 5.0 and spoof_consumed == 0 and updates_seen > 0,

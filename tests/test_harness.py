@@ -1011,6 +1011,16 @@ MALFORMED_MANIFESTS = [
     ("run-spoof-type-not-its-spoof", "drift-gnn-s0/manifest.json",
      lambda m: m.update(spoof_type="ghost"), ("export",),
      "spoof_type 'ghost' is not the 'drift' of its spoof"),
+    # each grid list names an entry once, as in the config
+    ("top-tracker-listed-twice", "manifest.json", lambda m: m["trackers"].append("gnn"),
+     ("compare", "export"), "duplicate trackers: ['gnn', 'gnn']"),
+    ("top-seed-listed-twice", "manifest.json", lambda m: m["seeds"].append(0),
+     ("compare", "export"), "duplicate seeds: [0, 0]"),
+    ("top-spoof-listed-twice", "manifest.json", lambda m: m["spoofs"].append(m["spoofs"][0]),
+     ("compare", "export"), "duplicate spoof names: ['drift', 'drift']"),
+    ("top-spoof-name-of-two-types", "manifest.json",
+     lambda m: m["spoofs"].append(dict(m["spoofs"][0], spoof_type="mirror")),
+     ("compare", "export"), "duplicate spoof names: ['drift', 'drift']"),
 ]
 
 

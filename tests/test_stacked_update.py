@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    PerTrackRun,
     gate_per_track,
     gnn_step_per_track,
     jpda_step_per_track,
     kf_predict_per_track,
     kf_update_per_row,
+    run_tracker_per_track,
     snapshot_json_dict,
 )
 from spoofbench import tracker_gnn, tracking
@@ -174,10 +176,16 @@ def crossing_frames(seed, n_steps=30):
 
 def run_bytes(run):
     """The snapshot rows as written, beta included, plus the final
-    covariances, which the rows do not show."""
+    covariances, which the rows do not show, with their track ids: the
+    final bank's rows, or a per-track run's last live tracks, each in
+    track-id order."""
     rows = json.dumps([snapshot_json_dict(r, True) for r in run.snapshots], allow_nan=False)
-    covs = b"".join(tr.estimate.P.tobytes() for tr in run.steps[-1].tracks)
-    return rows, covs
+    if isinstance(run, PerTrackRun):
+        ids = [tr.track_id for tr in run.tracks]
+        covs = b"".join(tr.estimate.P.tobytes() for tr in run.tracks)
+    else:
+        ids, covs = run.bank.ids, run.bank.P.tobytes()
+    return rows, ids, covs
 
 
 PARAMS = {
@@ -192,7 +200,7 @@ def test_jpda_step_matches_per_track_updates(key, seed):
     frames = crossing_frames(seed)
     params = PARAMS[key]
     got = run_tracker(frames, params, jpda_step)
-    want = run_tracker(frames, params, jpda_step_per_track)
+    want = run_tracker_per_track(frames, params, jpda_step_per_track)
     assert run_bytes(got) == run_bytes(want)
 
     pre_existing = [r for step in got.steps for r in step.assignments]
@@ -221,10 +229,79 @@ def test_gnn_step_matches_per_track_updates(key, seed, monkeypatch):
     frames = crossing_frames(seed)
     params = PARAMS[key]
     got = run_tracker(frames, params, gnn_step)
-    want = run_tracker(frames, params, gnn_step_per_track)
+    want = run_tracker_per_track(frames, params, gnn_step_per_track)
     assert run_bytes(got) == run_bytes(want)
     assert any(contested)  # some detection gated by two tracks
     assert sum(r.detection_id is not None for s in got.steps for r in s.assignments) > 0
+
+
+def test_zero_rows_pass_through_predict_gate_and_update():
+    frame = random_frame(np.random.default_rng(13), 3, np.zeros((1, 2)))
+    x, P = kf_predict_stack(np.zeros((0, 4)), np.zeros((0, 4, 4)), 1.0, 1.0)
+    assert x.shape == (0, 4) and P.shape == (0, 4, 4)
+    gated = gate_stack(frame, x, P)
+    assert gated.d2.shape == gated.inside.shape == (0, 3) and len(gated) == 0
+    none = np.zeros(0, dtype=int)
+    x_post, P_post, nu, S = kf_update_stack(x, P, frame.positions[none], frame.covariances[none])
+    assert [a.shape for a in (x_post, P_post, nu, S)] == [(0, 4), (0, 4, 4), (0, 2), (0, 2, 2)]
+
+
+def frame_at(t, ids, positions):
+    return DetectionFrame(t=t, detections=tuple(
+        Detection(t=t, detection_id=i, z=np.array(z, dtype=float), R=4.0 * np.eye(2),
+                  label="clutter")
+        for i, z in zip(ids, positions)
+    ))
+
+
+def coasting_frames():
+    """Tracks started on crossing frames, then frames with no detection
+    until every row has coasted to its deletion."""
+    frames = crossing_frames(0, n_steps=8)
+    return frames + [DetectionFrame(t=t, detections=()) for t in range(8, 15)]
+
+
+def wiped_frames():
+    """Three births, four empty frames, then one frame whose detections
+    are far outside every gate: that step deletes every row at its fifth
+    miss and births into the emptied bank, and the next updates them."""
+    near = [(0.0, 0.0), (60.0, 0.0), (0.0, 60.0)]
+    far = [(9000.0, 9000.0), (9060.0, 9000.0)]
+    return (
+        [frame_at(0, [0, 1, 2], near)]
+        + [DetectionFrame(t=t, detections=()) for t in range(1, 5)]
+        + [frame_at(5, [3, 4], far), frame_at(6, [5, 6], [(9001.0, 9000.0), (9061.0, 9001.0)])]
+    )
+
+
+EDGE_STREAMS = {"empty": lambda: [], "coasting": coasting_frames, "wiped": wiped_frames}
+
+
+@pytest.mark.parametrize("key", sorted(EDGE_STREAMS))
+@pytest.mark.parametrize(
+    "step_fn,per_track", [(gnn_step, gnn_step_per_track), (jpda_step, jpda_step_per_track)],
+    ids=["gnn", "jpda"],
+)
+def test_bank_edge_cases_match_per_track_steps(key, step_fn, per_track):
+    frames = EDGE_STREAMS[key]()
+    params = PARAMS["clutter"]
+    got = run_tracker(frames, params, step_fn)
+    assert run_bytes(got) == run_bytes(run_tracker_per_track(frames, params, per_track))
+    assert got.bank.x.shape == (len(got.bank), 4) and got.bank.P.shape == (len(got.bank), 4, 4)
+    if key == "empty":
+        assert got.steps == got.snapshots == got.bank.ids == []
+    elif key == "coasting":
+        # every row coasted, scored nothing, and ended deleted
+        assert got.bank.ids == [] and got.steps[-1].assignments == []
+        coasted = [r for step in got.steps[8:] for r in step.assignments]
+        assert coasted and all(r.score is None and not r.weights for r in coasted)
+        assert {r.track_id: r.status for r in got.snapshots} == dict.fromkeys(
+            {r.track_id for r in got.snapshots}, "deleted"
+        )
+    else:
+        wipe = got.steps[5]
+        assert wipe.deletions == [0, 1, 2] and wipe.births == [3, 4]
+        assert [r.detection_id for r in got.steps[6].assignments] == [5, 6]
 
 
 @pytest.mark.parametrize("step_fn", [gnn_step, jpda_step], ids=["gnn", "jpda"])
@@ -245,16 +322,26 @@ def test_steps_read_one_row_per_track_and_keep_no_view(step_fn, monkeypatch):
     for namespace, name in [(module, "kf_predict"), (module, "gate"),
                             (tracking, "kf_predict_stack"), (tracking, "gate_stack")]:
         monkeypatch.setattr(namespace, name, counting(name, getattr(namespace, name)))
+
+    def checked(bank, frame, params, *, id_source):
+        # after every step the bank owns its arrays, so no step's stack
+        # outlives the step, and what the step returns holds no array
+        result = step_fn(bank, frame, params, id_source=id_source)
+        assert bank.x.base is None and bank.P.base is None
+        held = [result.t, *result.births, *result.deletions]
+        for row in result.assignments:
+            held += [*vars(row).values(), *row.weights, *row.weights.values()]
+        assert not any(isinstance(value, np.ndarray) for value in held)
+        return result
+
     frames = crossing_frames(0)
-    run = run_tracker(frames, PARAMS["clutter"], step_fn)
+    run = run_tracker(frames, PARAMS["clutter"], checked)
 
     # one row read per track entering a step, one stacked kernel per step
     track_steps = sum(len(step.assignments) for step in run.steps)
     assert calls["kf_predict"] == calls["gate"] == track_steps > 0
     assert calls["kf_predict_stack"] == calls["gate_stack"] == len(frames)
     assert calls["gate.gated"] == calls["gate_stack.gated"] > 0
-    # every track the run keeps owns its estimate, so no step's stack
-    # outlives the step
-    for step in run.steps:
-        for track in step.tracks:
-            assert track.estimate.x.base is None and track.estimate.P.base is None
+    # and so does every birth row
+    for row in run.snapshots:
+        assert not any(isinstance(value, np.ndarray) for value in vars(row).values())

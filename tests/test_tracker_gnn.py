@@ -22,7 +22,7 @@ from _oracles import (
 
 from spoofbench.estimation import KinematicEstimate, gate_stack, kf_predict_stack, kf_update_stack
 from spoofbench.sensing import Detection, DetectionFrame
-from spoofbench.tracking import TrackerParams, birth_tracks
+from spoofbench.tracking import TrackBank, TrackerParams, birth_tracks
 from spoofbench.tracker_gnn import gnn_step, hungarian
 
 INF = float("inf")
@@ -214,33 +214,36 @@ def frame_of(dets, t=0):
 
 
 def spawn(dets, params, start_id=0):
-    return birth_tracks(dets, params, id_source=itertools.count(start_id))
+    """A bank of one fresh track per detection."""
+    bank = TrackBank()
+    birth_tracks(bank, dets, params, id_source=itertools.count(start_id))
+    return bank
 
 
 def test_step_gates_out_a_far_detection():
     params = TrackerParams()
-    [track] = spawn([clutter_det(0, 0.0, 0.0)], params)
+    bank = spawn([clutter_det(0, 0.0, 0.0)], params)
     # track P after birth is huge in velocity, so gate is wide; a point
     # hundreds of sigma out still must be forbidden
     frame = frame_of([clutter_det(5, 1.0, 0.0, t=1), clutter_det(6, 5000.0, 0.0, t=1)], t=1)
-    x, P = kf_predict_stack(track.estimate.x[None], track.estimate.P[None], params.dt_s, params.q)
+    x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
     gated = gate_stack(frame, x, P, params.gamma)
     assert gated.inside.tolist() == [[True, False]]
     assert gated.detection_ids == (5, 6)
     assert np.isfinite(gated.d2).all()
-    result = gnn_step([track], frame, params, id_source=itertools.count(100))
+    result = gnn_step(bank, frame, params, id_source=itertools.count(100))
     [outcome] = result.assignments
     assert outcome.detection_id == 5
     assert np.isfinite(outcome.score)
     # the far detection took no track and is born
-    assert [tr.birth_detection_id for tr in result.births] == [6]
+    assert [bank.birth_detection_id[bank.ids.index(i)] for i in result.births] == [6]
 
 
 def test_step_assigns_exact_hit():
     params = TrackerParams()
-    tracks = spawn([clutter_det(0, 10.0, -20.0)], params)
+    bank = spawn([clutter_det(0, 10.0, -20.0)], params)
     frame = frame_of([clutter_det(1, 10.0, -20.0, t=1)], t=1)
-    result = gnn_step(tracks, frame, params, id_source=itertools.count(100))
+    result = gnn_step(bank, frame, params, id_source=itertools.count(100))
     [outcome] = result.assignments
     assert outcome.detection_id == 1
     assert outcome.score == pytest.approx(0.0, abs=1e-6)
@@ -250,14 +253,14 @@ def test_step_assigns_exact_hit():
 
 def test_step_miss_spawns_birth():
     params = TrackerParams()
-    tracks = spawn([clutter_det(0, 0.0, 0.0)], params)
+    bank = spawn([clutter_det(0, 0.0, 0.0)], params)
     far = clutter_det(9, 4000.0, 4000.0, t=1)
-    result = gnn_step(tracks, frame_of([far], t=1), params, id_source=itertools.count(100))
+    result = gnn_step(bank, frame_of([far], t=1), params, id_source=itertools.count(100))
     [outcome] = result.assignments
     assert outcome.detection_id is None
     assert outcome.weights == {}
     assert len(result.births) == 1
-    np.testing.assert_allclose(result.births[0].estimate.position(), far.z)
+    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0]), :2], far.z)
 
 
 def test_step_cross_ambiguous_matches_brute_force():
@@ -265,25 +268,18 @@ def test_step_cross_ambiguous_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(30):
         positions = rng.uniform(-50.0, 50.0, (2, 2))
-        tracks = spawn(
+        bank = spawn(
             [clutter_det(0, *positions[0]), clutter_det(1, *positions[1])], params
         )
-        x, P = kf_predict_stack(
-            np.stack([tr.estimate.x for tr in tracks]),
-            np.stack([tr.estimate.P for tr in tracks]),
-            params.dt_s,
-            params.q,
-        )
-        for track, x_i, P_i in zip(tracks, x, P):
-            track.estimate = KinematicEstimate(x=x_i, P=P_i)
+        x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
         dets = [
             clutter_det(10, *(positions[0] + rng.normal(0, 8, 2)), t=1),
             clutter_det(11, *(positions[1] + rng.normal(0, 8, 2)), t=1),
         ]
         d2 = np.array(
             [
-                [mahalanobis2_by_solve(d.z, tr.estimate.x, tr.estimate.P, d.R) for d in dets]
-                for tr in tracks
+                [mahalanobis2_by_solve(d.z, x_i, P_i, d.R) for d in dets]
+                for x_i, P_i in zip(x, P)
             ]
         )
         costs = np.where(d2 <= params.gamma, d2, INF)
@@ -297,9 +293,9 @@ def test_step_cross_ambiguous_matches_brute_force():
 def test_step_one_to_one():
     params = TrackerParams()
     rng = np.random.default_rng(4)
-    tracks = spawn([clutter_det(i, *rng.uniform(-20, 20, 2)) for i in range(5)], params)
+    bank = spawn([clutter_det(i, *rng.uniform(-20, 20, 2)) for i in range(5)], params)
     dets = [clutter_det(10 + i, *rng.uniform(-20, 20, 2), t=1) for i in range(5)]
-    result = gnn_step(tracks, frame_of(dets, t=1), params, id_source=itertools.count(100))
+    result = gnn_step(bank, frame_of(dets, t=1), params, id_source=itertools.count(100))
     used = [o.detection_id for o in result.assignments if o.detection_id is not None]
     assert len(used) == len(set(used))
 

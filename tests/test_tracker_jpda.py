@@ -13,7 +13,7 @@ from spoofbench.estimation import (
     kf_update_stack,
 )
 from spoofbench.sensing import Detection, DetectionFrame
-from spoofbench.tracking import TrackerParams, TrackStatus, birth_tracks
+from spoofbench.tracking import TrackBank, TrackerParams, TrackStatus, birth_tracks
 from spoofbench.tracker_jpda import association_probabilities, jpda_step
 
 
@@ -32,10 +32,17 @@ def predict(est, params):
     return KinematicEstimate(x=x[0], P=P[0])
 
 
-def predicted_track(x, y, params, track_id=0):
-    [track] = birth_tracks([det(0, x, y)], params, id_source=iter([track_id]))
-    track.estimate = predict(track.estimate, params)
-    return track
+def predicted_bank(x, y, params, track_id=0):
+    """A bank of one track born at (x, y) and predicted one step."""
+    bank = TrackBank()
+    birth_tracks(bank, [det(0, x, y)], params, id_source=iter([track_id]))
+    bank.x, bank.P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
+    return bank
+
+
+def row_estimate(bank, row=0):
+    """A bank row's estimate, as views into the bank."""
+    return KinematicEstimate(x=bank.x[row], P=bank.P[row])
 
 
 def gate(frame, est, gamma):
@@ -50,8 +57,8 @@ def weigh(gated, params):
 
 def test_single_detection_no_clutter_beta_one():
     params = TrackerParams(clutter_density=0.0)
-    track = predicted_track(0.0, 0.0, params)
-    gated = gate(frame_of([det(3, 1.0, 1.0, t=1)], t=1), track.estimate, gamma=params.gamma)
+    bank = predicted_bank(0.0, 0.0, params)
+    gated = gate(frame_of([det(3, 1.0, 1.0, t=1)], t=1), row_estimate(bank), gamma=params.gamma)
     miss, betas = weigh(gated, params)
     assert betas[3] == pytest.approx(1.0)
     assert miss == pytest.approx(0.0)
@@ -60,10 +67,10 @@ def test_single_detection_no_clutter_beta_one():
 
 def test_equal_distance_equal_beta():
     params = TrackerParams(clutter_density=0.0)
-    track = predicted_track(0.0, 0.0, params)
+    bank = predicted_bank(0.0, 0.0, params)
     gated = gate(
         frame_of([det(1, 5.0, 0.0, t=1), det(2, -5.0, 0.0, t=1)], t=1),
-        track.estimate,
+        row_estimate(bank),
         gamma=params.gamma,
     )
     _, betas = weigh(gated, params)
@@ -75,9 +82,9 @@ def test_likelihood_ratio_example():
     params = TrackerParams(clutter_density=0.0)
     # zero prior covariance makes S = R exactly, and detections on a
     # circle differ only through d^2
-    track = predicted_track(0.0, 0.0, params)
-    track.estimate.x[:] = 0.0
-    track.estimate.P[:] = 0.0
+    bank = predicted_bank(0.0, 0.0, params)
+    bank.x[0] = 0.0
+    bank.P[0] = 0.0
     R = np.eye(2)
     frame = frame_of(
         [
@@ -88,7 +95,7 @@ def test_likelihood_ratio_example():
         ],
         t=1,
     )
-    gated = gate(frame, track.estimate, gamma=9.21)
+    gated = gate(frame, row_estimate(bank), gamma=9.21)
     np.testing.assert_allclose(gated.d2[0], [0.0, 2.0], atol=1e-12)
     _, betas = weigh(gated, params)
     want = 1.0 / (1.0 + math.exp(-1.0))
@@ -98,8 +105,8 @@ def test_likelihood_ratio_example():
 
 def test_empty_gate_all_miss():
     params = TrackerParams()
-    track = predicted_track(0.0, 0.0, params)
-    gated = gate(frame_of([], t=1), track.estimate, gamma=params.gamma)
+    bank = predicted_bank(0.0, 0.0, params)
+    gated = gate(frame_of([], t=1), row_estimate(bank), gamma=params.gamma)
     assert weigh(gated, params) == (1.0, {})
 
 
@@ -107,13 +114,13 @@ def test_beta_sums_to_one_random():
     params = TrackerParams(clutter_density=1e-4)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        track = predicted_track(*rng.uniform(-100, 100, 2), params)
+        bank = predicted_bank(*rng.uniform(-100, 100, 2), params)
         k = int(rng.integers(0, 6))
-        center = track.estimate.position()
+        center = row_estimate(bank).position()
         dets = [
             det(i, *(center + rng.normal(0, 6, 2)), t=1) for i in range(k)
         ]
-        gated = gate(frame_of(dets, t=1), track.estimate, gamma=params.gamma)
+        gated = gate(frame_of(dets, t=1), row_estimate(bank), gamma=params.gamma)
         miss, betas = weigh(gated, params)
         assert miss + sum(betas.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -147,12 +154,12 @@ def test_dilution_monotone():
     params = TrackerParams(clutter_density=1e-5)
     rng = np.random.default_rng(6)
     for _ in range(100):
-        track = predicted_track(0.0, 0.0, params)
-        center = track.estimate.position()
+        bank = predicted_bank(0.0, 0.0, params)
+        center = row_estimate(bank).position()
         first = det(0, *(center + rng.normal(0, 4, 2)), t=1)
         intruder = det(1, *(center + rng.normal(0, 4, 2)), t=1)
-        g1 = gate(frame_of([first], t=1), track.estimate, gamma=params.gamma)
-        g2 = gate(frame_of([first, intruder], t=1), track.estimate, gamma=params.gamma)
+        g1 = gate(frame_of([first], t=1), row_estimate(bank), gamma=params.gamma)
+        g2 = gate(frame_of([first, intruder], t=1), row_estimate(bank), gamma=params.gamma)
         if len(g2) != 2:
             continue
         _, b1 = weigh(g1, params)
@@ -162,13 +169,14 @@ def test_dilution_monotone():
 
 def test_step_single_detection_reduces_to_kalman():
     params = TrackerParams(clutter_density=0.0)
-    [track] = birth_tracks([det(0, 10.0, 5.0)], params, id_source=iter([0]))
+    bank = TrackBank()
+    birth_tracks(bank, [det(0, 10.0, 5.0)], params, id_source=iter([0]))
     z = det(4, 12.0, 4.0, t=1)
     # the step predicts before associating, so mirror that by hand
-    reference = predict(track.estimate, params)
-    result = jpda_step([track], frame_of([z], t=1), params, id_source=itertools.count(50))
+    reference = predict(row_estimate(bank), params)
+    result = jpda_step(bank, frame_of([z], t=1), params, id_source=itertools.count(50))
     want_x, want_P, _, _ = kf_update_stack(reference.x[None], reference.P[None], z.z[None], z.R[None])
-    got = result.tracks[0].estimate
+    got = row_estimate(bank)
     np.testing.assert_allclose(got.x, want_x[0], atol=1e-9)
     np.testing.assert_allclose(got.P, want_P[0], atol=1e-9)
     [outcome] = result.assignments
@@ -181,35 +189,35 @@ def test_step_single_detection_reduces_to_kalman():
 
 def test_step_empty_gate_coasts():
     params = TrackerParams()
-    track = predicted_track(0.0, 0.0, params)
-    predicted = track.estimate.x.copy()
-    result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
+    bank = predicted_bank(0.0, 0.0, params)
+    predicted = row_estimate(bank).x.copy()
+    result = jpda_step(bank, frame_of([], t=1), params, id_source=itertools.count(50))
     [outcome] = result.assignments
     assert outcome.detection_id is None
     assert snapshot_json_dict(outcome, True)["beta"] == {"miss": 1.0}
-    np.testing.assert_allclose(result.tracks[0].estimate.x, predicted)
+    np.testing.assert_allclose(row_estimate(bank).x, predicted)
 
 
 def test_step_empty_gate_names_no_detection_at_zero_hit_threshold():
     # every step is a hit at threshold 0, even one with nothing in the gate
     params = TrackerParams(hit_threshold=0.0)
-    track = predicted_track(0.0, 0.0, params)
-    result = jpda_step([track], frame_of([], t=1), params, id_source=itertools.count(50))
+    bank = predicted_bank(0.0, 0.0, params)
+    result = jpda_step(bank, frame_of([], t=1), params, id_source=itertools.count(50))
     [outcome] = result.assignments
     assert outcome.detection_id is None
-    assert result.tracks[0].miss_streak == 0
+    assert bank.miss_streak[0] == 0
 
 
 def test_step_symmetric_pair_lands_midway():
     params = TrackerParams(clutter_density=0.0)
-    track = predicted_track(0.0, 0.0, params)
-    track.estimate.x[:] = 0.0
-    track.estimate.P[:] = np.diag([1e9, 1e9, 1.0, 1.0])
+    bank = predicted_bank(0.0, 0.0, params)
+    bank.x[0] = 0.0
+    bank.P[0] = np.diag([1e9, 1e9, 1.0, 1.0])
     frame = frame_of([det(0, 5.0, 3.0, t=1), det(1, 5.0, -3.0, t=1)], t=1)
-    result = jpda_step([track], frame, params, id_source=itertools.count(50))
+    result = jpda_step(bank, frame, params, id_source=itertools.count(50))
     # betas are 0.5 each; with a diffuse prior the composite mean is the
     # projection midpoint of the two measurements
-    pos = result.tracks[0].estimate.position()
+    pos = row_estimate(bank).position()
     np.testing.assert_allclose(pos, [5.0, 0.0], atol=1e-3)
 
 
@@ -217,31 +225,31 @@ def test_composite_covariance_psd():
     params = TrackerParams(clutter_density=1e-4)
     rng = np.random.default_rng(7)
     for _ in range(100):
-        track = predicted_track(*rng.uniform(-50, 50, 2), params)
-        center = track.estimate.position()
+        bank = predicted_bank(*rng.uniform(-50, 50, 2), params)
+        center = row_estimate(bank).position()
         dets = [det(i, *(center + rng.normal(0, 5, 2)), t=1) for i in range(3)]
-        result = jpda_step([track], frame_of(dets, t=1), params, id_source=itertools.count(90))
-        P = result.tracks[0].estimate.P
+        result = jpda_step(bank, frame_of(dets, t=1), params, id_source=itertools.count(90))
+        P = row_estimate(bank).P
         assert np.linalg.eigvalsh(P).min() >= -1e-9
         np.testing.assert_allclose(P, P.T, atol=1e-12)
 
 
 def test_hit_threshold_drives_lifecycle():
     params = TrackerParams(clutter_density=0.0)
-    track = predicted_track(0.0, 0.0, params)
+    bank = predicted_bank(0.0, 0.0, params)
     # birth already queued one hit; a confident association adds the
     # second and confirms 2-of-3
     result = jpda_step(
-        [track], frame_of([det(2, 1.0, 0.0, t=1)], t=1), params, id_source=itertools.count(9)
+        bank, frame_of([det(2, 1.0, 0.0, t=1)], t=1), params, id_source=itertools.count(9)
     )
-    assert result.tracks[0].status is TrackStatus.CONFIRMED
+    assert bank.status[0] is TrackStatus.CONFIRMED
 
 
 def test_births_only_from_ungated_detections():
     params = TrackerParams()
-    track = predicted_track(0.0, 0.0, params)
+    bank = predicted_bank(0.0, 0.0, params)
     near = det(1, 2.0, 0.0, t=1)
     far = det(2, 500.0, 500.0, t=1)
-    result = jpda_step([track], frame_of([near, far], t=1), params, id_source=itertools.count(70))
+    result = jpda_step(bank, frame_of([near, far], t=1), params, id_source=itertools.count(70))
     assert len(result.births) == 1
-    np.testing.assert_allclose(result.births[0].estimate.position(), far.z)
+    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0]), :2], far.z)

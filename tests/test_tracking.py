@@ -7,6 +7,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import Track
+from _oracles import lifecycle_update as lifecycle_update_per_track
 
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
@@ -18,10 +23,11 @@ from spoofbench.scenario import (
 )
 from spoofbench.sensing import Detection, DetectionFrame, SensorConfig, generate_clean_run
 from spoofbench.tracking import (
-    Track,
+    TrackBank,
     TrackStatus,
     TrackerParams,
     birth_tracks,
+    drop_deleted,
     lifecycle_update,
     read_snapshots_jsonl,
     run_tracker,
@@ -40,15 +46,17 @@ def det(i, x, y, t=0):
     )
 
 
-def fresh_track(track_id=0, window=3):
+def fresh_bank(window=3):
+    """A bank of one tentative track with an empty hit history."""
     est = estimate_from_detection(np.zeros(2), 25.0 * np.eye(2))
-    return Track(
-        track_id=track_id,
-        estimate=est,
-        status=TrackStatus.TENTATIVE,
-        hit_history=deque(maxlen=window),
-        miss_streak=0,
-        birth_detection_id=0,
+    return TrackBank(
+        ids=[0],
+        x=est.x[None],
+        P=est.P[None],
+        status=[TrackStatus.TENTATIVE],
+        miss_streak=[0],
+        hit_history=[deque(maxlen=window)],
+        birth_detection_id=[0],
     )
 
 
@@ -57,64 +65,111 @@ def params(**kw):
 
 
 def test_confirm_two_of_three():
-    track = fresh_track()
+    bank = fresh_bank()
     p = params()
-    lifecycle_update(track, hit=True, params=p)
-    assert track.status is TrackStatus.TENTATIVE
-    lifecycle_update(track, hit=True, params=p)
-    assert track.status is TrackStatus.CONFIRMED
+    lifecycle_update(bank, [True], params=p)
+    assert bank.status[0] is TrackStatus.TENTATIVE
+    lifecycle_update(bank, [True], params=p)
+    assert bank.status[0] is TrackStatus.CONFIRMED
 
 
 def test_confirm_two_of_three_with_gap():
-    track = fresh_track()
+    bank = fresh_bank()
     p = params()
-    lifecycle_update(track, hit=True, params=p)
-    lifecycle_update(track, hit=False, params=p)
-    lifecycle_update(track, hit=True, params=p)
-    assert track.status is TrackStatus.CONFIRMED
+    lifecycle_update(bank, [True], params=p)
+    lifecycle_update(bank, [False], params=p)
+    lifecycle_update(bank, [True], params=p)
+    assert bank.status[0] is TrackStatus.CONFIRMED
 
 
 def test_delete_after_five_misses():
-    track = fresh_track()
+    bank = fresh_bank()
     p = params()
     for _ in range(4):
-        lifecycle_update(track, hit=False, params=p)
-        assert track.status is not TrackStatus.DELETED
-    lifecycle_update(track, hit=False, params=p)
-    assert track.status is TrackStatus.DELETED
+        lifecycle_update(bank, [False], params=p)
+        assert bank.status[0] is not TrackStatus.DELETED
+    lifecycle_update(bank, [False], params=p)
+    assert bank.status[0] is TrackStatus.DELETED
 
 
 def test_alternating_never_deleted():
-    track = fresh_track()
+    bank = fresh_bank()
     p = params()
     for k in range(100):
-        lifecycle_update(track, hit=k % 2 == 0, params=p)
-        assert track.status is not TrackStatus.DELETED
+        lifecycle_update(bank, [k % 2 == 0], params=p)
+        assert bank.status[0] is not TrackStatus.DELETED
 
 
 def test_update_deleted_rejected():
-    track = fresh_track()
+    bank = fresh_bank()
     p = params()
     for _ in range(5):
-        lifecycle_update(track, hit=False, params=p)
+        lifecycle_update(bank, [False], params=p)
     with pytest.raises(ValueError):
-        lifecycle_update(track, hit=True, params=p)
+        lifecycle_update(bank, [True], params=p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    window=st.one_of(st.integers(1, 6), st.just(sys.maxsize)),
+    hits_needed=st.integers(1, 6),
+    delete_misses=st.integers(1, 6),
+    born=st.lists(st.booleans(), min_size=1, max_size=6),
+    steps=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), max_size=40),
+)
+def test_bank_lifecycle_matches_per_track_oracle(window, hits_needed, delete_misses, born, steps):
+    # one row per entry of born, whose hit history starts with a birth's
+    # hit if it is true; each step gives the live rows, in track-id order,
+    # the first of its hits. Status, miss streak, hit history and the
+    # step of each deletion match one per-track call per track
+    p = params(
+        confirm_hits=min(hits_needed, window), confirm_window=window, delete_misses=delete_misses
+    )
+    n = len(born)
+    histories = [[True] if b else [] for b in born]
+    bank = TrackBank(
+        ids=list(range(n)),
+        x=np.zeros((n, 4)),
+        P=np.zeros((n, 4, 4)),
+        status=[TrackStatus.TENTATIVE] * n,
+        miss_streak=[0] * n,
+        hit_history=[deque(h, maxlen=window) for h in histories],
+        birth_detection_id=[0] * n,
+    )
+    tracks = [
+        Track(i, None, TrackStatus.TENTATIVE, deque(h, maxlen=window), 0, 0)
+        for i, h in enumerate(histories)
+    ]
+    for hits in steps:
+        lifecycle_update(bank, hits[: len(bank)], p)
+        for track, hit in zip(tracks, hits):
+            lifecycle_update_per_track(track, hit, p)
+        assert bank.status == [tr.status for tr in tracks]
+        assert bank.miss_streak == [tr.miss_streak for tr in tracks]
+        assert [list(h) for h in bank.hit_history] == [list(tr.hit_history) for tr in tracks]
+        deleted = [tr.track_id for tr in tracks if tr.status is TrackStatus.DELETED]
+        assert drop_deleted(bank) == deleted
+        tracks = [tr for tr in tracks if tr.status is not TrackStatus.DELETED]
+        assert bank.ids == [tr.track_id for tr in tracks]
+        assert bank.x.shape == (len(tracks), 4) and bank.P.shape == (len(tracks), 4, 4)
 
 
 def test_birth_all_unassigned():
     p = params()
     dets = [det(0, 1.0, 2.0), det(1, 3.0, 4.0), det(2, 5.0, 6.0)]
     source = iter(range(100))
-    tracks = birth_tracks(dets, p, id_source=source)
-    assert len(tracks) == 3
-    for track, d in zip(tracks, dets):
-        assert track.status is TrackStatus.TENTATIVE
-        np.testing.assert_allclose(track.estimate.position(), d.z)
+    bank = TrackBank()
+    ids = birth_tracks(bank, dets, p, id_source=source)
+    assert len(ids) == 3
+    for row, d in enumerate(dets):
+        assert bank.status[row] is TrackStatus.TENTATIVE
+        np.testing.assert_allclose(bank.x[row, :2], d.z)
 
 
 def test_birth_records_assignment():
-    [track] = birth_tracks([det(7, 1.0, 2.0, t=3)], params(), id_source=iter([42]))
-    assert (track.track_id, track.birth_detection_id) == (42, 7)
+    bank = TrackBank()
+    [track_id] = birth_tracks(bank, [det(7, 1.0, 2.0, t=3)], params(), id_source=iter([42]))
+    assert (track_id, bank.birth_detection_id[0]) == (42, 7)
     # a birth's row carries its spawning detection, but no score and no
     # consumed weight: the detection started the track, it did not update it
     frames = [
@@ -123,13 +178,20 @@ def test_birth_records_assignment():
     ]
     run = run_tracker(frames, params(), gnn_step)
     [born] = run.steps[1].births
-    assert born.hit_history[-1] is True
+    assert run.bank.hit_history[run.bank.ids.index(born)][-1] is True
     [row] = run.snapshots
-    assert (row.t, row.track_id, row.status) == (1, born.track_id, "tentative")
+    assert (row.t, row.track_id, row.status) == (1, born, "tentative")
     assert (row.x, row.y) == (1.0, 2.0)
     assert row.detection_id == 7
     assert row.score is None
     assert row.weights == {} and row.miss is None
+
+
+def test_births_keep_the_bank_in_track_id_order():
+    bank = TrackBank()
+    birth_tracks(bank, [det(0, 1.0, 2.0)], params(), id_source=iter([5]))
+    with pytest.raises(ValueError, match="track ids must increase"):
+        birth_tracks(bank, [det(1, 3.0, 4.0)], params(), id_source=iter([5]))
 
 
 def test_params_validation_and_round_trip():
@@ -179,8 +241,7 @@ def two_platform_frames(duration=40.0, seed=0, clutter=0.0):
 def test_track_ids_unique_never_reused(step_fn, name):
     _, frames = two_platform_frames(clutter=2.0)
     run = run_tracker(frames, params(), step_fn)
-    born = [t for step in run.steps for t in step.births]
-    ids = [t.track_id for t in born]
+    ids = [track_id for step in run.steps for track_id in step.births]
     assert len(ids) == len(set(ids))
 
 
