@@ -42,7 +42,7 @@ def one_run(frames, truth, spoofed_run, sensor, scenario, step_fn, name):
     )
     run = run_tracker(frames, params, step_fn)
     return compute_run_report(
-        run, truth, spoofed_run,
+        run.snapshots, truth, spoofed_run,
         tracker_name=name, spoof_name="ghost", seed=0,
         config_digest="demo", noise_sigma_m=sensor.noise_sigma_m,
     )
@@ -95,7 +95,7 @@ def main():
     params = TrackerParams(clutter_density=2.0 / 1200.0 ** 2)
     seed_det = Detection(t=0, detection_id=0, z=np.array([0.0, 0.0]),
                          R=np.eye(2) * 25.0, label="clutter")
-    predicted = estimate_from_detection(seed_det.z, seed_det.R)
+    x, P = estimate_from_detection(seed_det.z, seed_det.R)
     for k in (1, 2, 4, 8):
         dets = [
             Detection(t=1, detection_id=i, z=np.array([0.0, 0.0]),
@@ -103,7 +103,7 @@ def main():
             for i in range(k)
         ]
         frame = DetectionFrame(t=1, detections=tuple(dets))
-        gated = gate_stack(frame, predicted.x[None], predicted.P[None])
+        gated = gate_stack(frame, x[None], P[None])
         [(miss, betas)] = association_probabilities(gated, params)
         top = max(betas.values())
         print(f"  {k} detections in gate: top beta {top:.3f}, miss {miss:.3f}, "

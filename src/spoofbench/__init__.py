@@ -28,7 +28,6 @@ from .spoofing import (
 )
 from .estimation import (
     GateResult,
-    KinematicEstimate,
     estimate_from_detection,
 )
 from .tracking import (
@@ -82,7 +81,6 @@ __all__ = [
     "SpoofedRun",
     "apply_spoof",
     "GateResult",
-    "KinematicEstimate",
     "estimate_from_detection",
     "TrackBank",
     "TrackStatus",

@@ -23,20 +23,6 @@ GAMMA_DEFAULT = 9.21
 V_MAX_DEFAULT = 50.0
 
 
-@dataclass
-class KinematicEstimate:
-    """State mean x = (px, py, vx, vy) and covariance P (4x4)."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-    def position(self) -> np.ndarray:
-        return self.x[:2]
-
-    def velocity(self) -> np.ndarray:
-        return self.x[2:]
-
-
 @dataclass  # not frozen: gate_row builds one per track, and a frozen __init__ takes 3x as long
 class GateResult:
     """N tracks scored against the M detections of one frame.
@@ -190,15 +176,15 @@ def gate_stack(
 
 def estimate_from_detection(
     z: np.ndarray, R: np.ndarray, v_max: float = V_MAX_DEFAULT
-) -> KinematicEstimate:
+) -> tuple[np.ndarray, np.ndarray]:
     """Track initialization from one detection, z (2,) and R (2, 2), or a
-    stack, z (k, 2) and R (k, 2, 2): position from the measurement, zero
-    velocity, velocity variance v_max^2 so the first gate admits any
-    plausible mover."""
+    stack, z (k, 2) and R (k, 2, 2); returns new arrays (x, P): position
+    from the measurement, zero velocity, velocity variance v_max^2 so the
+    first gate admits any plausible mover."""
     z = np.asarray(z, dtype=float)
     x = np.zeros(z.shape[:-1] + (4,))
     x[..., :2] = z
     P = np.zeros(z.shape[:-1] + (4, 4))
     P[..., :2, :2] = R
     P[..., 2, 2] = P[..., 3, 3] = v_max * v_max
-    return KinematicEstimate(x=x, P=P)
+    return x, P

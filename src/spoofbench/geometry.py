@@ -10,6 +10,12 @@ import numpy as np
 from .codec import Record
 from .errors import ConfigError
 
+# bound on the magnitude of a region coordinate: 2.6 times the distance
+# to the Moon, far beyond any sensor's field of view. A region's width
+# stays finite for numpy's uniform sampler, and a squared distance across
+# it (at most 4e18 m^2) far from overflow
+MAX_COORDINATE_M = 1e9
+
 
 @dataclass(frozen=True)
 class Region(Record):
@@ -21,6 +27,12 @@ class Region(Record):
     y_max: float
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            value = getattr(self, name)
+            if not -MAX_COORDINATE_M <= value <= MAX_COORDINATE_M:
+                raise ConfigError(
+                    f"{name} {value} outside [{-MAX_COORDINATE_M:g}, {MAX_COORDINATE_M:g}]"
+                )
         # a positive area also rules out extents so small their product underflows
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.area > 0.0):
             raise ConfigError(

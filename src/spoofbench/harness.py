@@ -380,7 +380,7 @@ def run_group(specs: list[RunManifest], out_dir: str) -> None:
             spoofed_run.spoofed_frames, spec.tracker_params, TRACKER_STEPS[spec.tracker]
         )
         report = compute_run_report(
-            run,
+            run.snapshots,
             truth,
             spoofed_run,
             tracker_name=spec.tracker,
@@ -389,7 +389,9 @@ def run_group(specs: list[RunManifest], out_dir: str) -> None:
             config_digest=spec.config_digest,
             noise_sigma_m=spec.sensor.noise_sigma_m,
         )
-        write_snapshots_jsonl(run_dir / "snapshots.jsonl", run, include_beta=spec.include_beta)
+        write_snapshots_jsonl(
+            run_dir / "snapshots.jsonl", run.snapshots, include_beta=spec.include_beta
+        )
         write_report_json(run_dir / "report.json", report)
         _write_json(run_dir / "manifest.json", spec.as_dict())
         # release this tracker's run before the next one starts, so a

@@ -332,7 +332,7 @@ class RunReport(Record):
 
 
 def compute_run_report(
-    run,
+    snapshots: Sequence[SnapshotRecord],
     truth: GroundTruth,
     spoofed_run,
     tracker_name: str,
@@ -341,12 +341,13 @@ def compute_run_report(
     config_digest: str,
     noise_sigma_m: float,
 ) -> RunReport:
-    """Assemble the full metric bundle for one finished run."""
-    correspondence = match_tracks_to_truth(run.snapshots, truth)
+    """Assemble the full metric bundle for one finished run from its
+    snapshot rows."""
+    correspondence = match_tracks_to_truth(snapshots, truth)
     origins = detection_origins(spoofed_run.spoofed_frames)
     drift = drift_from_truth(correspondence, truth)
     window = spoofed_run.config.injection_window
-    consumed = score_consumption(run.snapshots, correspondence, origins, window)
+    consumed = score_consumption(snapshots, correspondence, origins, window)
     recovery = recovery_rate(
         correspondence, truth, consumed.spoofed_platforms, noise_sigma_m, window
     )

@@ -19,6 +19,12 @@ from .geometry import Region
 DT_MIN_S = 0.1
 DT_MAX_S = 5.0
 
+# bound on a scenario's steps: a hundred times the shipped 100-step
+# scenarios, and few enough that one run's arrays and snapshot rows fit
+# in memory (the dense_ghost benchmark config stretched to 10,000 steps,
+# about 14 detections a frame, runs one gnn cell at a 460 MB peak)
+MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class PlatformSpec(Record):
@@ -79,6 +85,11 @@ class ScenarioConfig(Record):
             raise ConfigError(f"dt_s {self.dt_s} outside [{DT_MIN_S}, {DT_MAX_S}]")
         if self.duration_s < self.dt_s:
             raise ConfigError("duration_s must be at least dt_s")
+        # before n_steps, whose int() an infinite ratio would overflow
+        if self.duration_s > MAX_STEPS * self.dt_s:
+            raise ConfigError(
+                f"duration_s {self.duration_s} is more than {MAX_STEPS} steps of dt_s {self.dt_s}"
+            )
         if self.n_steps < 2:
             raise ConfigError("scenario needs at least 2 timesteps")
         if not self.platforms:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
-from .geometry import Region
+from .geometry import MAX_COORDINATE_M, Region
 from .streams import TAG_SENSE, substream
 
 # substream slot reserved for the clutter draws of a frame; platform
@@ -26,6 +26,11 @@ CLUTTER_SLOT = 2**20
 # frame: far above every rate the repo uses (at most 30), and far below
 # a count that would exhaust memory or numpy's Poisson sampler
 MAX_RATE_PER_FRAME = 1_000.0
+
+# bound on a noise standard deviation, a sensor's or a ghost cloud's: no
+# wider than the largest region, so a detection's R = sigma^2 I stays far
+# from overflow (see tracking.MAX_SPEED_MPS)
+MAX_SIGMA_M = MAX_COORDINATE_M
 
 DEFAULT_FOV = Region(-600.0, 600.0, -600.0, 600.0)
 
@@ -98,6 +103,8 @@ class SensorConfig(Record):
             raise ConfigError(f"p_detect {self.p_detect} outside [0, 1]")
         if self.noise_sigma_m <= 0.0:
             raise ConfigError("noise_sigma_m must be positive")
+        if self.noise_sigma_m > MAX_SIGMA_M:
+            raise ConfigError(f"noise_sigma_m {self.noise_sigma_m} exceeds {MAX_SIGMA_M:g}")
         if not 0.0 <= self.clutter_rate <= MAX_RATE_PER_FRAME:
             raise ConfigError(
                 f"clutter_rate {self.clutter_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import Record, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import Region
-from .sensing import LABEL_CLEAN, MAX_RATE_PER_FRAME, Detection, DetectionFrame
+from .sensing import LABEL_CLEAN, MAX_RATE_PER_FRAME, MAX_SIGMA_M, Detection, DetectionFrame
 from .streams import TAG_SPOOF, substream
 
 GHOST_MODE_UNIFORM = "uniform"
@@ -89,6 +89,8 @@ class SpoofConfig(Record):
                 raise ConfigError(f"unknown ghost_mode {self.ghost_mode!r}")
             if self.ghost_sigma_m <= 0.0:
                 raise ConfigError("ghost_sigma_m must be positive")
+            if self.ghost_sigma_m > MAX_SIGMA_M:
+                raise ConfigError(f"ghost_sigma_m {self.ghost_sigma_m} exceeds {MAX_SIGMA_M:g}")
             if self.ghost_radius_m <= 0.0:
                 raise ConfigError("ghost_radius_m must be positive")
             if not 0.0 <= self.ghost_inner_m < self.ghost_radius_m:

@@ -196,8 +196,8 @@ def gnn_step(
 
     lifecycle_update(bank, hits, params)
     records = snapshot_rows(frame.t, bank, det_ids, scores, weights, [None] * n)
-    deletions = drop_deleted(bank)
+    drop_deleted(bank)
     assigned = set(cols)
     unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
-    births = birth_tracks(bank, unassigned, params, id_source=id_source)
-    return StepResult(frame.t, records, births, deletions)
+    births = birth_tracks(bank, unassigned, params, frame.t, id_source=id_source)
+    return StepResult(records, births)

@@ -40,7 +40,7 @@ def association_probabilities(gated: GateResult, params: TrackerParams) -> list[
     underflows to 0, the likelihoods are taken relative to the nearest
     detection's, exp(-(d2_i - min d2) / 2), and miss is 0.
     """
-    C = params.clutter_density * (1.0 - params.p_detect) / params.p_detect
+    C = params.miss_mass
     rows, cols = np.nonzero(gated.inside)
     S = gated.S[rows, cols]
     det_S = (S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]).tolist()
@@ -160,8 +160,8 @@ def jpda_step(
         frame.t, bank, best, scores, [betas for _, betas in probabilities],
         [miss for miss, _ in probabilities],
     )
-    deletions = drop_deleted(bank)
+    drop_deleted(bank)
     gated_cols = gated.inside.any(axis=0).tolist()
     unassigned = [d for d, g in zip(frame.detections, gated_cols) if not g]
-    births = birth_tracks(bank, unassigned, params, id_source=id_source)
-    return StepResult(frame.t, records, births, deletions)
+    births = birth_tracks(bank, unassigned, params, frame.t, id_source=id_source)
+    return StepResult(records, births)

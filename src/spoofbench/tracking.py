@@ -3,8 +3,9 @@
 Both trackers drive the same machinery: run_tracker carries the live
 tracks from frame to frame as one TrackBank. A step function predicts,
 gates and updates the bank's rows, runs their lifecycle, takes their
-rows (snapshot_rows), drops the deleted ones and appends births, and
-returns a StepResult; run_tracker adds a row per birth. Provenance stays
+rows (snapshot_rows), drops the deleted ones and appends births, whose
+rows birth_tracks writes, and returns both sets of rows as a
+StepResult; run_tracker appends them to the run's rows. Provenance stays
 on the detections: the metrics look it up by (t, detection_id) in the
 spoofed stream, so neither the trackers nor this loop read labels.
 Confirmation is M-of-N on the hit history; deletion is a consecutive
@@ -27,9 +28,20 @@ import numpy as np
 
 from .codec import Record, _decode_key, check_keys, decode
 from .errors import ConfigError
-from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult, KinematicEstimate
+from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult
 from .estimation import estimate_from_detection, gate_stack, kf_predict_stack
 from .sensing import Detection, DetectionFrame
+
+# Bounds on v_max_mps and q: no tracked object outruns light, and q, the
+# white acceleration's variance, gets as much headroom. A track that
+# coasts a whole scenario, scenario.MAX_STEPS steps of scenario.DT_MAX_S,
+# from a detection of sensing.MAX_SIGMA_M noise ends with a position
+# variance of 2.1e34 m^2 at these bounds; every innovation covariance
+# determinant stays below 1e70, far from overflow. A Kalman update only
+# shrinks a covariance, so coasting is a hard associator's worst case.
+MAX_SPEED_MPS = 299_792_458.0
+MAX_Q = 1e20
+
 
 class TrackStatus(str, Enum):
     TENTATIVE = "tentative"
@@ -60,16 +72,21 @@ class TrackerParams(Record):
             raise ConfigError("dt_s must be positive")
         if self.gamma < 0.0:
             raise ConfigError("gamma must be non-negative")
-        if self.q < 0.0:
-            raise ConfigError("q must be non-negative")
-        if self.v_max_mps <= 0.0:
-            raise ConfigError("v_max_mps must be positive")
+        if not 0.0 <= self.q <= MAX_Q:
+            raise ConfigError(f"q {self.q} outside [0, {MAX_Q:g}]")
+        if not 0.0 < self.v_max_mps <= MAX_SPEED_MPS:
+            raise ConfigError(f"v_max_mps {self.v_max_mps} outside (0, {MAX_SPEED_MPS}]")
         if not 0.0 <= self.hit_threshold <= 1.0:
             raise ConfigError("hit_threshold must be in [0, 1]")
         if not 0.0 < self.p_detect <= 1.0:
             raise ConfigError("p_detect must be in (0, 1]")
         if self.clutter_density < 0.0:
             raise ConfigError("clutter_density must be non-negative")
+        if not math.isfinite(self.miss_mass):
+            raise ConfigError(
+                f"clutter_density {self.clutter_density} at p_detect {self.p_detect} makes"
+                " JPDA's miss mass clutter_density * (1 - p_detect) / p_detect overflow"
+            )
         if not 1 <= self.confirm_hits <= self.confirm_window:
             raise ConfigError("need 1 <= confirm_hits <= confirm_window")
         if self.confirm_window > sys.maxsize:
@@ -78,14 +95,18 @@ class TrackerParams(Record):
         if self.delete_misses < 1:
             raise ConfigError("delete_misses must be at least 1")
 
+    @property
+    def miss_mass(self) -> float:
+        """JPDA's clutter/miss mass, clutter_density (1 - p_detect) / p_detect."""
+        return self.clutter_density * (1.0 - self.p_detect) / self.p_detect
+
 
 @dataclass(eq=False)  # rows hold arrays, which == does not reduce to a bool
 class TrackBank:
     """The live tracks of a run, one row each in track-id order: means x
     (N, 4), covariances P (N, 4, 4), and per row the track id, status,
-    consecutive miss streak, hit history (booleans over the last
-    confirm_window steps) and the detection that spawned the track.
-    x and P always own their memory."""
+    consecutive miss streak and hit history (booleans over the last
+    confirm_window steps). x and P always own their memory."""
 
     ids: list = field(default_factory=list)
     x: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
@@ -93,7 +114,6 @@ class TrackBank:
     status: list = field(default_factory=list)
     miss_streak: list = field(default_factory=list)
     hit_history: list = field(default_factory=list)
-    birth_detection_id: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -121,10 +141,10 @@ class TrackStack:
         return gate_stack(self.frame, *self.predicted, self.params.gamma)
 
 
-def predict_row(stack: TrackStack, row: int) -> KinematicEstimate:
-    """Row's prediction, a view into the stack."""
+def predict_row(stack: TrackStack, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row's prediction (x, P), views into the stack."""
     x, P = stack.predicted
-    return KinematicEstimate(x=x[row], P=P[row])
+    return x[row], P[row]
 
 
 def gate_row(stack: TrackStack, row: int) -> GateResult:
@@ -150,33 +170,34 @@ def lifecycle_update(bank: TrackBank, hits: Sequence[bool], params: TrackerParam
             status[row] = _CONFIRMED
 
 
-def drop_deleted(bank: TrackBank) -> list[int]:
+def drop_deleted(bank: TrackBank) -> None:
     """Remove the rows whose lifecycle ended, in one fancy-index pass
-    over x and P; returns their track ids."""
+    over x and P."""
     gone = [row for row, s in enumerate(bank.status) if s is _DELETED]
     if not gone:
-        return []
+        return
     keep = np.ones(len(bank), dtype=bool)
     keep[gone] = False
     bank.x, bank.P = bank.x[keep], bank.P[keep]
-    deleted = [bank.ids[row] for row in gone]
-    for column in (bank.ids, bank.status, bank.miss_streak, bank.hit_history,
-                   bank.birth_detection_id):
+    for column in (bank.ids, bank.status, bank.miss_streak, bank.hit_history):
         for row in reversed(gone):
             del column[row]
-    return deleted
 
 
 def birth_tracks(
     bank: TrackBank,
     unassigned: Sequence[Detection],
     params: TrackerParams,
+    t: int,
     *,
     id_source: Iterator[int],
-) -> list[int]:
+) -> list[SnapshotRecord]:
     """Append a tentative row per unassigned detection, in detection-id
-    order, whose detection counts as its first hit; returns the new
-    track ids, which id_source must yield above every id in the bank."""
+    order, whose detection counts as its first hit; returns the births'
+    rows for step t. Their track ids come from id_source, which must
+    yield them above every id in the bank. A birth's row names its
+    spawning detection, but has no score and consumed no weight: the
+    detection started the track, it did not update it."""
     dets = sorted(unassigned, key=lambda d: d.detection_id)
     if not dets:
         return []
@@ -184,17 +205,20 @@ def birth_tracks(
     order = bank.ids[-1:] + ids
     if any(a >= b for a, b in zip(order, order[1:])):
         raise ValueError(f"track ids must increase, got {order}")
-    est = estimate_from_detection(
+    x, P = estimate_from_detection(
         np.array([d.z for d in dets]), np.array([d.R for d in dets]), params.v_max_mps
     )
-    bank.x = np.concatenate((bank.x, est.x))
-    bank.P = np.concatenate((bank.P, est.P))
+    born = len(bank)
+    bank.x = np.concatenate((bank.x, x))
+    bank.P = np.concatenate((bank.P, P))
     bank.ids += ids
     bank.status += [_TENTATIVE] * len(dets)
     bank.miss_streak += [0] * len(dets)
     bank.hit_history += [deque((True,), maxlen=params.confirm_window) for _ in dets]
-    bank.birth_detection_id += [d.detection_id for d in dets]
-    return ids
+    none = itertools.repeat(None)
+    return snapshot_rows(
+        t, bank, [d.detection_id for d in dets], none, [{} for _ in dets], none, born
+    )
 
 
 @dataclass
@@ -299,10 +323,8 @@ _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 @dataclass
 class StepResult:
-    t: int
     assignments: list             # SnapshotRecord per pre-existing track, by track id
-    births: list                  # track ids born this step, appended to the bank
-    deletions: list               # track ids deleted this step
+    births: list                  # SnapshotRecord per track born this step, by track id
 
 
 def snapshot_rows(
@@ -327,11 +349,11 @@ def snapshot_rows(
 @dataclass
 class TrackerRun:
     """Everything one tracker produced over one detection stream, and
-    the bank its last step left (None for a run built from rows alone)."""
+    the bank its last step left."""
 
     steps: list
     snapshots: list
-    bank: Optional[TrackBank] = None
+    bank: TrackBank
 
 
 def run_tracker(
@@ -352,25 +374,20 @@ def run_tracker(
         result = step_fn(bank, frame, params, id_source=id_source)
         steps.append(result)
         snapshots += result.assignments
-        if result.births:
-            # a birth's spawning detection is informational, not a consumed update
-            born = len(bank) - len(result.births)
-            none = itertools.repeat(None)
-            snapshots += snapshot_rows(frame.t, bank, bank.birth_detection_id[born:], none,
-                                       [{} for _ in result.births], none, born)
+        snapshots += result.births
     return TrackerRun(steps=steps, snapshots=snapshots, bank=bank)
 
 
-def write_snapshots_jsonl(path, run: TrackerRun, include_beta: bool) -> None:
-    """One JSON object per line: t, track_id, status, x, y, vx, vy,
-    detection_id, score, and, with include_beta, the beta object of
-    SnapshotRecord ({"miss": miss, "<detection_id>": weight, ...} or
+def write_snapshots_jsonl(path, snapshots: Sequence[SnapshotRecord], include_beta: bool) -> None:
+    """One JSON object per row, one per line: t, track_id, status, x, y,
+    vx, vy, detection_id, score, and, with include_beta, the beta object
+    of SnapshotRecord ({"miss": miss, "<detection_id>": weight, ...} or
     null). The text is what json.dumps with separators (",", ":") writes:
     float.__repr__ and int.__repr__ are its number texts. A NaN or
     infinite value is a ValueError."""
     number, whole = float.__repr__, int.__repr__
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for r in run.snapshots:
+        for r in snapshots:
             det, score, miss, weights = r.detection_id, r.score, r.miss, r.weights
             line = (
                 f'{{"t":{whole(r.t)},"track_id":{whole(r.track_id)},'

@@ -4,13 +4,13 @@ The solver oracles import nothing from the package's solver modules:
 their results come from independent derivations. The per-track
 functions at the end are frozen copies of the trackers' predict, gate,
 association and steps as they were before each was batched across
-tracks, with the Track objects, lifecycle, births and run loop they
-drove before the tracks became one bank; they carry their own copy of
-that arithmetic and reuse only the package's assignment and process
-noise code. The artifact
-codecs last are frozen copies of the CSV and snapshot-row codecs as
-they were before each was made column-wise or hand-formatted; they
-reuse only the package's JSON value decoder.
+tracks, with the per-track estimates, Track objects, lifecycle, births
+and run loop they drove before the tracks became one bank; they carry
+their own copy of that arithmetic and reuse only the package's
+assignment and process noise code. The artifact codecs last are frozen
+copies of the CSV and snapshot-row codecs as they were before each was
+made column-wise or hand-formatted; they reuse only the package's JSON
+value decoder.
 """
 
 import csv
@@ -27,11 +27,26 @@ import numpy as np
 
 from spoofbench.codec import _decode_key, check_keys, decode
 from spoofbench.errors import ConfigError
-from spoofbench.estimation import KinematicEstimate, white_accel_Q
+from spoofbench.estimation import white_accel_Q
 from spoofbench.tracker_gnn import hungarian
 from spoofbench.tracking import SnapshotRecord, TrackStatus
 
 INF = float("inf")
+
+
+@dataclass
+class KinematicEstimate:
+    """One track's state mean x = (px, py, vx, vy) and covariance P
+    (4x4), as the per-track oracles carry it."""
+
+    x: np.ndarray
+    P: np.ndarray
+
+    def position(self):
+        return self.x[:2]
+
+    def velocity(self):
+        return self.x[2:]
 
 
 def min_cost_by_enumeration(costs, unassigned_cost):

@@ -16,11 +16,16 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from _oracles import assignment_cost, cv_transition, min_cost_by_enumeration, nees
+from _oracles import (
+    KinematicEstimate,
+    assignment_cost,
+    cv_transition,
+    min_cost_by_enumeration,
+    nees,
+)
 
 from spoofbench.cli import main
 from spoofbench.estimation import (
-    KinematicEstimate,
     estimate_from_detection,
     gate_stack,
     kf_predict_stack,
@@ -88,6 +93,7 @@ def _random_gate_setup(rng):
         bank,
         [Detection(t=0, detection_id=0, z=z0, R=R, label="clutter")],
         params,
+        0,
         id_source=iter([0]),
     )
     x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
@@ -167,7 +173,7 @@ def test_criterion_3_kalman_consistency_nees():
     samples = []
     for _ in range(50):
         z0 = rng.uniform(-100.0, 100.0, 2)
-        est = estimate_from_detection(z0, R, v_max=50.0)
+        est = KinematicEstimate(*estimate_from_detection(z0, R, v_max=50.0))
         x = est.x + rng.standard_normal(4) * np.sqrt(np.diag(est.P))
         # the filter runs as a one-row stack
         x_est, P_est = est.x[None], est.P[None]

@@ -24,7 +24,6 @@ from spoofbench.codec import _CHUNK_ROWS, _read_csv_columns, read_csv, write_csv
 from spoofbench.errors import ConfigError
 from spoofbench.tracking import (
     SnapshotRecord,
-    TrackerRun,
     TrackStatus,
     read_snapshots_jsonl,
     write_snapshots_jsonl,
@@ -219,7 +218,7 @@ def _record_bits(records):
 def test_snapshot_rows_match_json_dumps(tmp_path, n, soft):
     records = random_records(n, seed=n, soft=soft)
     path = tmp_path / "snapshots.jsonl"
-    write_snapshots_jsonl(path, TrackerRun([], records), include_beta=soft)
+    write_snapshots_jsonl(path, records, include_beta=soft)
     assert path.read_text(encoding="utf-8") == "".join(
         snapshot_row_text(r, soft) for r in records
     )
@@ -240,7 +239,7 @@ def test_snapshot_rows_refuse_non_finite_numbers(tmp_path, field, value):
     with pytest.raises(ValueError):
         snapshot_row_text(record, True)
     with pytest.raises(ValueError):
-        write_snapshots_jsonl(tmp_path / "snapshots.jsonl", TrackerRun([], [record]), True)
+        write_snapshots_jsonl(tmp_path / "snapshots.jsonl", [record], True)
 
 
 def _edit(key, value):

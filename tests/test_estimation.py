@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import cv_transition, nees
+from _oracles import KinematicEstimate, cv_transition, nees
 from spoofbench.estimation import (
     GAMMA_DEFAULT,
     estimate_from_detection,
@@ -9,7 +9,6 @@ from spoofbench.estimation import (
     kf_predict_stack,
     kf_update_stack,
     white_accel_Q,
-    KinematicEstimate,
 )
 from spoofbench.sensing import Detection, DetectionFrame
 
@@ -190,13 +189,13 @@ def test_estimate_from_detection_init():
     det = Detection(
         t=0, detection_id=0, z=np.array([7.0, -3.0]), R=4.0 * np.eye(2), label="clutter"
     )
-    est = estimate_from_detection(det.z, det.R, v_max=50.0)
-    np.testing.assert_allclose(est.position(), [7.0, -3.0])
-    np.testing.assert_allclose(est.velocity(), [0.0, 0.0])
-    assert est.P[2, 2] == pytest.approx(2500.0)
-    assert est.P[3, 3] == pytest.approx(2500.0)
-    assert est.P[0, 0] == pytest.approx(4.0)
-    assert est.P[1, 1] == pytest.approx(4.0)
+    x, P = estimate_from_detection(det.z, det.R, v_max=50.0)
+    np.testing.assert_allclose(x[:2], [7.0, -3.0])
+    np.testing.assert_allclose(x[2:], [0.0, 0.0])
+    assert P[2, 2] == pytest.approx(2500.0)
+    assert P[3, 3] == pytest.approx(2500.0)
+    assert P[0, 0] == pytest.approx(4.0)
+    assert P[1, 1] == pytest.approx(4.0)
 
 
 def test_nees_hand_value():
@@ -207,7 +206,7 @@ def test_nees_hand_value():
 
 def test_covariance_psd_through_cycles():
     rng = np.random.default_rng(0)
-    est = estimate_from_detection(np.zeros(2), 25.0 * np.eye(2), v_max=50.0)
+    est = KinematicEstimate(*estimate_from_detection(np.zeros(2), 25.0 * np.eye(2), v_max=50.0))
     R = 25.0 * np.eye(2)
     for _ in range(1000):
         est = predict(est, dt=1.0, q=1.0)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -14,7 +15,7 @@ import pytest
 
 from spoofbench.cli import main
 from spoofbench.errors import ConfigError
-from spoofbench.geometry import Region
+from spoofbench.geometry import MAX_COORDINATE_M, Region
 from spoofbench.codec import load_record
 from spoofbench.harness import (
     BenchmarkConfig,
@@ -29,9 +30,9 @@ from spoofbench.harness import (
 )
 from spoofbench.metrics import RunReport, compute_run_report, write_report_json
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
-from spoofbench.sensing import SensorConfig, generate_clean_run
+from spoofbench.sensing import MAX_SIGMA_M, SensorConfig, generate_clean_run
 from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof
-from spoofbench.tracking import TrackerRun, read_snapshots_jsonl
+from spoofbench.tracking import MAX_Q, MAX_SPEED_MPS, read_snapshots_jsonl
 
 
 REGION = Region(x_min=0.0, x_max=400.0, y_min=0.0, y_max=400.0)
@@ -555,9 +556,8 @@ def test_every_run_rescores_from_its_own_files(tmp_path):
         truth = build_scenario(m.scenario)
         spoofed = apply_spoof(generate_clean_run(truth, m.sensor, seed=m.seed), m.spoof)
         rows = read_snapshots_jsonl(run_dir / "snapshots.jsonl", m.include_beta)
-        run = TrackerRun(steps=[], snapshots=rows)
         report = compute_run_report(
-            run, truth, spoofed, m.tracker, m.spoof_name, m.seed, m.config_digest,
+            rows, truth, spoofed, m.tracker, m.spoof_name, m.seed, m.config_digest,
             m.sensor.noise_sigma_m,
         )
         write_report_json(tmp_path / "again.json", report)
@@ -660,6 +660,19 @@ def set_path(payload, path, value):
     node[keys[-1]] = value
 
 
+def demo_section(name, **changes):
+    """A section of the demo config, with some of its keys changed."""
+    return {**json.loads(DEMO_CONFIG.read_text())[name], **changes}
+
+
+def long_scenario(duration_s):
+    """The demo scenario lasting duration_s, its waypoints ending then."""
+    scenario = demo_section("scenario", duration_s=duration_s)
+    for platform in scenario["platforms"]:
+        platform["waypoints"][-1][0] = duration_s
+    return scenario
+
+
 # (config path, bad value, path the error must name) on the demo config
 BAD_VALUES = [
     pytest.param("tracker_params.gamma", float("nan"), "tracker_params.gamma", id="gamma-nan"),
@@ -716,6 +729,38 @@ BAD_VALUES = [
     # the scenario clock sets both; an entry of its own used to be replaced
     pytest.param("tracker_params.dt_s", 7.0, "tracker_params.dt_s", id="tracker_params.dt_s"),
     pytest.param("spoof_grid[0].dt_s", 3.0, "spoof_grid[0].dt_s", id="spoof_grid[0].dt_s"),
+    # finite values past a bound, which used to validate and then fail the
+    # run with a traceback: an innovation determinant or a state that
+    # overflows, a miss mass that overflows, a region too wide to sample
+    pytest.param(
+        "sensor.noise_sigma_m", 1e150, "sensor: noise_sigma_m", id="noise_sigma_m-det-overflow"
+    ),
+    pytest.param(
+        "sensor.noise_sigma_m", 1e200, "sensor: noise_sigma_m", id="noise_sigma_m-overflow"
+    ),
+    pytest.param(
+        "spoof_grid[1].ghost_sigma_m", 1e200, "spoof_grid[1]: ghost_sigma_m",
+        id="ghost_sigma_m-overflow",
+    ),
+    pytest.param(
+        "tracker_params.v_max_mps", 1e200, "tracker_params: v_max_mps", id="v_max_mps-overflow"
+    ),
+    pytest.param("tracker_params.q", 1e300, "tracker_params: q", id="q-overflow"),
+    pytest.param(
+        "tracker_params", {"clutter_density": 1e300, "p_detect": 1e-10},
+        "tracker_params: clutter_density", id="miss-mass-overflow",
+    ),
+    pytest.param(
+        "sensor.fov", demo_section("sensor")["fov"] | {"x_min": -1e308, "x_max": 1e308},
+        "sensor.fov: x_min", id="fov-too-wide",
+    ),
+    # more steps than scenario.MAX_STEPS: a step count that used to
+    # overflow int() in validate, and one that used to exhaust memory in run
+    pytest.param(
+        "scenario", demo_section("scenario", duration_s=1e308, dt_s=0.1),
+        "scenario: duration_s", id="steps-infinite",
+    ),
+    pytest.param("scenario", long_scenario(1e13), "scenario: duration_s", id="steps-too-many"),
 ]
 
 
@@ -726,6 +771,45 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     config = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+# fields that scale a length, a speed or a density, with the largest value
+# each may take: a config bound, or the float maximum where none applies
+SCALED_FIELDS = {
+    "sensor.noise_sigma_m": MAX_SIGMA_M,
+    "spoof_grid[0].ghost_sigma_m": MAX_SIGMA_M,
+    "tracker_params.v_max_mps": MAX_SPEED_MPS,
+    "tracker_params.q": MAX_Q,
+    "tracker_params.clutter_density": sys.float_info.max,
+    "sensor.fov": MAX_COORDINATE_M,  # x in [-value, value]
+}
+SCALES = [1e-300, 1e-6, 1.0, 1e6, 1e50, 1e100, 1e150, 1e200, 1e300]
+
+
+def scaled_values(bound):
+    # the bound, and the next float above it where that is finite
+    above = math.nextafter(bound, math.inf)
+    return SCALES + [bound] + ([above] if math.isfinite(above) else [])
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(path, value) for path, bound in SCALED_FIELDS.items() for value in scaled_values(bound)],
+)
+def test_a_config_that_validates_runs(tmp_path, capsys, path, value):
+    # the demo config cut to one seed and 10 steps, with a near_track
+    # ghost spoof and clean, and one field scaled
+    payload = json.loads(DEMO_CONFIG.read_text())
+    payload.update(seeds=[0], spoof_grid=[payload["spoof_grid"][1], payload["spoof_grid"][3]])
+    payload["scenario"]["duration_s"] = 10.0
+    if path == "sensor.fov":
+        value = payload["sensor"]["fov"] | {"x_min": -value, "x_max": value}
+    set_path(payload, path, value)
+    config = write_config_file(tmp_path, payload)
+    validated = main(["validate", "--config", str(config)])
+    assert validated in (0, 2), capsys.readouterr().err
+    if validated == 0:
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_grid_entry_seed_exits_2(tmp_path, capsys):

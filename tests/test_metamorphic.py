@@ -73,7 +73,7 @@ def report(spec, truth, spoofed_run):
     step = TRACKER_STEPS[spec.tracker]
     run = run_tracker(spoofed_run.spoofed_frames, spec.tracker_params, step)
     return compute_run_report(
-        run, truth, spoofed_run, spec.tracker, spec.spoof_name, spec.seed, "0" * 64,
+        run.snapshots, truth, spoofed_run, spec.tracker, spec.spoof_name, spec.seed, "0" * 64,
         spec.sensor.noise_sigma_m,
     )
 

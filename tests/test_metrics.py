@@ -71,9 +71,8 @@ def purity_of(snaps, origins):
 
 def report_of(snaps, truth):
     """compute_run_report of rows that consumed nothing."""
-    run = SimpleNamespace(snapshots=snaps)
     spoofed = SimpleNamespace(spoofed_frames=(), config=SimpleNamespace(injection_window=(0, 0)))
-    return compute_run_report(run, truth, spoofed, "gnn", "clean", 0, "0" * 64, 5.0)
+    return compute_run_report(snaps, truth, spoofed, "gnn", "clean", 0, "0" * 64, 5.0)
 
 
 def test_match_exact_position():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
 from spoofbench.scenario import (
+    MAX_STEPS,
     PlatformSpec,
     ScenarioConfig,
     build_scenario,
@@ -130,6 +132,16 @@ def test_n_steps_needs_two():
     p = PlatformSpec(platform_id=0, class_id=0, waypoints=((0.0, (0.0, 0.0)), (10.0, (1.0, 0.0))))
     with pytest.raises(ConfigError):
         ScenarioConfig(duration_s=1.0, dt_s=1.0, platforms=(p,), seed=0, region=WIDE)
+
+
+def test_step_count_is_bounded_before_counting():
+    # validated only: a scenario this long is never built here
+    p = PlatformSpec(platform_id=0, waypoints=((0.0, (0.0, 0.0)), (1e308, (1.0, 0.0))))
+    assert single(p, duration=MAX_STEPS * 0.1, dt=0.1).n_steps == MAX_STEPS
+    for duration in (math.nextafter(MAX_STEPS * 0.1, math.inf), 1e308):
+        # the largest duration's step count is infinite, which no int holds
+        with pytest.raises(ConfigError, match=f"more than {MAX_STEPS} steps"):
+            single(p, duration=duration, dt=0.1)
 
 
 def test_config_round_trip(tmp_path):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    KinematicEstimate,
     PerTrackRun,
     gate_per_track,
     gnn_step_per_track,
@@ -28,7 +29,7 @@ from _oracles import (
     snapshot_json_dict,
 )
 from spoofbench import tracker_gnn, tracking
-from spoofbench.estimation import KinematicEstimate, gate_stack, kf_predict_stack, kf_update_stack
+from spoofbench.estimation import gate_stack, kf_predict_stack, kf_update_stack
 from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracker_gnn import gnn_step
 from spoofbench.tracker_jpda import jpda_step
@@ -300,7 +301,8 @@ def test_bank_edge_cases_match_per_track_steps(key, step_fn, per_track):
         )
     else:
         wipe = got.steps[5]
-        assert wipe.deletions == [0, 1, 2] and wipe.births == [3, 4]
+        assert [r.track_id for r in wipe.assignments if r.status == "deleted"] == [0, 1, 2]
+        assert [r.track_id for r in wipe.births] == [3, 4]
         assert [r.detection_id for r in got.steps[6].assignments] == [5, 6]
 
 
@@ -328,8 +330,8 @@ def test_steps_read_one_row_per_track_and_keep_no_view(step_fn, monkeypatch):
         # outlives the step, and what the step returns holds no array
         result = step_fn(bank, frame, params, id_source=id_source)
         assert bank.x.base is None and bank.P.base is None
-        held = [result.t, *result.births, *result.deletions]
-        for row in result.assignments:
+        held = []
+        for row in result.assignments + result.births:
             held += [*vars(row).values(), *row.weights, *row.weights.values()]
         assert not any(isinstance(value, np.ndarray) for value in held)
         return result

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    KinematicEstimate,
     assignment_cost,
     kf_update_by_solve,
     mahalanobis2_by_solve,
     min_cost_by_enumeration,
 )
 
-from spoofbench.estimation import KinematicEstimate, gate_stack, kf_predict_stack, kf_update_stack
+from spoofbench.estimation import gate_stack, kf_predict_stack, kf_update_stack
 from spoofbench.sensing import Detection, DetectionFrame
 from spoofbench.tracking import TrackBank, TrackerParams, birth_tracks
 from spoofbench.tracker_gnn import gnn_step, hungarian
@@ -216,7 +217,7 @@ def frame_of(dets, t=0):
 def spawn(dets, params, start_id=0):
     """A bank of one fresh track per detection."""
     bank = TrackBank()
-    birth_tracks(bank, dets, params, id_source=itertools.count(start_id))
+    birth_tracks(bank, dets, params, 0, id_source=itertools.count(start_id))
     return bank
 
 
@@ -236,7 +237,7 @@ def test_step_gates_out_a_far_detection():
     assert outcome.detection_id == 5
     assert np.isfinite(outcome.score)
     # the far detection took no track and is born
-    assert [bank.birth_detection_id[bank.ids.index(i)] for i in result.births] == [6]
+    assert [row.detection_id for row in result.births] == [6]
 
 
 def test_step_assigns_exact_hit():
@@ -260,7 +261,7 @@ def test_step_miss_spawns_birth():
     assert outcome.detection_id is None
     assert outcome.weights == {}
     assert len(result.births) == 1
-    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0]), :2], far.z)
+    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0].track_id), :2], far.z)
 
 
 def test_step_cross_ambiguous_matches_brute_force():

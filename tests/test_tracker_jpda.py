@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import snapshot_json_dict
+from _oracles import KinematicEstimate, snapshot_json_dict
 from spoofbench.estimation import (
     GateResult,
-    KinematicEstimate,
     gate_stack,
     kf_predict_stack,
     kf_update_stack,
@@ -35,7 +34,7 @@ def predict(est, params):
 def predicted_bank(x, y, params, track_id=0):
     """A bank of one track born at (x, y) and predicted one step."""
     bank = TrackBank()
-    birth_tracks(bank, [det(0, x, y)], params, id_source=iter([track_id]))
+    birth_tracks(bank, [det(0, x, y)], params, 0, id_source=iter([track_id]))
     bank.x, bank.P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
     return bank
 
@@ -170,7 +169,7 @@ def test_dilution_monotone():
 def test_step_single_detection_reduces_to_kalman():
     params = TrackerParams(clutter_density=0.0)
     bank = TrackBank()
-    birth_tracks(bank, [det(0, 10.0, 5.0)], params, id_source=iter([0]))
+    birth_tracks(bank, [det(0, 10.0, 5.0)], params, 0, id_source=iter([0]))
     z = det(4, 12.0, 4.0, t=1)
     # the step predicts before associating, so mirror that by hand
     reference = predict(row_estimate(bank), params)
@@ -252,4 +251,4 @@ def test_births_only_from_ungated_detections():
     far = det(2, 500.0, 500.0, t=1)
     result = jpda_step(bank, frame_of([near, far], t=1), params, id_source=itertools.count(70))
     assert len(result.births) == 1
-    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0]), :2], far.z)
+    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0].track_id), :2], far.z)

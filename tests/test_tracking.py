@@ -48,15 +48,14 @@ def det(i, x, y, t=0):
 
 def fresh_bank(window=3):
     """A bank of one tentative track with an empty hit history."""
-    est = estimate_from_detection(np.zeros(2), 25.0 * np.eye(2))
+    x, P = estimate_from_detection(np.zeros(2), 25.0 * np.eye(2))
     return TrackBank(
         ids=[0],
-        x=est.x[None],
-        P=est.P[None],
+        x=x[None],
+        P=P[None],
         status=[TrackStatus.TENTATIVE],
         miss_streak=[0],
         hit_history=[deque(maxlen=window)],
-        birth_detection_id=[0],
     )
 
 
@@ -134,7 +133,6 @@ def test_bank_lifecycle_matches_per_track_oracle(window, hits_needed, delete_mis
         status=[TrackStatus.TENTATIVE] * n,
         miss_streak=[0] * n,
         hit_history=[deque(h, maxlen=window) for h in histories],
-        birth_detection_id=[0] * n,
     )
     tracks = [
         Track(i, None, TrackStatus.TENTATIVE, deque(h, maxlen=window), 0, 0)
@@ -147,8 +145,7 @@ def test_bank_lifecycle_matches_per_track_oracle(window, hits_needed, delete_mis
         assert bank.status == [tr.status for tr in tracks]
         assert bank.miss_streak == [tr.miss_streak for tr in tracks]
         assert [list(h) for h in bank.hit_history] == [list(tr.hit_history) for tr in tracks]
-        deleted = [tr.track_id for tr in tracks if tr.status is TrackStatus.DELETED]
-        assert drop_deleted(bank) == deleted
+        drop_deleted(bank)
         tracks = [tr for tr in tracks if tr.status is not TrackStatus.DELETED]
         assert bank.ids == [tr.track_id for tr in tracks]
         assert bank.x.shape == (len(tracks), 4) and bank.P.shape == (len(tracks), 4, 4)
@@ -159,8 +156,8 @@ def test_birth_all_unassigned():
     dets = [det(0, 1.0, 2.0), det(1, 3.0, 4.0), det(2, 5.0, 6.0)]
     source = iter(range(100))
     bank = TrackBank()
-    ids = birth_tracks(bank, dets, p, id_source=source)
-    assert len(ids) == 3
+    rows = birth_tracks(bank, dets, p, 0, id_source=source)
+    assert len(rows) == 3
     for row, d in enumerate(dets):
         assert bank.status[row] is TrackStatus.TENTATIVE
         np.testing.assert_allclose(bank.x[row, :2], d.z)
@@ -168,8 +165,8 @@ def test_birth_all_unassigned():
 
 def test_birth_records_assignment():
     bank = TrackBank()
-    [track_id] = birth_tracks(bank, [det(7, 1.0, 2.0, t=3)], params(), id_source=iter([42]))
-    assert (track_id, bank.birth_detection_id[0]) == (42, 7)
+    [born] = birth_tracks(bank, [det(7, 1.0, 2.0, t=3)], params(), 3, id_source=iter([42]))
+    assert (born.t, born.track_id, born.detection_id) == (3, 42, 7)
     # a birth's row carries its spawning detection, but no score and no
     # consumed weight: the detection started the track, it did not update it
     frames = [
@@ -177,10 +174,10 @@ def test_birth_records_assignment():
         DetectionFrame(t=1, detections=(det(7, 1.0, 2.0, t=1),)),
     ]
     run = run_tracker(frames, params(), gnn_step)
-    [born] = run.steps[1].births
-    assert run.bank.hit_history[run.bank.ids.index(born)][-1] is True
-    [row] = run.snapshots
-    assert (row.t, row.track_id, row.status) == (1, born, "tentative")
+    [row] = run.steps[1].births
+    assert run.bank.hit_history[run.bank.ids.index(row.track_id)][-1] is True
+    assert run.snapshots == [row]
+    assert (row.t, row.status) == (1, "tentative")
     assert (row.x, row.y) == (1.0, 2.0)
     assert row.detection_id == 7
     assert row.score is None
@@ -189,9 +186,9 @@ def test_birth_records_assignment():
 
 def test_births_keep_the_bank_in_track_id_order():
     bank = TrackBank()
-    birth_tracks(bank, [det(0, 1.0, 2.0)], params(), id_source=iter([5]))
+    birth_tracks(bank, [det(0, 1.0, 2.0)], params(), 0, id_source=iter([5]))
     with pytest.raises(ValueError, match="track ids must increase"):
-        birth_tracks(bank, [det(1, 3.0, 4.0)], params(), id_source=iter([5]))
+        birth_tracks(bank, [det(1, 3.0, 4.0)], params(), 0, id_source=iter([5]))
 
 
 def test_params_validation_and_round_trip():
@@ -241,7 +238,7 @@ def two_platform_frames(duration=40.0, seed=0, clutter=0.0):
 def test_track_ids_unique_never_reused(step_fn, name):
     _, frames = two_platform_frames(clutter=2.0)
     run = run_tracker(frames, params(), step_fn)
-    ids = [track_id for step in run.steps for track_id in step.births]
+    ids = [row.track_id for step in run.steps for row in step.births]
     assert len(ids) == len(set(ids))
 
 
@@ -271,7 +268,7 @@ def test_snapshots_jsonl_round_trip(tmp_path):
     _, frames = two_platform_frames(clutter=1.0)
     run = run_tracker(frames, params(), jpda_step)
     path = tmp_path / "snapshots.jsonl"
-    write_snapshots_jsonl(path, run, include_beta=True)
+    write_snapshots_jsonl(path, run.snapshots, include_beta=True)
     again = read_snapshots_jsonl(path, include_beta=True)
     assert len(again) == len(run.snapshots)
     for a, b in zip(run.snapshots, again):
@@ -291,7 +288,8 @@ def test_snapshots_jsonl_round_trip(tmp_path):
 def test_deleted_tracks_get_final_snapshot():
     _, frames = two_platform_frames(clutter=3.0, seed=4)
     run = run_tracker(frames, params(), gnn_step)
-    deleted_ids = {tid for step in run.steps for tid in step.deletions}
+    # every track that left the bank was deleted
+    deleted_ids = {snap.track_id for snap in run.snapshots} - set(run.bank.ids)
     assert deleted_ids, "expected clutter births to die"
     snapshot_by_track = {}
     for snap in run.snapshots:
@@ -317,7 +315,7 @@ def test_snapshot_rows_pinned(tmp_path, step_fn, name):
     _, frames = two_platform_frames(clutter=3.0, seed=4)
     run = run_tracker(frames, params(), step_fn)
     path = tmp_path / "snapshots.jsonl"
-    write_snapshots_jsonl(path, run, include_beta=name == "jpda")
+    write_snapshots_jsonl(path, run.snapshots, include_beta=name == "jpda")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOTS[name]
 
 
@@ -339,6 +337,6 @@ def test_hit_history_does_not_depend_on_a_huge_window(tmp_path, step_fn, name):
         )
         path = tmp_path / f"{name}-{window}.jsonl"
         run = run_tracker(frames, run_params, step_fn)
-        write_snapshots_jsonl(path, run, include_beta=name == "jpda")
+        write_snapshots_jsonl(path, run.snapshots, include_beta=name == "jpda")
         rows.append(path.read_bytes())
     assert rows[0] == rows[1]
