@@ -6,7 +6,9 @@ every record decodes the same way: numbers must be finite, ints
 whole, bools and strings of exactly that JSON type, enums are looked up
 by value, and unknown keys or missing keys of fields without a default
 are errors. Every ConfigError names the JSON path of the offending
-value, e.g. ``scenario.platforms[3].stationary must be a bool``.
+value, e.g. ``scenario.platforms[3].stationary must be a bool``. A field
+declared with bounded() carries its interval, and every Record checks
+its bounded fields on construction, from JSON or not.
 
 Every CSV artifact is written by write_csv and read back by read_csv
 into a NamedTuple row type. A number is written as its shortest
@@ -25,9 +27,9 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 from enum import Enum
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import ConfigError
 
@@ -172,8 +174,47 @@ def _schema(cls) -> dict:
     }
 
 
+class Interval(NamedTuple):
+    """A bounded field's values: low to high, an end marked open excluded."""
+
+    low: float
+    high: float
+    open_low: bool
+    open_high: bool
+
+    def check(self, name: str, value) -> None:
+        """A ConfigError naming the field unless value lies inside; a float
+        must also be finite, which NaN's comparisons would not catch."""
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        above = self.low < value if self.open_low else self.low <= value
+        below = value < self.high if self.open_high else value <= self.high
+        if not (above and below):
+            left, right = "(" if self.open_low else "[", ")" if self.open_high else "]"
+            raise ConfigError(f"{name} {value!r} outside {left}{self.low!r}, {self.high!r}{right}")
+
+
+def bounded(default=MISSING, *, low=-math.inf, high=math.inf, open_low=False, open_high=False):
+    """A dataclass field whose value must lie between low and high, an end
+    marked open or infinite excluded; Record checks it on construction."""
+    interval = Interval(low, high, open_low or low == -math.inf, open_high or high == math.inf)
+    return field(default=default, metadata={"bounds": interval})
+
+
+@functools.cache
+def bounds(cls) -> tuple:
+    """(name, Interval) of each bounded field of a Record class, in
+    declaration order."""
+    return tuple((f.name, f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+
+
 class Record:
-    """Base of a dataclass whose JSON form follows its fields."""
+    """Base of a dataclass whose JSON form follows its fields. A subclass
+    that checks more in __post_init__ calls this one's first."""
+
+    def __post_init__(self) -> None:
+        for name, interval in bounds(type(self)):
+            interval.check(name, getattr(self, name))
 
     def as_dict(self) -> dict:
         return {name: encode(getattr(self, name)) for name in _schema(type(self))}

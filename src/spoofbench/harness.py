@@ -250,6 +250,7 @@ class RunSummary(Record):
     seed: int
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # compare and export join it to the report directory
         check_folder_name(self.run_id, "run_id")
 
@@ -278,6 +279,7 @@ class BenchmarkManifest(Record):
     runs: list[RunSummary]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # compare and export index runs by these: one outside the grid
         # would be dropped or exported, one listed twice averaged twice
         _check_unique(self.trackers, "trackers")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Record, load_json
+from .codec import Record, bounded, load_json
 from .errors import ConfigError
 from .geometry import Region
 
@@ -75,14 +75,13 @@ class PlatformSpec(Record):
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig(Record):
     duration_s: float
-    dt_s: float = 1.0
+    dt_s: float = bounded(1.0, low=DT_MIN_S, high=DT_MAX_S)
     seed: int = 0
     region: Region
     platforms: tuple[PlatformSpec, ...]
 
     def __post_init__(self) -> None:
-        if not (DT_MIN_S <= self.dt_s <= DT_MAX_S):
-            raise ConfigError(f"dt_s {self.dt_s} outside [{DT_MIN_S}, {DT_MAX_S}]")
+        super().__post_init__()
         if self.duration_s < self.dt_s:
             raise ConfigError("duration_s must be at least dt_s")
         # before n_steps, whose int() an infinite ratio would overflow

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .codec import Record, read_csv, write_csv
+from .codec import Record, bounded, read_csv, write_csv
 from .errors import ConfigError
 from .geometry import MAX_COORDINATE_M, Region
 from .streams import TAG_SENSE, substream
@@ -29,7 +29,7 @@ MAX_RATE_PER_FRAME = 1_000.0
 
 # bound on a noise standard deviation, a sensor's or a ghost cloud's: no
 # wider than the largest region, so a detection's R = sigma^2 I stays far
-# from overflow (see tracking.MAX_SPEED_MPS)
+# from overflow (see tracking.MAX_Q)
 MAX_SIGMA_M = MAX_COORDINATE_M
 
 DEFAULT_FOV = Region(-600.0, 600.0, -600.0, 600.0)
@@ -93,22 +93,10 @@ class DetectionFrame:
 
 @dataclass(frozen=True)
 class SensorConfig(Record):
-    p_detect: float = 0.9
-    noise_sigma_m: float = 5.0
-    clutter_rate: float = 2.0
+    p_detect: float = bounded(0.9, low=0.0, high=1.0)
+    noise_sigma_m: float = bounded(5.0, low=0.0, high=MAX_SIGMA_M, open_low=True)
+    clutter_rate: float = bounded(2.0, low=0.0, high=MAX_RATE_PER_FRAME)
     fov: Region = DEFAULT_FOV
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise ConfigError(f"p_detect {self.p_detect} outside [0, 1]")
-        if self.noise_sigma_m <= 0.0:
-            raise ConfigError("noise_sigma_m must be positive")
-        if self.noise_sigma_m > MAX_SIGMA_M:
-            raise ConfigError(f"noise_sigma_m {self.noise_sigma_m} exceeds {MAX_SIGMA_M:g}")
-        if not 0.0 <= self.clutter_rate <= MAX_RATE_PER_FRAME:
-            raise ConfigError(
-                f"clutter_rate {self.clutter_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"
-            )
 
 
 def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFrame]:

@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, read_csv, write_csv
+from .codec import Record, bounded, read_csv, write_csv
 from .errors import ConfigError
-from .geometry import Region
+from .geometry import MAX_COORDINATE_M, MAX_SPEED_MPS, Region, coordinate
 from .sensing import LABEL_CLEAN, MAX_RATE_PER_FRAME, MAX_SIGMA_M, Detection, DetectionFrame
 from .streams import TAG_SPOOF, substream
 
@@ -52,62 +52,45 @@ class SpoofConfig(Record):
     spoof_type: SpoofType
     injection_window: tuple[int, int] = (0, 0)
     seed: int = 0
-    alpha: float = 0.0
+    alpha: float = bounded(0.0, low=0.0, high=MAX_SPEED_MPS)
     drift_dir: tuple[float, float] = (1.0, 0.0)
-    mirror_x0: float = 0.0
-    ghost_rate: float = 0.0
+    mirror_x0: float = coordinate(0.0)
+    ghost_rate: float = bounded(0.0, low=0.0, high=MAX_RATE_PER_FRAME)
     ghost_mode: str = GHOST_MODE_UNIFORM
     ghost_region: Optional[Region] = None
-    ghost_radius_m: float = 50.0
+    ghost_radius_m: float = bounded(50.0, low=0.0, high=MAX_COORDINATE_M, open_low=True)
     # inner radius of the near-track annulus; 0 degenerates to a disc
     ghost_inner_m: float = 0.0
     # displacement of the annulus center from the anchoring detection.
     # Symmetric ghost mass cancels under soft association; an offset
     # cloud is what actually drags a beta-weighted tracker off target
-    ghost_offset_m: float = 0.0
+    ghost_offset_m: float = bounded(0.0, low=0.0, high=MAX_COORDINATE_M)
     ghost_offset_dir: tuple[float, float] = (1.0, 0.0)
-    ghost_sigma_m: float = 5.0
+    ghost_sigma_m: float = bounded(5.0, low=0.0, high=MAX_SIGMA_M, open_low=True)
     target_platform_ids: Optional[frozenset[int]] = None
-    dt_s: float = 1.0
+    dt_s: float = bounded(1.0, low=0.0, open_low=True)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         t_start, t_end = self.injection_window
         if t_start < 0 or t_start > t_end:
             raise ConfigError(f"malformed injection window [{t_start}, {t_end}]")
         if self.spoof_type is SpoofType.DRIFT:
-            if self.alpha < 0.0:
-                raise ConfigError("drift rate alpha must be non-negative")
             norm = math.hypot(*self.drift_dir)
             if abs(norm - 1.0) > 1e-9:
                 raise ConfigError(f"drift_dir must be a unit vector, |v|={norm}")
         if self.spoof_type is SpoofType.GHOST:
-            if not 0.0 <= self.ghost_rate <= MAX_RATE_PER_FRAME:
-                raise ConfigError(
-                    f"ghost_rate {self.ghost_rate} outside [0, {MAX_RATE_PER_FRAME:g}]"
-                )
             if self.ghost_mode not in (GHOST_MODE_UNIFORM, GHOST_MODE_NEAR_TRACK):
                 raise ConfigError(f"unknown ghost_mode {self.ghost_mode!r}")
-            if self.ghost_sigma_m <= 0.0:
-                raise ConfigError("ghost_sigma_m must be positive")
-            if self.ghost_sigma_m > MAX_SIGMA_M:
-                raise ConfigError(f"ghost_sigma_m {self.ghost_sigma_m} exceeds {MAX_SIGMA_M:g}")
-            if self.ghost_radius_m <= 0.0:
-                raise ConfigError("ghost_radius_m must be positive")
             if not 0.0 <= self.ghost_inner_m < self.ghost_radius_m:
                 raise ConfigError(
                     f"ghost_inner_m must lie in [0, ghost_radius_m); got "
                     f"{self.ghost_inner_m} vs {self.ghost_radius_m}"
                 )
-            if self.ghost_offset_m < 0.0:
-                raise ConfigError("ghost_offset_m must be non-negative")
             if self.ghost_offset_m > 0.0:
                 norm = math.hypot(*self.ghost_offset_dir)
                 if abs(norm - 1.0) > 1e-9:
-                    raise ConfigError(
-                        f"ghost_offset_dir must be a unit vector, |v|={norm}"
-                    )
-        if self.dt_s <= 0.0:
-            raise ConfigError("dt_s must be positive")
+                    raise ConfigError(f"ghost_offset_dir must be a unit vector, |v|={norm}")
 
     def targets(self, truth_id: Optional[int]) -> bool:
         if truth_id is None:

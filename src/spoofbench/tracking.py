@@ -19,27 +19,27 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, _decode_key, check_keys, decode
+from .codec import Record, _decode_key, bounded, check_keys, decode
 from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult
 from .estimation import estimate_from_detection, gate_stack, kf_predict_stack
+from .geometry import MAX_SPEED_MPS
 from .sensing import Detection, DetectionFrame
 
-# Bounds on v_max_mps and q: no tracked object outruns light, and q, the
-# white acceleration's variance, gets as much headroom. A track that
-# coasts a whole scenario, scenario.MAX_STEPS steps of scenario.DT_MAX_S,
-# from a detection of sensing.MAX_SIGMA_M noise ends with a position
-# variance of 2.1e34 m^2 at these bounds; every innovation covariance
-# determinant stays below 1e70, far from overflow. A Kalman update only
-# shrinks a covariance, so coasting is a hard associator's worst case.
-MAX_SPEED_MPS = 299_792_458.0
+# Bound on q, the white acceleration's variance: as much headroom as
+# v_max_mps gets from geometry.MAX_SPEED_MPS. A track that coasts a whole
+# scenario, scenario.MAX_STEPS steps of scenario.DT_MAX_S, from a
+# detection of sensing.MAX_SIGMA_M noise ends with a position variance of
+# 2.1e34 m^2 at these bounds; every innovation covariance determinant
+# stays below 1e70, far from overflow. A Kalman update only shrinks a
+# covariance, so coasting is a hard associator's worst case.
 MAX_Q = 1e20
 
 
@@ -51,37 +51,19 @@ class TrackStatus(str, Enum):
 
 @dataclass
 class TrackerParams(Record):
-    dt_s: float = 1.0
-    gamma: float = GAMMA_DEFAULT
-    q: float = 1.0                 # process noise scale
-    p_detect: float = 0.9          # detection probability assumed by JPDA
-    clutter_density: float = 0.0   # expected clutter per m^2 (JPDA miss mass)
-    confirm_hits: int = 2          # M of the M-of-N confirmation rule
-    confirm_window: int = 3        # N of the M-of-N confirmation rule
-    delete_misses: int = 5         # consecutive misses before deletion
-    v_max_mps: float = V_MAX_DEFAULT
-    hit_threshold: float = 0.5     # JPDA: hit iff 1 - beta_miss >= this
+    dt_s: float = bounded(1.0, low=0.0, open_low=True)
+    gamma: float = bounded(GAMMA_DEFAULT, low=0.0)
+    q: float = bounded(1.0, low=0.0, high=MAX_Q)  # process noise scale
+    p_detect: float = bounded(0.9, low=0.0, high=1.0, open_low=True)  # assumed by JPDA
+    clutter_density: float = bounded(0.0, low=0.0)  # expected clutter per m^2 (JPDA miss mass)
+    confirm_hits: int = 2  # M of the M-of-N confirmation rule
+    confirm_window: int = bounded(3, low=1, high=sys.maxsize)  # N; the hit history's maxlen
+    delete_misses: int = bounded(5, low=1)  # consecutive misses before deletion
+    v_max_mps: float = bounded(V_MAX_DEFAULT, low=0.0, high=MAX_SPEED_MPS, open_low=True)
+    hit_threshold: float = bounded(0.5, low=0.0, high=1.0)  # JPDA: hit iff 1 - beta_miss >= this
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below; a huge int would overflow isfinite
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.dt_s <= 0.0:
-            raise ConfigError("dt_s must be positive")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be non-negative")
-        if not 0.0 <= self.q <= MAX_Q:
-            raise ConfigError(f"q {self.q} outside [0, {MAX_Q:g}]")
-        if not 0.0 < self.v_max_mps <= MAX_SPEED_MPS:
-            raise ConfigError(f"v_max_mps {self.v_max_mps} outside (0, {MAX_SPEED_MPS}]")
-        if not 0.0 <= self.hit_threshold <= 1.0:
-            raise ConfigError("hit_threshold must be in [0, 1]")
-        if not 0.0 < self.p_detect <= 1.0:
-            raise ConfigError("p_detect must be in (0, 1]")
-        if self.clutter_density < 0.0:
-            raise ConfigError("clutter_density must be non-negative")
+        super().__post_init__()
         if not math.isfinite(self.miss_mass):
             raise ConfigError(
                 f"clutter_density {self.clutter_density} at p_detect {self.p_detect} makes"
@@ -89,11 +71,6 @@ class TrackerParams(Record):
             )
         if not 1 <= self.confirm_hits <= self.confirm_window:
             raise ConfigError("need 1 <= confirm_hits <= confirm_window")
-        if self.confirm_window > sys.maxsize:
-            # the hit history is a deque of this maxlen
-            raise ConfigError(f"confirm_window must be at most {sys.maxsize}")
-        if self.delete_misses < 1:
-            raise ConfigError("delete_misses must be at least 1")
 
     @property
     def miss_mass(self) -> float:

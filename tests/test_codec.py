@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from spoofbench.cli import main
 from spoofbench.codec import decode, encode, read_csv, write_csv
 from spoofbench.errors import ConfigError
+from spoofbench.geometry import Region
 from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import ScenarioConfig, default_scenario_config
+from spoofbench.spoofing import SpoofConfig, SpoofType
+from spoofbench.tracking import TrackerParams
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = ROOT / "demos" / "benchmark_config.json"
@@ -94,6 +97,22 @@ def test_record_defaults_and_missing_keys():
     del d["platforms"][0]["waypoints"]
     with pytest.raises(ConfigError, match=r"platforms\[0\] missing keys: \['waypoints'\]"):
         ScenarioConfig.from_dict(d, "scenario")
+
+
+def test_bounded_fields_report_the_interval():
+    with pytest.raises(ConfigError, match=r"^gamma -1\.0 outside \[0\.0, inf\)$"):
+        TrackerParams(gamma=-1.0)
+    with pytest.raises(ConfigError, match=r"^v_max_mps 0\.0 outside \(0\.0, 299792458\.0\]$"):
+        TrackerParams(v_max_mps=0.0)
+    with pytest.raises(ConfigError, match=r"^delete_misses 0 outside \[1, inf\)$"):
+        TrackerParams(delete_misses=0)
+    with pytest.raises(ConfigError, match=r"^x_min -1e\+200 outside \[-1000000000\.0, "):
+        Region(-1e200, 0.0, 0.0, 1.0)
+    with pytest.raises(ConfigError, match=r"^mirror_x0 must be finite, got nan$"):
+        SpoofConfig(spoof_type=SpoofType.MIRROR, mirror_x0=math.nan)
+    # from JSON, the record's path comes first
+    with pytest.raises(ConfigError, match=r"^spoof_grid\[2\]: mirror_x0 1e\+200 outside "):
+        SpoofConfig.from_dict({"spoof_type": "mirror", "mirror_x0": 1e200}, "spoof_grid[2]")
 
 
 def _walk(node, path=()):

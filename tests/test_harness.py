@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,8 +16,8 @@ import pytest
 
 from spoofbench.cli import main
 from spoofbench.errors import ConfigError
-from spoofbench.geometry import MAX_COORDINATE_M, Region
-from spoofbench.codec import load_record
+from spoofbench.geometry import Region
+from spoofbench.codec import bounds, load_record
 from spoofbench.harness import (
     BenchmarkConfig,
     RunManifest,
@@ -30,9 +31,9 @@ from spoofbench.harness import (
 )
 from spoofbench.metrics import RunReport, compute_run_report, write_report_json
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
-from spoofbench.sensing import MAX_SIGMA_M, SensorConfig, generate_clean_run
+from spoofbench.sensing import SensorConfig, generate_clean_run
 from spoofbench.spoofing import SpoofConfig, SpoofType, apply_spoof
-from spoofbench.tracking import MAX_Q, MAX_SPEED_MPS, read_snapshots_jsonl
+from spoofbench.tracking import TrackerParams, read_snapshots_jsonl
 
 
 REGION = Region(x_min=0.0, x_max=400.0, y_min=0.0, y_max=400.0)
@@ -761,6 +762,15 @@ BAD_VALUES = [
         "scenario: duration_s", id="steps-infinite",
     ),
     pytest.param("scenario", long_scenario(1e13), "scenario: duration_s", id="steps-too-many"),
+    # spoofs that used to validate and then put a detection at a
+    # non-finite position; NON_FINITE_SPOOFS has more, through run too
+    pytest.param(
+        "spoof_grid[2].mirror_x0", 1e308, "spoof_grid[2]: mirror_x0", id="mirror_x0-overflow"
+    ),
+    pytest.param(
+        "spoof_grid[1].ghost_radius_m", 1e200, "spoof_grid[1]: ghost_radius_m",
+        id="ghost_radius_m-overflow",
+    ),
 ]
 
 
@@ -773,36 +783,62 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     assert capsys.readouterr().err.startswith(f"config error: {named}")
 
 
-# fields that scale a length, a speed or a density, with the largest value
-# each may take: a config bound, or the float maximum where none applies
-SCALED_FIELDS = {
-    "sensor.noise_sigma_m": MAX_SIGMA_M,
-    "spoof_grid[0].ghost_sigma_m": MAX_SIGMA_M,
-    "tracker_params.v_max_mps": MAX_SPEED_MPS,
-    "tracker_params.q": MAX_Q,
-    "tracker_params.clutter_density": sys.float_info.max,
-    "sensor.fov": MAX_COORDINATE_M,  # x in [-value, value]
+# the config records a benchmark config holds, at a path of each in the
+# walk's config
+WALKED_RECORDS = {
+    "scenario": ScenarioConfig,
+    "sensor": SensorConfig,
+    "spoof_grid[0]": SpoofConfig,
+    "tracker_params": TrackerParams,
 }
 SCALES = [1e-300, 1e-6, 1.0, 1e6, 1e50, 1e100, 1e150, 1e200, 1e300]
 
 
-def scaled_values(bound):
-    # the bound, and the next float above it where that is finite
-    above = math.nextafter(bound, math.inf)
-    return SCALES + [bound] + ([above] if math.isfinite(above) else [])
+def walked_fields():
+    """(path, type, Interval) of each bounded field a benchmark config
+    reaches. A region counts as one field, walked as its x extent
+    [-value, value]: one coordinate alone past another is only a
+    degenerate region."""
+    for path, cls in WALKED_RECORDS.items():
+        hints = typing.get_type_hints(cls)
+        for name, interval in bounds(cls):
+            yield f"{path}.{name}", hints[name], interval
+        for name, tp in hints.items():
+            if Region in (tp, *typing.get_args(tp)):
+                yield f"{path}.{name}", Region, dict(bounds(Region))["x_max"]
+
+
+def walked_values(tp, interval):
+    """SCALES, each end of the interval and the value just past it; an
+    infinite end as the largest float."""
+    values = set(SCALES)
+    for end, away in ((interval.low, -math.inf), (interval.high, math.inf)):
+        end = max(-sys.float_info.max, min(end, sys.float_info.max))
+        past = end + (1 if away > 0 else -1) if tp is int else math.nextafter(end, away)
+        values.update(v for v in (end, past) if math.isfinite(v))
+    return sorted(values)
 
 
 @pytest.mark.parametrize(
     "path,value",
-    [(path, value) for path, bound in SCALED_FIELDS.items() for value in scaled_values(bound)],
+    [
+        (path, value)
+        for path, tp, interval in walked_fields()
+        for value in walked_values(tp, interval)
+    ],
 )
 def test_a_config_that_validates_runs(tmp_path, capsys, path, value):
-    # the demo config cut to one seed and 10 steps, with a near_track
-    # ghost spoof and clean, and one field scaled
+    # the demo config cut to one seed and 10 steps, with clean and one
+    # spoof, and one field set: the spoof is the demo's entry that sets
+    # the field, else its near_track ghost. A rate's walk takes the fewest
+    # steps, 2: at its bound, a thousand detections a frame, the trackers
+    # take seconds a step to associate them
     payload = json.loads(DEMO_CONFIG.read_text())
-    payload.update(seeds=[0], spoof_grid=[payload["spoof_grid"][1], payload["spoof_grid"][3]])
-    payload["scenario"]["duration_s"] = 10.0
-    if path == "sensor.fov":
+    *spoofs, clean = payload["spoof_grid"]
+    spoof = next((s for s in spoofs if path.removeprefix("spoof_grid[0].") in s), spoofs[1])
+    payload.update(seeds=[0], spoof_grid=[spoof, clean])
+    payload["scenario"]["duration_s"] = 2.0 if path.endswith("_rate") else 10.0
+    if path.endswith(("region", "fov")):
         value = payload["sensor"]["fov"] | {"x_min": -value, "x_max": value}
     set_path(payload, path, value)
     config = write_config_file(tmp_path, payload)
@@ -810,6 +846,31 @@ def test_a_config_that_validates_runs(tmp_path, capsys, path, value):
     assert validated in (0, 2), capsys.readouterr().err
     if validated == 0:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+# float and int fields of the config records with no single-field bound,
+# each held by a rule across fields or drawing nothing to bound
+UNBOUNDED_FIELDS = {
+    "ScenarioConfig.duration_s",  # at least dt_s, at most MAX_STEPS of dt_s
+    "ScenarioConfig.seed",  # a scenario draws no random numbers
+    "SpoofConfig.seed",  # each grid seed sets it, and those must be non-negative
+    "SpoofConfig.ghost_inner_m",  # 0 <= ghost_inner_m < ghost_radius_m
+    "TrackerParams.confirm_hits",  # 1 <= confirm_hits <= confirm_window
+}
+
+
+def test_every_config_number_is_bounded_or_cross_checked():
+    # a new field must join the table, which the walk above reads, or this list
+    numbers = set()
+    for cls in (Region, ScenarioConfig, SensorConfig, SpoofConfig, TrackerParams):
+        hints = typing.get_type_hints(cls)
+        bounded = {name for name, _ in bounds(cls)}
+        numbers |= {
+            f"{cls.__name__}.{name}"
+            for name, tp in hints.items()
+            if tp in (float, int) and name not in bounded
+        }
+    assert numbers == UNBOUNDED_FIELDS
 
 
 def test_grid_entry_seed_exits_2(tmp_path, capsys):
@@ -843,34 +904,39 @@ def test_removed_stream_keys_exit_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "o").exists()
 
 
-# finite spoofs that pass validate but put a detection at a non-finite
-# position: an offset or reflection past the float range, and a ghost
-# annulus whose squared radius overflows
+# finite spoofs that used to pass validate and then put a detection at a
+# non-finite position (an offset or reflection past the float range, a
+# ghost annulus whose squared radius overflows) or a track at a
+# non-finite state (a far reflection or ghost offset); now past a bound
 NON_FINITE_SPOOFS = [
-    pytest.param({"spoof_type": "drift", "alpha": 1e308}, id="drift"),
-    pytest.param({"spoof_type": "mirror", "mirror_x0": 1e308}, id="mirror"),
+    pytest.param({"spoof_type": "drift", "alpha": 1e308}, "alpha", id="drift"),
+    pytest.param({"spoof_type": "mirror", "mirror_x0": 1e200}, "mirror_x0", id="mirror"),
     pytest.param(
         {"spoof_type": "ghost", "ghost_rate": 6.0, "ghost_mode": "near_track",
-         "ghost_radius_m": 1e200},
-        id="ghost",
+         "ghost_radius_m": 1e300},
+        "ghost_radius_m", id="ghost",
+    ),
+    pytest.param(
+        {"spoof_type": "ghost", "ghost_rate": 6.0, "ghost_mode": "near_track",
+         "ghost_offset_m": 1e200},
+        "ghost_offset_m", id="ghost-offset",
     ),
 ]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("spoof", NON_FINITE_SPOOFS)
-def test_cli_run_non_finite_spoof_exits_2(tmp_path, capfd, spoof, jobs):
+@pytest.mark.parametrize("spoof,field", NON_FINITE_SPOOFS)
+def test_cli_run_non_finite_spoof_exits_2(tmp_path, capfd, spoof, field, jobs):
     payload = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
     payload.update(spoof_grid=[spoof], trackers=["gnn"])
     path = write_config_file(tmp_path, payload)
-    assert main(["validate", "--config", str(path)]) == 0
-    capfd.readouterr()
     out = str(tmp_path / "o")
-    assert main(["run", "--config", str(path), "--out", out, "--seeds", "2", "--jobs", jobs]) == 2
-    err = capfd.readouterr().err
-    assert err.startswith(f"config error: {spoof['spoof_type']} spoof puts a detection")
-    assert "non-finite position at step" in err
-    assert "Traceback" not in err
+    for argv in (["validate"], ["run", "--out", out, "--seeds", "2", "--jobs", jobs]):
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"config error: spoof_grid[0]: {field} ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_grid_size_is_bounded_before_building(tmp_path, capsys):

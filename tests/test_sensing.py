@@ -193,8 +193,9 @@ def test_rates_are_bounded_per_frame():
         SensorConfig(clutter_rate=above)
     with pytest.raises(ConfigError, match="ghost_rate"):
         SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=above)
-    # a rate is bounded only where it is drawn from
-    SpoofConfig(spoof_type=SpoofType.DRIFT, ghost_rate=above)
+    # bounds hold whatever the spoof type, drawn from or not
+    with pytest.raises(ConfigError, match="ghost_rate"):
+        SpoofConfig(spoof_type=SpoofType.DRIFT, ghost_rate=above)
 
 
 def test_header_shape():

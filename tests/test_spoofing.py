@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spoofbench.errors import ConfigError
-from spoofbench.geometry import Region
+from spoofbench.geometry import MAX_SPEED_MPS, Region
 from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
 from spoofbench.sensing import (
@@ -327,6 +327,17 @@ def test_apply_drift_linear_in_time():
             offset = det.z - np.array([ox, oy])
             t_rel = (frame.t - 10) * 1.0
             np.testing.assert_allclose(offset, [0.0, 2.0 * t_rel], atol=1e-9)
+
+
+def test_apply_rejects_a_non_finite_position():
+    # alpha at its bound passes the config check, and a step this long
+    # carries the drift past the float range
+    frame = frame_with([(10.0, 20.0)], t=1)
+    cfg = SpoofConfig(
+        spoof_type=SpoofType.DRIFT, injection_window=(0, 5), alpha=MAX_SPEED_MPS, dt_s=1e300
+    )
+    with pytest.raises(ConfigError, match="drift spoof puts a detection at a non-finite position"):
+        spoof_one(frame, cfg)
 
 
 def test_apply_never_mutates_clean_frames():

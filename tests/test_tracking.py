@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 from collections import deque
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from _oracles import Track
 from _oracles import lifecycle_update as lifecycle_update_per_track
 
+from spoofbench.codec import bounds
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
 from spoofbench.scenario import (
@@ -206,7 +208,10 @@ def test_params_validation_and_round_trip():
         TrackerParams.from_dict(bad)
 
 
-@pytest.mark.parametrize("field", ["gamma", "q", "dt_s", "v_max_mps", "hit_threshold"])
+@pytest.mark.parametrize(
+    "field",
+    [name for name, _ in bounds(TrackerParams) if get_type_hints(TrackerParams)[name] is float],
+)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_built_directly_reject_non_finite(field, value):
     # NaN passes every range comparison, so only the finiteness check stops it
