@@ -166,12 +166,7 @@ def gate_stack(
         raise ValueError("gamma must be non-negative")
     S = P[:, None, :2, :2] + frame.covariances
     d2 = _mahalanobis2(S, frame.positions - x[:, None, :2])
-    return GateResult(
-        d2=d2,
-        S=S,
-        inside=d2 <= gamma,
-        detection_ids=tuple(d.detection_id for d in frame.detections),
-    )
+    return GateResult(d2=d2, S=S, inside=d2 <= gamma, detection_ids=frame.ids)
 
 
 def estimate_from_detection(

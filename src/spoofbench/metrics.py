@@ -8,7 +8,7 @@ up by (t, detection_id) in one map built from the spoofed stream
 (detection_origins). Track-to-truth correspondence is solved
 per timestep as a min-cost one-to-one matching between confirmed track
 positions and true platform positions with a hard distance cutoff; the
-matcher's index (matched records and their distances) is the one source
+matcher's index (matched tracks and their distances) is the one source
 every truth-based metric and the plot-data export read. Each statistic
 is computed in the walk that already holds its inputs: one pass over the
 snapshot rows (score_consumption) scores every consumed weight. A float
@@ -49,14 +49,13 @@ _CONFIRMED = TrackStatus.CONFIRMED.value
 class TruthCorrespondence:
     """The per-step one-to-one mapping confirmed track -> platform.
 
-    by_step: t -> {track_id: platform_id}, track ids ascending.
-    records: (t, platform_id) -> matched SnapshotRecord, in (t, track_id)
-    order. distances: platform_id -> {t: matched distance in meters},
-    steps ascending, for platforms matched at least once.
+    by_step: t -> {track_id: platform_id}, steps ascending and track ids
+    ascending within a step. distances: platform_id -> {t: matched
+    distance in meters}, steps ascending, for platforms matched at least
+    once.
     """
 
     by_step: dict
-    records: dict
     distances: dict
 
     def platform_of(self, t: int, track_id: int) -> Optional[int]:
@@ -67,11 +66,12 @@ class TruthCorrespondence:
         platform's matched track differs from its previous matched step's
         (coverage gaps neither count nor reset), in step order."""
         last: dict = {}
-        for (t, pid), record in self.records.items():
-            previous = last.get(pid)
-            if previous is not None and previous != record.track_id:
-                yield t, pid, previous, record.track_id
-            last[pid] = record.track_id
+        for t, matched in self.by_step.items():
+            for track_id, pid in matched.items():
+                previous = last.get(pid)
+                if previous is not None and previous != track_id:
+                    yield t, pid, previous, track_id
+                last[pid] = track_id
 
 
 def match_tracks_to_truth(
@@ -91,14 +91,13 @@ def match_tracks_to_truth(
     unique optimum and skips the solver.
     """
     by_step: dict = {}
-    records: dict = {}
     distances: dict = {}
     platform_ids = tuple(truth.platform_ids)
     confirmed = [
         r for r in snapshots if r.status == _CONFIRMED and 0 <= r.t < truth.n_steps
     ]
     if not confirmed or not platform_ids:
-        return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
+        return TruthCorrespondence(by_step=by_step, distances=distances)
     # (t, track_id) order by two stable sorts, which build no key tuples
     confirmed.sort(key=attrgetter("track_id"))
     confirmed.sort(key=attrgetter("t"))
@@ -124,13 +123,12 @@ def match_tracks_to_truth(
             pairs = hungarian(np.where(block, dist[lo:hi], np.inf), MATCH_CUTOFF_M).items()
         matched = {}
         for i, j in pairs:
-            record, pid = confirmed[lo + i], platform_ids[j]
-            matched[record.track_id] = pid
-            records[(t, pid)] = record
+            pid = platform_ids[j]
+            matched[confirmed[lo + i].track_id] = pid
             distances.setdefault(pid, {})[t] = float(dist[lo + i, j])
         if matched:
             by_step[t] = matched
-    return TruthCorrespondence(by_step=by_step, records=records, distances=distances)
+    return TruthCorrespondence(by_step=by_step, distances=distances)
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def score_consumption(
     A matched row whose weights sum to 0 still adds its 0.0 entries to
     confusion and attribution; purity and inclusion skip it. Totals add
     in row order: a tracker run's confirmed rows are in (t, track_id)
-    order, the order of correspondence.records, so each platform's
+    order, the order of correspondence.by_step, so each platform's
     weights add step by step.
     """
     t_start, t_end = injection_window

@@ -62,7 +62,10 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionFrame:
-    """All detections of one timestep, ordered by detection_id."""
+    """All detections of one timestep, in strictly increasing
+    detection_id order; a frame in any other order is a ValueError. A
+    tracker reads a frame only as its columns: t, ids, positions and
+    covariances, one entry per detection in that order."""
 
     t: int
     detections: tuple[Detection, ...]
@@ -70,16 +73,17 @@ class DetectionFrame:
     def __post_init__(self) -> None:
         if any(d.t != self.t for d in self.detections):
             raise ValueError("frame contains detections from another timestep")
-        ids = [d.detection_id for d in self.detections]
-        if ids != sorted(ids):
-            object.__setattr__(
-                self,
-                "detections",
-                tuple(sorted(self.detections, key=lambda d: d.detection_id)),
-            )
+        ids = self.ids
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"detection ids must increase, got {list(ids)}")
 
-    # frames are frozen, so the stacks are built once on first use and
+    # frames are frozen, so the columns are built once on first use and
     # never go stale
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        """Detection ids in detection order."""
+        return tuple(d.detection_id for d in self.detections)
+
     @cached_property
     def positions(self) -> np.ndarray:
         """Measured positions stacked in detection order, shape (M, 2)."""

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .codec import Record, bounded, read_csv, write_csv
+from .codec import Record, bounded, write_csv
 from .errors import ConfigError
 from .geometry import MAX_COORDINATE_M, MAX_SPEED_MPS, Region, coordinate
 from .sensing import LABEL_CLEAN, MAX_RATE_PER_FRAME, MAX_SIGMA_M, Detection, DetectionFrame
@@ -226,8 +226,3 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
 
 def write_spoof_log_csv(path, log: Sequence[SpoofLogEntry]) -> None:
     write_csv(path, SpoofLogEntry._fields, log)
-
-
-def read_spoof_log_csv(path) -> tuple[SpoofLogEntry, ...]:
-    """Strict inverse of write_spoof_log_csv."""
-    return tuple(read_csv(path, SpoofLogEntry))

@@ -128,8 +128,8 @@ def _min_savings_matching(edges: list, n_dst: int) -> list[int]:
             done_dst.append(t)
             s2 = mate_dst[t]
             if s2 < 0:
-                if d + pi_dst[t] < d_sink:
-                    d_sink, via = d + pi_dst[t], ~t
+                # d < d_sink here, and a free target's potential is 0
+                d_sink, via = d, ~t
                 continue
             # a matched target passes on to its source at no cost
             done_src.append((s2, d))
@@ -190,14 +190,14 @@ def gnn_step(
             x[rows], P[rows], frame.positions[cols], frame.covariances[cols]
         )
         for row, col, cost in zip(rows, cols, costs[rows, cols].tolist()):
-            det_id = frame.detections[col].detection_id
+            det_id = frame.ids[col]
             hits[row], det_ids[row], scores[row], weights[row] = True, det_id, cost, {det_id: 1.0}
     bank.x, bank.P = x, P
 
     lifecycle_update(bank, hits, params)
     records = snapshot_rows(frame.t, bank, det_ids, scores, weights, [None] * n)
     drop_deleted(bank)
-    assigned = set(cols)
-    unassigned = [d for col, d in enumerate(frame.detections) if col not in assigned]
-    births = birth_tracks(bank, unassigned, params, frame.t, id_source=id_source)
+    born = np.ones(len(frame.ids), dtype=bool)
+    born[cols] = False
+    births = birth_tracks(bank, frame, born, params, id_source=id_source)
     return StepResult(records, births)

@@ -161,7 +161,5 @@ def jpda_step(
         [miss for miss, _ in probabilities],
     )
     drop_deleted(bank)
-    gated_cols = gated.inside.any(axis=0).tolist()
-    unassigned = [d for d, g in zip(frame.detections, gated_cols) if not g]
-    births = birth_tracks(bank, unassigned, params, frame.t, id_source=id_source)
+    births = birth_tracks(bank, frame, ~gated.inside.any(axis=0), params, id_source=id_source)
     return StepResult(records, births)

@@ -7,7 +7,8 @@ rows (snapshot_rows), drops the deleted ones and appends births, whose
 rows birth_tracks writes, and returns both sets of rows as a
 StepResult; run_tracker appends them to the run's rows. Provenance stays
 on the detections: the metrics look it up by (t, detection_id) in the
-spoofed stream, so neither the trackers nor this loop read labels.
+spoofed stream, and the tracking layer reads a frame only as its columns
+(t, ids, positions, covariances), so no tracker reads labels or truth.
 Confirmation is M-of-N on the hit history; deletion is a consecutive
 miss streak.
 """
@@ -31,7 +32,7 @@ from .errors import ConfigError
 from .estimation import GAMMA_DEFAULT, V_MAX_DEFAULT, GateResult
 from .estimation import estimate_from_detection, gate_stack, kf_predict_stack
 from .geometry import MAX_SPEED_MPS
-from .sensing import Detection, DetectionFrame
+from .sensing import DetectionFrame
 
 # Bound on q, the white acceleration's variance: as much headroom as
 # v_max_mps gets from geometry.MAX_SPEED_MPS. A track that coasts a whole
@@ -163,39 +164,39 @@ def drop_deleted(bank: TrackBank) -> None:
 
 def birth_tracks(
     bank: TrackBank,
-    unassigned: Sequence[Detection],
+    frame: DetectionFrame,
+    born: np.ndarray,
     params: TrackerParams,
-    t: int,
     *,
     id_source: Iterator[int],
 ) -> list[SnapshotRecord]:
-    """Append a tentative row per unassigned detection, in detection-id
-    order, whose detection counts as its first hit; returns the births'
-    rows for step t. Their track ids come from id_source, which must
-    yield them above every id in the bank. A birth's row names its
+    """Append a tentative row for each column of the frame that born, a
+    boolean per column, marks, in column (so detection-id) order; the
+    detection counts as the row's first hit. Returns the births' rows
+    for the frame's step. Their track ids come from id_source, which
+    must yield them above every id in the bank. A birth's row names its
     spawning detection, but has no score and consumed no weight: the
     detection started the track, it did not update it."""
-    dets = sorted(unassigned, key=lambda d: d.detection_id)
-    if not dets:
+    cols = np.flatnonzero(born).tolist()
+    if not cols:
         return []
-    ids = [next(id_source) for _ in dets]
+    ids = [next(id_source) for _ in cols]
     order = bank.ids[-1:] + ids
     if any(a >= b for a, b in zip(order, order[1:])):
         raise ValueError(f"track ids must increase, got {order}")
     x, P = estimate_from_detection(
-        np.array([d.z for d in dets]), np.array([d.R for d in dets]), params.v_max_mps
+        frame.positions[cols], frame.covariances[cols], params.v_max_mps
     )
-    born = len(bank)
+    start = len(bank)
     bank.x = np.concatenate((bank.x, x))
     bank.P = np.concatenate((bank.P, P))
     bank.ids += ids
-    bank.status += [_TENTATIVE] * len(dets)
-    bank.miss_streak += [0] * len(dets)
-    bank.hit_history += [deque((True,), maxlen=params.confirm_window) for _ in dets]
+    bank.status += [_TENTATIVE] * len(ids)
+    bank.miss_streak += [0] * len(ids)
+    bank.hit_history += [deque((True,), maxlen=params.confirm_window) for _ in ids]
+    det_ids = [frame.ids[col] for col in cols]
     none = itertools.repeat(None)
-    return snapshot_rows(
-        t, bank, [d.detection_id for d in dets], none, [{} for _ in dets], none, born
-    )
+    return snapshot_rows(frame.t, bank, det_ids, none, [{} for _ in ids], none, start)
 
 
 @dataclass

@@ -91,9 +91,9 @@ def _random_gate_setup(rng):
     bank = TrackBank()
     birth_tracks(
         bank,
-        [Detection(t=0, detection_id=0, z=z0, R=R, label="clutter")],
+        DetectionFrame(t=0, detections=(Detection(0, 0, z0, R, "clutter"),)),
+        np.ones(1, bool),
         params,
-        0,
         id_source=iter([0]),
     )
     x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)

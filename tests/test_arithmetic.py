@@ -5,7 +5,9 @@ CPU (or as OPENBLAS_CORETYPE says), and kernels round differently. So
 the package keeps BLAS off the artifact path: a static rule over its
 source, and a run under two kernels that must write the same bytes. A
 second static rule keeps randomness to sensing and spoofing, so the
-trackers stay pure functions of their detection streams.
+trackers stay pure functions of their detection streams. A third keeps
+provenance out of the tracking layer: it reads a frame only as its
+columns, so no tracker can see a detection's label or truth.
 """
 
 import ast
@@ -111,6 +113,59 @@ def test_only_sensing_and_spoofing_open_random_streams(path):
 )
 def test_stream_rule_catches_each_form(module, source, want):
     assert [text for _, text in random_uses(ast.parse(source), module)] == want
+
+
+# the modules that predict, gate, associate and run a track's lifecycle
+TRACKING_LAYER = [
+    ROOT / "src" / "spoofbench" / name
+    for name in ("estimation.py", "tracking.py", "tracker_gnn.py", "tracker_jpda.py")
+]
+# a Detection, the frame's tuple of them, and the provenance they carry
+PROVENANCE_NAMES = {"Detection", "detections", "label", "truth_id", "origin_key"}
+# the modules that hold truth, labels or the scores computed from them
+PROVENANCE_MODULES = {"scenario", "spoofing", "metrics", "harness"}
+
+
+def provenance_uses(tree):
+    """Sorted (line, text) of every reach for provenance: an attribute
+    named in PROVENANCE_NAMES, an import of one, or an import of or from
+    a module in PROVENANCE_MODULES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PROVENANCE_NAMES:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                name = f"{module}.{alias.name}".lstrip(".")
+                if alias.name in PROVENANCE_NAMES or PROVENANCE_MODULES & set(name.split(".")):
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", TRACKING_LAYER, ids=[p.name for p in TRACKING_LAYER])
+def test_trackers_read_frames_as_columns(path):
+    assert provenance_uses(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "source,want",
+    [
+        ("det_id = frame.detections[col].detection_id", ["frame.detections"]),
+        ("if d.label == 'clean' and d.truth_id is not None:\n    key = d.origin_key()",
+         ["d.label", "d.truth_id", "d.origin_key"]),
+        ("from .sensing import Detection, DetectionFrame", ["sensing.Detection"]),
+        ("det = sensing.Detection(t, i, z, R, 'clean')", ["sensing.Detection"]),
+        ("from .metrics import detection_origins\nfrom spoofbench.harness import TRACKER_STEPS",
+         ["metrics.detection_origins", "spoofbench.harness.TRACKER_STEPS"]),
+        ("from . import scenario\nimport spoofbench.spoofing as sp",
+         ["scenario", "spoofbench.spoofing"]),
+        # a frame's columns are what a tracker may read
+        ("from .sensing import DetectionFrame\nids, z = frame.ids, frame.positions[cols]", []),
+    ],
+)
+def test_provenance_rule_catches_each_form(source, want):
+    assert [text for _, text in provenance_uses(ast.parse(source))] == want
 
 
 def run_grid(out, coretype):

@@ -771,6 +771,23 @@ BAD_VALUES = [
         "spoof_grid[1].ghost_radius_m", 1e200, "spoof_grid[1]: ghost_radius_m",
         id="ghost_radius_m-overflow",
     ),
+    # the grid's shape and the scenario's cross-field rules
+    pytest.param("spoof_grid", [], "spoof_grid must not be empty", id="spoof_grid-empty"),
+    pytest.param("spoof_grid", {}, "spoof_grid must be a list", id="spoof_grid-object"),
+    pytest.param("spoof_grid[0]", "x", "spoof_grid[0] must be an object", id="spoof_grid[0]"),
+    pytest.param(
+        "spoof_grid[0].name", "", "spoof_grid[0].name must not be empty", id="spoof_grid[0].name"
+    ),
+    pytest.param("trackers", [], "trackers must not be empty", id="trackers-empty"),
+    pytest.param("seeds", [-1], "seeds must be non-negative", id="seeds-negative"),
+    pytest.param(
+        "scenario.platforms[0].waypoints", [[0.0, [-600.0, -400.0]]],
+        "scenario: platform 0: need at least 2 waypoints", id="one-waypoint",
+    ),
+    pytest.param(
+        "scenario.duration_s", 0.5, "scenario: duration_s must be at least dt_s",
+        id="duration_s-below-dt_s",
+    ),
 ]
 
 
@@ -969,6 +986,39 @@ def test_worker_count_is_bounded_by_runs_and_cpus():
 def test_cli_missing_file_exit_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+# (arguments, error text) of commands that fail before any run starts;
+# {config} is the demo config without output_dir, {out} a fresh path and
+# {empty} a directory without manifest.json
+CLI_ERRORS = [
+    pytest.param(["run", "--config", "{config}", "--out", "{out}", "--jobs", "0"],
+                 "--jobs must be at least 1", id="jobs-0"),
+    pytest.param(["run", "--config", "{config}", "--out", "{out}", "--jobs", "-1"],
+                 "--jobs must be at least 1", id="jobs-negative"),
+    pytest.param(["run", "--config", "{config}", "--out", "{out}", "--seeds", "0"],
+                 "--seeds must be at least 1", id="seeds-0"),
+    pytest.param(["run", "--config", "{config}"],
+                 "no output directory: set output_dir or pass --out", id="no-output-dir"),
+    pytest.param(["compare", "--report", "{empty}"], "no manifest.json under", id="compare"),
+    pytest.param(["export", "--report", "{empty}"], "no manifest.json under", id="export"),
+]
+
+
+@pytest.mark.parametrize("args,error", CLI_ERRORS)
+def test_cli_errors_exit_2_before_any_run(tmp_path, capsys, args, error):
+    payload = json.loads(DEMO_CONFIG.read_text())
+    del payload["output_dir"]
+    paths = {
+        "config": str(write_config_file(tmp_path, payload)),
+        "out": str(tmp_path / "out"),
+        "empty": str(tmp_path),
+    }
+    assert main([arg.format(**paths) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {error}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
 
 
 def test_cli_run_then_compare_and_export(tmp_path, capsys):

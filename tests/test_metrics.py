@@ -60,7 +60,7 @@ def snap(t, track_id, x, y, status="confirmed", weights=None):
     )
 
 
-NO_MATCH = TruthCorrespondence(by_step={}, records={}, distances={})
+NO_MATCH = TruthCorrespondence(by_step={}, distances={})
 
 
 def purity_of(snaps, origins):
@@ -80,7 +80,7 @@ def test_match_exact_position():
     snaps = [snap(t, 4, 10.0, 20.0) for t in range(3)]
     corr = match_tracks_to_truth(snaps, truth)
     assert corr.platform_of(1, 4) == 7
-    assert corr.records[1, 7].track_id == 4
+    assert corr.by_step == {t: {4: 7} for t in range(3)}
 
 
 def test_match_beyond_cutoff_stays_unmatched():
@@ -221,25 +221,25 @@ def test_match_is_the_per_step_optimum_over_many_steps():
             got += MATCH_CUTOFF_M * (len(confirmed) - len(mapping))
             assert got == pytest.approx(min_cost_by_enumeration(costs, MATCH_CUTOFF_M), abs=1e-9)
             assert (t in corr.by_step) == bool(mapping)
+            # confirmed tracks only, one track per platform
+            assert set(mapping) <= set(row)
+            assert len(set(mapping.values())) == len(mapping)
             for tid, pid in mapping.items():
-                assert corr.records[(t, pid)].track_id == tid
                 assert corr.distances[pid][t] == norms[row[tid], pids.index(pid)]
                 assert corr.distances[pid][t] < MATCH_CUTOFF_M
         assert {("uncontested", True), ("contested", True), ("uncontested", False)} <= kinds
         # nothing past the last step, nothing unconfirmed
         assert all(t < T for t in corr.by_step)
-        assert all(r.status == "confirmed" for r in corr.records.values())
-        assert len(corr.records) == sum(len(m) for m in corr.by_step.values())
-        # order contracts
-        for mapping in corr.by_step.values():
-            assert list(mapping) == sorted(mapping)
-        keys = [(t, r.track_id) for (t, _), r in corr.records.items()]
+        matches = [(t, tid, pid) for t, m in corr.by_step.items() for tid, pid in m.items()]
+        assert sum(len(by_t) for by_t in corr.distances.values()) == len(matches)
+        # order contracts: steps ascending, track ids ascending within a step
+        keys = [(t, tid) for t, tid, _ in matches]
         assert keys == sorted(keys)
-        first_match = list(dict.fromkeys(pid for _, pid in corr.records))
+        first_match = list(dict.fromkeys(pid for _, _, pid in matches))
         assert list(corr.distances) == first_match
         for pid, by_t in corr.distances.items():
             assert list(by_t) == sorted(by_t)
-            assert list(by_t) == [t for t, p in corr.records if p == pid]
+            assert list(by_t) == [t for t, _, p in matches if p == pid]
 
 
 def test_match_agrees_with_brute_force():
@@ -280,8 +280,12 @@ def test_match_agrees_with_brute_force():
             if s.track_id in got_mapping
         ) + MATCH_CUTOFF_M * (n_t - len(got_mapping))
         assert got == pytest.approx(best, abs=1e-9)
-        for track_id in got_mapping:
-            assert corr.records[0, corr.platform_of(0, track_id)].track_id == track_id
+        assert len(set(got_mapping.values())) == len(got_mapping)
+        for s in snaps:
+            if s.track_id in got_mapping:
+                pid = corr.platform_of(0, s.track_id)
+                d = float(np.linalg.norm(np.array([s.x, s.y]) - platforms[pid]))
+                assert corr.distances[pid] == {0: pytest.approx(d, abs=1e-9)}
 
 
 def test_drift_zero_when_on_truth():

@@ -10,6 +10,7 @@ from spoofbench.sensing import (
     DETECTION_CSV_HEADER,
     MAX_RATE_PER_FRAME,
     Detection,
+    DetectionFrame,
     DetectionRow,
     SensorConfig,
     generate_clean_run,
@@ -131,6 +132,24 @@ def test_detection_ids_unique_and_sorted():
         for i in ids:
             assert i not in seen
             seen.add(i)
+
+
+def test_frame_columns_follow_detection_order():
+    dets = tuple(
+        Detection(t=4, detection_id=i, z=np.array([i, -i], float), R=np.eye(2) * i,
+                  label="clutter")
+        for i in (2, 5, 9)
+    )
+    frame = DetectionFrame(t=4, detections=dets)
+    assert frame.ids == (2, 5, 9)
+    np.testing.assert_array_equal(frame.positions, [[2, -2], [5, -5], [9, -9]])
+    np.testing.assert_array_equal(frame.covariances, [np.eye(2) * i for i in (2, 5, 9)])
+    # a frame is refused, not re-sorted: its columns are the trackers' only order
+    for order in ((dets[1], dets[0], dets[2]), (dets[0], dets[0])):
+        with pytest.raises(ValueError, match="detection ids must increase"):
+            DetectionFrame(t=4, detections=order)
+    with pytest.raises(ValueError, match="another timestep"):
+        DetectionFrame(t=3, detections=dets)
 
 
 def test_csv_round_trip(tmp_path):

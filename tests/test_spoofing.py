@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spoofbench.codec import read_csv
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import MAX_SPEED_MPS, Region
 from spoofbench.harness import load_benchmark_config
@@ -18,9 +19,9 @@ from spoofbench.sensing import (
 )
 from spoofbench.spoofing import (
     SpoofConfig,
+    SpoofLogEntry,
     SpoofType,
     apply_spoof,
-    read_spoof_log_csv,
     reflect_across_axis,
     write_spoof_log_csv,
 )
@@ -402,7 +403,7 @@ def test_spoof_log_csv_round_trip(tmp_path):
     run = apply_spoof(frames, cfg)
     path = tmp_path / "spoof_log.csv"
     write_spoof_log_csv(path, run.spoof_log)
-    again = read_spoof_log_csv(path)
+    again = tuple(read_csv(path, SpoofLogEntry))
     assert again == run.spoof_log
 
 

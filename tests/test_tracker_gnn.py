@@ -217,7 +217,8 @@ def frame_of(dets, t=0):
 def spawn(dets, params, start_id=0):
     """A bank of one fresh track per detection."""
     bank = TrackBank()
-    birth_tracks(bank, dets, params, 0, id_source=itertools.count(start_id))
+    born = np.ones(len(dets), bool)
+    birth_tracks(bank, frame_of(dets), born, params, id_source=itertools.count(start_id))
     return bank
 
 

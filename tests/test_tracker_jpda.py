@@ -34,7 +34,8 @@ def predict(est, params):
 def predicted_bank(x, y, params, track_id=0):
     """A bank of one track born at (x, y) and predicted one step."""
     bank = TrackBank()
-    birth_tracks(bank, [det(0, x, y)], params, 0, id_source=iter([track_id]))
+    frame = frame_of([det(0, x, y)])
+    birth_tracks(bank, frame, np.ones(1, bool), params, id_source=iter([track_id]))
     bank.x, bank.P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
     return bank
 
@@ -169,7 +170,8 @@ def test_dilution_monotone():
 def test_step_single_detection_reduces_to_kalman():
     params = TrackerParams(clutter_density=0.0)
     bank = TrackBank()
-    birth_tracks(bank, [det(0, 10.0, 5.0)], params, 0, id_source=iter([0]))
+    frame = frame_of([det(0, 10.0, 5.0)])
+    birth_tracks(bank, frame, np.ones(1, bool), params, id_source=iter([0]))
     z = det(4, 12.0, 4.0, t=1)
     # the step predicts before associating, so mirror that by hand
     reference = predict(row_estimate(bank), params)

@@ -158,16 +158,30 @@ def test_birth_all_unassigned():
     dets = [det(0, 1.0, 2.0), det(1, 3.0, 4.0), det(2, 5.0, 6.0)]
     source = iter(range(100))
     bank = TrackBank()
-    rows = birth_tracks(bank, dets, p, 0, id_source=source)
+    frame = DetectionFrame(0, tuple(dets))
+    rows = birth_tracks(bank, frame, np.ones(3, bool), p, id_source=source)
     assert len(rows) == 3
     for row, d in enumerate(dets):
         assert bank.status[row] is TrackStatus.TENTATIVE
         np.testing.assert_allclose(bank.x[row, :2], d.z)
 
 
+def test_birth_reads_only_the_marked_columns():
+    frame = DetectionFrame(0, (det(3, 1.0, 2.0), det(4, 3.0, 4.0), det(8, 5.0, 6.0)))
+    bank = TrackBank()
+    born = np.array([True, False, True])
+    rows = birth_tracks(bank, frame, born, params(), id_source=iter([10, 11]))
+    assert [(r.track_id, r.detection_id, r.x, r.y) for r in rows] == [
+        (10, 3, 1.0, 2.0), (11, 8, 5.0, 6.0)
+    ]
+    assert birth_tracks(bank, frame, np.zeros(3, bool), params(), id_source=iter([])) == []
+    assert bank.ids == [10, 11]
+
+
 def test_birth_records_assignment():
     bank = TrackBank()
-    [born] = birth_tracks(bank, [det(7, 1.0, 2.0, t=3)], params(), 3, id_source=iter([42]))
+    frame = DetectionFrame(3, (det(7, 1.0, 2.0, t=3),))
+    [born] = birth_tracks(bank, frame, np.ones(1, bool), params(), id_source=iter([42]))
     assert (born.t, born.track_id, born.detection_id) == (3, 42, 7)
     # a birth's row carries its spawning detection, but no score and no
     # consumed weight: the detection started the track, it did not update it
@@ -188,9 +202,10 @@ def test_birth_records_assignment():
 
 def test_births_keep_the_bank_in_track_id_order():
     bank = TrackBank()
-    birth_tracks(bank, [det(0, 1.0, 2.0)], params(), 0, id_source=iter([5]))
+    frame = DetectionFrame(0, (det(0, 1.0, 2.0), det(1, 3.0, 4.0)))
+    birth_tracks(bank, frame, np.array([True, False]), params(), id_source=iter([5]))
     with pytest.raises(ValueError, match="track ids must increase"):
-        birth_tracks(bank, [det(1, 3.0, 4.0)], params(), 0, id_source=iter([5]))
+        birth_tracks(bank, frame, np.array([False, True]), params(), id_source=iter([5]))
 
 
 def test_params_validation_and_round_trip():
