@@ -46,11 +46,7 @@ def main():
     # same seed replays the identical stream; a different seed does not
     again = generate_clean_run(truth, sensor, seed=0)
     other = generate_clean_run(truth, sensor, seed=1)
-    replay_ok = all(
-        len(a.detections) == len(b.detections)
-        and all(np.array_equal(x.z, y.z) for x, y in zip(a.detections, b.detections))
-        for a, b in zip(frames, again)
-    )
+    replay_ok = frames == again
     print(f"\nseed 0 replay identical: {replay_ok}")
     print(f"seed 1 detection count:  {sum(len(f.detections) for f in other)}")
 

@@ -9,6 +9,7 @@ clean stream comes back untouched next to the spoofed one.
 """
 
 import collections
+import math
 
 import numpy as np
 
@@ -31,11 +32,7 @@ def label_counts(frames):
 
 
 def clean_untouched(run, clean_frames) -> bool:
-    return all(
-        len(a.detections) == len(b.detections)
-        and all(np.array_equal(x.z, y.z) for x, y in zip(a.detections, b.detections))
-        for a, b in zip(run.clean_frames, clean_frames)
-    )
+    return list(run.clean_frames) == clean_frames
 
 
 def main():
@@ -55,7 +52,7 @@ def main():
     offsets = {}
     for t in (WINDOW[0], 50, WINDOW[1] - 1):
         pairs = zip(drift.clean_frames[t].detections, drift.spoofed_frames[t].detections)
-        moved = [float(np.linalg.norm(s.z - c.z)) for c, s in pairs if c.label == "clean"]
+        moved = [math.dist((s.x, s.y), (c.x, c.y)) for c, s in pairs if c.label == "clean"]
         offsets[t] = max(moved) if moved else 0.0
     print("drift (alpha=3.0 m/s along +x):")
     print(f"  detections {sum(len(f.detections) for f in drift.spoofed_frames)} (unchanged)")
@@ -92,7 +89,8 @@ def main():
     ids_clean = {d.detection_id for f in mirror.clean_frames for d in f.detections}
     ids_spoof = {d.detection_id for f in mirror.spoofed_frames for d in f.detections
                  if d.label.startswith("spoof")}
-    sample = mirror.spoofed_frames[WINDOW[0]].detections[0].z
+    first = mirror.spoofed_frames[WINDOW[0]].detections[0]
+    sample = np.array([first.x, first.y])
     twice = reflect_across_axis(reflect_across_axis(sample, x0), x0)
     print(f"mirror (axis x={x0}):")
     print(f"  appended {n_mirror} reflected copies, ids disjoint from clean: "

@@ -93,15 +93,9 @@ def main():
     # detections at the predicted position, watch the top weight fall
     print("\nassociation weight of the best detection vs gate crowding:")
     params = TrackerParams(clutter_density=2.0 / 1200.0 ** 2)
-    seed_det = Detection(t=0, detection_id=0, z=np.array([0.0, 0.0]),
-                         R=np.eye(2) * 25.0, label="clutter")
-    x, P = estimate_from_detection(seed_det.z, seed_det.R)
+    x, P = estimate_from_detection(np.array([0.0, 0.0]), np.eye(2) * 25.0)
     for k in (1, 2, 4, 8):
-        dets = [
-            Detection(t=1, detection_id=i, z=np.array([0.0, 0.0]),
-                      R=np.eye(2) * 25.0, label="clutter")
-            for i in range(k)
-        ]
+        dets = [Detection(1, i, 0.0, 0.0, 25.0, 0.0, 25.0, "clutter") for i in range(k)]
         frame = DetectionFrame(t=1, detections=tuple(dets))
         gated = gate_stack(frame, x[None], P[None])
         [(miss, betas)] = association_probabilities(gated, params)

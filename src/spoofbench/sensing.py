@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -38,19 +38,24 @@ LABEL_CLEAN = "clean"
 LABEL_CLUTTER = "clutter"
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One measured position with its reported covariance and provenance.
+class Detection(NamedTuple):
+    """One detection, as plain numbers: a row of clean.csv or spoofed.csv
+    without its run_id, so it is immutable and two streams compare by
+    value.
 
-    label is "clean", "clutter" or "spoof:<type>"; truth_id is the
-    platform a clean or drift/mirror detection came from. Trackers never
-    read either.
+    (x, y) is the measured position and [[r_xx, r_xy], [r_xy, r_yy]] its
+    reported covariance, symmetric by construction. label is "clean",
+    "clutter" or "spoof:<type>"; truth_id is the platform a clean or
+    drift/mirror detection came from. Trackers never read either.
     """
 
     t: int
     detection_id: int
-    z: np.ndarray
-    R: np.ndarray
+    x: float
+    y: float
+    r_xx: float
+    r_xy: float
+    r_yy: float
     label: str
     truth_id: Optional[int] = None
 
@@ -87,12 +92,14 @@ class DetectionFrame:
     @cached_property
     def positions(self) -> np.ndarray:
         """Measured positions stacked in detection order, shape (M, 2)."""
-        return np.array([d.z for d in self.detections], dtype=float).reshape(-1, 2)
+        return np.array([(d.x, d.y) for d in self.detections], dtype=float).reshape(-1, 2)
 
     @cached_property
     def covariances(self) -> np.ndarray:
         """Reported covariances stacked in detection order, shape (M, 2, 2)."""
-        return np.array([d.R for d in self.detections], dtype=float).reshape(-1, 2, 2)
+        return np.array(
+            [(d.r_xx, d.r_xy, d.r_xy, d.r_yy) for d in self.detections], dtype=float
+        ).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
     (seed, TAG_SENSE, timestep, platform slot).
     """
     sigma = cfg.noise_sigma_m
-    R = np.eye(2) * sigma * sigma
+    var = sigma * sigma
     frames: list[DetectionFrame] = []
     next_id = 0
     for k in range(truth.n_steps):
@@ -128,47 +135,24 @@ def generate_clean_run(truth, cfg: SensorConfig, seed: int) -> list[DetectionFra
             rng = substream(seed, TAG_SENSE, k, idx)
             if rng.random() >= cfg.p_detect:
                 continue
-            z = pos + rng.normal(0.0, sigma, size=2)
-            detections.append(
-                Detection(
-                    t=k, detection_id=next_id, z=z, R=R.copy(), label=LABEL_CLEAN, truth_id=pid
-                )
-            )
+            x, y = (pos + rng.normal(0.0, sigma, size=2)).tolist()
+            detections.append(Detection(k, next_id, x, y, var, 0.0, var, LABEL_CLEAN, pid))
             next_id += 1
-        rng = substream(seed, TAG_SENSE, k, CLUTTER_SLOT)
-        n_clutter = int(rng.poisson(cfg.clutter_rate))
-        if n_clutter:
-            points = cfg.fov.sample(rng, n_clutter)
-            for point in points:
-                detections.append(
-                    Detection(
-                        t=k,
-                        detection_id=next_id,
-                        z=np.asarray(point, dtype=float),
-                        R=R.copy(),
-                        label=LABEL_CLUTTER,
-                    )
-                )
+        # Poisson(0) is always 0, and no other draw reads the clutter
+        # stream, so a clutter-free sensor opens none
+        if cfg.clutter_rate:
+            rng = substream(seed, TAG_SENSE, k, CLUTTER_SLOT)
+            n_clutter = int(rng.poisson(cfg.clutter_rate))
+            for x, y in cfg.fov.sample(rng, n_clutter).tolist():
+                detections.append(Detection(k, next_id, x, y, var, 0.0, var, LABEL_CLUTTER))
                 next_id += 1
         frames.append(DetectionFrame(t=k, detections=tuple(detections)))
     return frames
 
 
-class DetectionRow(NamedTuple):
-    """One row of clean.csv or spoofed.csv: a detection, its reported
-    covariance and its provenance."""
-
-    run_id: str
-    t: int
-    detection_id: int
-    x: float
-    y: float
-    r_xx: float
-    r_xy: float
-    r_yy: float
-    label: str
-    truth_id: Optional[int]
-
+# one row of clean.csv or spoofed.csv: the stream's run_id, then the
+# detection's fields
+DetectionRow = NamedTuple("DetectionRow", [("run_id", str), *get_type_hints(Detection).items()])
 
 DETECTION_CSV_HEADER = list(DetectionRow._fields)
 
@@ -178,12 +162,7 @@ CLEAN_STREAM_LABELS = (LABEL_CLEAN, LABEL_CLUTTER)
 
 def write_detection_csv(path, frames: Iterable[DetectionFrame], run_id: str) -> None:
     """Serialize frames to CSV, one row per detection."""
-    rows = (
-        (run_id, d.t, d.detection_id, *d.z.tolist(), d.R[0, 0], d.R[0, 1], d.R[1, 1],
-         d.label, d.truth_id)
-        for frame in frames
-        for d in frame.detections
-    )
+    rows = ((run_id, *d) for frame in frames for d in frame.detections)
     write_csv(path, DETECTION_CSV_HEADER, rows)
 
 

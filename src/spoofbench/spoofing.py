@@ -141,7 +141,7 @@ def _ghost_positions(
     ghost_offset_m along ghost_offset_dir.
     """
     count = int(rng.poisson(cfg.ghost_rate))
-    anchors = [d.z for d in frame.detections if d.label == LABEL_CLEAN]
+    anchors = [np.array((d.x, d.y)) for d in frame.detections if d.label == LABEL_CLEAN]
     offset = cfg.ghost_offset_m * np.asarray(cfg.ghost_offset_dir, dtype=float)
     r2_lo = cfg.ghost_inner_m * cfg.ghost_inner_m
     r2_hi = cfg.ghost_radius_m * cfg.ghost_radius_m
@@ -182,7 +182,7 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
         return SpoofedRun(clean_frames, clean_frames, (), cfg)
     kind = cfg.spoof_type.value
     label = cfg.spoof_type.label
-    ghost_R = np.eye(2) * cfg.ghost_sigma_m * cfg.ghost_sigma_m
+    ghost_var = cfg.ghost_sigma_m * cfg.ghost_sigma_m
     next_id = 1 + max((d.detection_id for f in clean_frames for d in f.detections), default=-1)
     spoofed: list[DetectionFrame] = []
     log: list[SpoofLogEntry] = []
@@ -200,9 +200,9 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
             if cfg.spoof_type is SpoofType.DRIFT:
                 t_rel = (frame.t - cfg.injection_window[0]) * cfg.dt_s
                 offset = cfg.alpha * t_rel * np.asarray(cfg.drift_dir, dtype=float)
-                named = [(d, d.z + offset) for d in targeted]
+                named = [(d, np.array((d.x, d.y)) + offset) for d in targeted]
             else:
-                named = [(d, reflect_across_axis(d.z, cfg.mirror_x0)) for d in targeted]
+                named = [(d, reflect_across_axis((d.x, d.y), cfg.mirror_x0)) for d in targeted]
         # by id, so a drifted detection takes its source's place
         detections = {d.detection_id: d for d in frame.detections}
         for source, z in named:
@@ -214,11 +214,14 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
                 det_id = source.detection_id
             else:
                 det_id, next_id = next_id, next_id + 1
+            x, y = z.tolist()
             if source is None:
-                R, truth_id, orig = ghost_R, None, (None, None)
+                det = Detection(frame.t, det_id, x, y, ghost_var, 0.0, ghost_var, label)
+                orig = (None, None)
             else:
-                R, truth_id, orig = source.R, source.truth_id, source.z.tolist()
-            detections[det_id] = Detection(frame.t, det_id, z, R.copy(), label, truth_id)
+                det = source._replace(detection_id=det_id, x=x, y=y, label=label)
+                orig = (source.x, source.y)
+            detections[det_id] = det
             log.append(SpoofLogEntry(frame.t, det_id, kind, *orig))
         spoofed.append(DetectionFrame(frame.t, tuple(detections.values())) if named else frame)
     return SpoofedRun(clean_frames, tuple(spoofed), tuple(log), cfg)

@@ -106,6 +106,13 @@ def nees(est, x_true):
     return float(e @ np.linalg.solve(est.P, e))
 
 
+def measurement(det):
+    """A detection's position z (2,) and covariance R (2, 2) as arrays."""
+    z = np.array([det.x, det.y])
+    R = np.array([[det.r_xx, det.r_xy], [det.r_xy, det.r_yy]])
+    return z, R
+
+
 def mahalanobis2_by_solve(z, x, P, R):
     """nu^T S^-1 nu with S = H P H^T + R, by a general linear solve."""
     S = H @ P @ H.T + R
@@ -238,9 +245,9 @@ def birth_tracks(unassigned, params, *, id_source):
     variance v_max^2, and the spawning detection as its first hit."""
     births = []
     for det in sorted(unassigned, key=lambda d: d.detection_id):
-        x = np.array([float(det.z[0]), float(det.z[1]), 0.0, 0.0])
+        x = np.array([det.x, det.y, 0.0, 0.0])
         P = np.zeros((4, 4))
-        P[:2, :2] = np.asarray(det.R, dtype=float)
+        P[:2, :2] = measurement(det)[1]
         P[2, 2] = P[3, 3] = params.v_max_mps * params.v_max_mps
         history = deque(maxlen=params.confirm_window)
         history.append(True)
@@ -319,7 +326,7 @@ def gnn_step_per_track(tracks, frame, params, *, id_source):
         if col is not None:
             det = frame.detections[col]
             est = track.estimate
-            est.x, est.P = kf_update_per_row(est.x, est.P, det.z, det.R)
+            est.x, est.P = kf_update_per_row(est.x, est.P, *measurement(det))
             lifecycle_update(track, True, params)
             cost = float(costs[row, col])
             det_id = det.detection_id
@@ -342,7 +349,7 @@ def _composite_update_per_track(track, gated, miss, betas, frame):
     weights = [miss]
     for index, det_id in zip(gated.indices, gated.detection_ids):
         det = frame.detections[index]
-        x_post, P_post = kf_update_per_row(prior.x, prior.P, det.z, det.R)
+        x_post, P_post = kf_update_per_row(prior.x, prior.P, *measurement(det))
         means.append(x_post)
         covs.append(P_post)
         weights.append(betas[det_id])

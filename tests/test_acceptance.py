@@ -20,6 +20,7 @@ from _oracles import (
     KinematicEstimate,
     assignment_cost,
     cv_transition,
+    measurement,
     min_cost_by_enumeration,
     nees,
 )
@@ -79,6 +80,12 @@ def test_criterion_1_assignment_matches_exhaustive_minimum():
     )
 
 
+def _detection(t, i, z, r, label="clutter", truth_id=None):
+    """A detection at z (2,) reporting covariance r I."""
+    x, y = np.asarray(z, dtype=float).tolist()
+    return Detection(t, i, x, y, float(r), 0.0, float(r), label, truth_id)
+
+
 def _random_gate_setup(rng):
     """One track's predicted prior and k in-gate detections."""
     params = TrackerParams(
@@ -91,7 +98,7 @@ def _random_gate_setup(rng):
     bank = TrackBank()
     birth_tracks(
         bank,
-        DetectionFrame(t=0, detections=(Detection(0, 0, z0, R, "clutter"),)),
+        DetectionFrame(t=0, detections=(_detection(0, 0, z0, R[0, 0]),)),
         np.ones(1, bool),
         params,
         id_source=iter([0]),
@@ -106,15 +113,7 @@ def _random_gate_setup(rng):
         # within 1.5 sigma of the prediction: always inside the gate
         u = rng.standard_normal(2)
         u *= rng.random() ** 0.5 * 1.5 / np.linalg.norm(u)
-        dets.append(
-            Detection(
-                t=1,
-                detection_id=i,
-                z=est.position() + chol @ u,
-                R=R.copy(),
-                label="clutter",
-            )
-        )
+        dets.append(_detection(1, i, est.position() + chol @ u, R[0, 0]))
     return params, est, dets, R
 
 
@@ -134,13 +133,7 @@ def test_criterion_2_association_normalization_and_dilution():
         [(miss, betas)] = association_probabilities(gated, params)
         worst_gap = max(worst_gap, abs(miss + sum(betas.values()) - 1.0))
 
-        intruder = Detection(
-            t=1,
-            detection_id=99,
-            z=est.position().copy(),
-            R=R.copy(),
-            label="clutter",
-        )
+        intruder = _detection(1, 99, est.position(), R[0, 0])
         diluted_frame = DetectionFrame(t=1, detections=tuple(dets) + (intruder,))
         [(diluted_miss, diluted)] = association_probabilities(
             gate_stack(diluted_frame, x, P, params.gamma), params
@@ -215,12 +208,12 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
     for seed in range(20):
         frames = []
         for frame in generate_clean_run(truth, sensor, seed=seed):
-            ghost = Detection(
-                t=frame.t,
-                detection_id=900000 + frame.t,
-                z=np.array([6000.0 + 400.0 * frame.t, 6000.0]),
-                R=sensor.noise_sigma_m**2 * np.eye(2),
-                label="spoof:ghost",
+            ghost = _detection(
+                frame.t,
+                900000 + frame.t,
+                (6000.0 + 400.0 * frame.t, 6000.0),
+                sensor.noise_sigma_m**2,
+                "spoof:ghost",
             )
             frames.append(
                 DetectionFrame(t=frame.t, detections=frame.detections + (ghost,))
@@ -232,8 +225,9 @@ def test_criterion_4_hard_gate_rejects_far_ghosts():
             x, P = kf_predict_stack(bank.x, bank.P, params.dt_s, params.q)
             for x_i, P_i in zip(x, P):
                 for g in ghosts:
-                    S = P_i[:2, :2] + g.R
-                    nu = g.z - x_i[:2]
+                    z, R = measurement(g)
+                    S = P_i[:2, :2] + R
+                    nu = z - x_i[:2]
                     d2 = float(nu @ np.linalg.solve(S, nu))
                     min_mahalanobis = min(min_mahalanobis, math.sqrt(d2))
             origin = {d.detection_id: d.origin_key() for d in frame.detections}
@@ -433,22 +427,14 @@ def test_criterion_7_spoof_geometry_exactness():
         frames = [
             DetectionFrame(
                 t=t,
-                detections=(
-                    Detection(
-                        t=t,
-                        detection_id=t,
-                        z=positions[t],
-                        R=25.0 * np.eye(2),
-                        label="clean", truth_id=0,
-                    ),
-                ),
+                detections=(_detection(t, t, positions[t], 25.0, "clean", truth_id=0),),
             )
             for t in range(T)
         ]
         spoofed = apply_spoof(frames, cfg)
         for t in range(t_start, T):
             moved = spoofed.spoofed_frames[t].detections[0]
-            displacement = float(np.linalg.norm(moved.z - positions[t]))
+            displacement = float(np.linalg.norm((moved.x, moved.y) - positions[t]))
             want = alpha * (t - t_start) * dt
             worst_drift = max(worst_drift, abs(displacement - want))
             points += 1

@@ -21,8 +21,9 @@ def est_at(x, P=None):
 
 def frame_at(points, R=None, t=0):
     R = 25.0 * np.eye(2) if R is None else R
+    (r_xx, r_xy), (_, r_yy) = np.asarray(R, dtype=float).tolist()
     dets = tuple(
-        Detection(t=t, detection_id=i, z=np.array(p, dtype=float), R=R.copy(), label="clutter")
+        Detection(t, i, float(p[0]), float(p[1]), r_xx, r_xy, r_yy, "clutter")
         for i, p in enumerate(points)
     )
     return DetectionFrame(t=t, detections=dets)
@@ -186,10 +187,7 @@ def test_gate_uses_per_detection_R_by_default():
 
 
 def test_estimate_from_detection_init():
-    det = Detection(
-        t=0, detection_id=0, z=np.array([7.0, -3.0]), R=4.0 * np.eye(2), label="clutter"
-    )
-    x, P = estimate_from_detection(det.z, det.R, v_max=50.0)
+    x, P = estimate_from_detection(np.array([7.0, -3.0]), 4.0 * np.eye(2), v_max=50.0)
     np.testing.assert_allclose(x[:2], [7.0, -3.0])
     np.testing.assert_allclose(x[2:], [0.0, 0.0])
     assert P[2, 2] == pytest.approx(2500.0)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import measurement
+
 from spoofbench.cli import main
 from spoofbench.harness import TRACKER_STEPS, load_benchmark_config, plan_runs
 from spoofbench.metrics import compute_run_report
@@ -49,7 +51,10 @@ def transformed_run(truth, spoofed_run, transform):
     )
 
     def move(d):
-        return replace(d, z=position(d.z), R=covariance(d.R))
+        z, R = measurement(d)
+        x, y = position(z).tolist()
+        (r_xx, r_xy), (_, r_yy) = covariance(R).tolist()
+        return d._replace(x=x, y=y, r_xx=r_xx, r_xy=r_xy, r_yy=r_yy)
 
     def stream(frames):
         return tuple(DetectionFrame(f.t, tuple(map(move, f.detections))) for f in frames)

@@ -394,8 +394,7 @@ def test_confusion_rows_sum_to_one_random():
 
 def test_detection_origins_keys_every_detection_by_step_and_id():
     def det(t, i, label, truth_id=None):
-        return Detection(t=t, detection_id=i, z=np.zeros(2), R=np.eye(2), label=label,
-                         truth_id=truth_id)
+        return Detection(t, i, 0.0, 0.0, 1.0, 0.0, 1.0, label, truth_id)
 
     frames = [
         DetectionFrame(t=0, detections=(det(0, 0, "clean", 3), det(0, 1, "clutter"))),

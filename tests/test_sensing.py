@@ -1,12 +1,18 @@
+import hashlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spoofbench import sensing
 from spoofbench.errors import ConfigError
 from spoofbench.geometry import Region
+from spoofbench.harness import load_benchmark_config
 from spoofbench.scenario import PlatformSpec, ScenarioConfig, build_scenario
 from spoofbench.sensing import (
+    CLUTTER_SLOT,
     DETECTION_CSV_HEADER,
     MAX_RATE_PER_FRAME,
     Detection,
@@ -20,6 +26,7 @@ from spoofbench.sensing import (
 from spoofbench.spoofing import SpoofConfig, SpoofType
 
 REGION = Region(-600.0, 600.0, -600.0, 600.0)
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "benchmark_config.json"
 
 
 def stationary_scenario(n_platforms=4, duration=100.0):
@@ -46,7 +53,7 @@ def test_zero_noise_limit():
     for frame in frames:
         for det in frame.detections:
             true_pos = truth.positions[det.truth_id][frame.t]
-            worst = max(worst, float(np.linalg.norm(det.z - true_pos)))
+            worst = max(worst, math.dist((det.x, det.y), true_pos))
     assert worst < 1e-6
 
 
@@ -80,7 +87,7 @@ def test_clutter_poisson_and_inside_fov():
         for det in frame.detections:
             assert det.label == "clutter"
             assert det.truth_id is None
-            assert fov.contains(det.z)
+            assert fov.contains((det.x, det.y))
 
 
 def test_noise_covariance_matches_R():
@@ -88,15 +95,15 @@ def test_noise_covariance_matches_R():
     sensor = SensorConfig(p_detect=1.0, noise_sigma_m=5.0, clutter_rate=0.0, fov=REGION)
     frames = generate_clean_run(truth, sensor, seed=7)
     errs = np.array(
-        [det.z - truth.positions[0][f.t] for f in frames for det in f.detections]
+        [(det.x, det.y) - truth.positions[0][f.t] for f in frames for det in f.detections]
     )
     emp = errs.T @ errs / len(errs)
     assert abs(emp[0, 0] - 25.0) < 2.5
     assert abs(emp[1, 1] - 25.0) < 2.5
     assert abs(emp[0, 1]) < 2.5
     for frame in frames:
-        for det in frame.detections:
-            np.testing.assert_allclose(det.R, 25.0 * np.eye(2))
+        for R in frame.covariances:
+            np.testing.assert_allclose(R, 25.0 * np.eye(2))
 
 
 def test_replay_bit_exact():
@@ -104,13 +111,10 @@ def test_replay_bit_exact():
     sensor = SensorConfig()
     a = generate_clean_run(truth, sensor, seed=11)
     b = generate_clean_run(truth, sensor, seed=11)
-    assert len(a) == len(b)
-    for fa, fb in zip(a, b):
-        assert len(fa.detections) == len(fb.detections)
-        for da, db in zip(fa.detections, fb.detections):
-            assert da.detection_id == db.detection_id
-            assert (da.z == db.z).all()
-            assert (da.label, da.truth_id) == (db.label, db.truth_id)
+    # a detection holds plain numbers, so two streams compare by value:
+    # every field of every detection, in order
+    assert a == b
+    assert a != generate_clean_run(truth, sensor, seed=12)
 
 
 def test_truth_ids_exist():
@@ -136,8 +140,8 @@ def test_detection_ids_unique_and_sorted():
 
 def test_frame_columns_follow_detection_order():
     dets = tuple(
-        Detection(t=4, detection_id=i, z=np.array([i, -i], float), R=np.eye(2) * i,
-                  label="clutter")
+        Detection(t=4, detection_id=i, x=float(i), y=float(-i), r_xx=float(i), r_xy=0.0,
+                  r_yy=float(i), label="clutter")
         for i in (2, 5, 9)
     )
     frame = DetectionFrame(t=4, detections=dets)
@@ -165,10 +169,13 @@ def test_csv_round_trip(tmp_path):
         assert row.run_id == "run-x"
         assert (row.t, row.detection_id) == (det.t, det.detection_id)
         # repr round-trip keeps floats exact
-        assert (row.x, row.y) == tuple(det.z)
-        assert (row.r_xx, row.r_xy, row.r_yy) == (det.R[0, 0], det.R[0, 1], det.R[1, 1])
-        assert det.R[1, 0] == det.R[0, 1]
+        assert (row.x, row.y) == (det.x, det.y)
+        assert (row.r_xx, row.r_xy, row.r_yy) == (det.r_xx, det.r_xy, det.r_yy)
         assert (row.label, row.truth_id) == (det.label, det.truth_id)
+    # a row is the detection's fields after the run_id, and nothing else
+    assert rows == [("run-x", *d) for d in detections]
+    for frame in frames:
+        np.testing.assert_array_equal(frame.covariances, frame.covariances.transpose(0, 2, 1))
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -181,8 +188,8 @@ def test_csv_rejects_wrong_header(tmp_path):
 def test_label_encoding():
     # the label is the CSV cell as is; a clean one's origin names its platform
     def det(label, truth_id=None):
-        return Detection(t=0, detection_id=0, z=np.zeros(2), R=np.eye(2), label=label,
-                         truth_id=truth_id)
+        return Detection(t=0, detection_id=0, x=0.0, y=0.0, r_xx=1.0, r_xy=0.0, r_yy=1.0,
+                         label=label, truth_id=truth_id)
 
     assert det("clean", 4).origin_key() == "platform:4"
     assert det("clutter").origin_key() == "clutter"
@@ -221,3 +228,39 @@ def test_header_shape():
     assert DETECTION_CSV_HEADER == [
         "run_id", "t", "detection_id", "x", "y", "r_xx", "r_xy", "r_yy", "label", "truth_id",
     ]
+    assert DETECTION_CSV_HEADER == ["run_id", *Detection._fields]
+    assert DetectionRow._fields == ("run_id", *Detection._fields)
+
+
+def test_no_clutter_stream_at_rate_zero(monkeypatch):
+    # Poisson(0) is always 0 and no other draw reads the clutter stream,
+    # so a clutter-free sensor opens none; any other rate opens one a frame
+    opened = []
+    substream = sensing.substream
+
+    def recording(seed, *path):
+        opened.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(sensing, "substream", recording)
+    truth = stationary_scenario(2, duration=10.0)
+    generate_clean_run(truth, SensorConfig(clutter_rate=0.0), seed=1)
+    assert opened and all(path[-1] != CLUTTER_SLOT for path in opened)
+    opened.clear()
+    generate_clean_run(truth, SensorConfig(clutter_rate=2.0), seed=1)
+    assert sum(path[-1] == CLUTTER_SLOT for path in opened) == truth.n_steps
+
+
+# sha256 of clean.csv of the demo scenario and sensor with clutter_rate 0,
+# seed 4, recorded before clutter-free sensing stopped opening its
+# clutter stream: skipping the stream moves no byte
+PINNED_CLUTTER_FREE_STREAM = "795f2fdab4a348d1a829d42a8d46f54af8953204e8513fd22ef2f88b6058bc64"
+
+
+def test_clutter_free_stream_pinned(tmp_path):
+    demo = load_benchmark_config(DEMO_CONFIG)
+    sensor = replace(demo.sensor, clutter_rate=0.0)
+    frames = generate_clean_run(build_scenario(demo.scenario), sensor, seed=4)
+    path = tmp_path / "clean.csv"
+    write_detection_csv(path, frames, "sense-s4")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CLUTTER_FREE_STREAM

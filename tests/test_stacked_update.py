@@ -41,6 +41,13 @@ def random_spd(rng, n, scale):
     return scale * (A @ A.T + 0.1 * np.eye(n))
 
 
+def clutter(t, i, z, R):
+    """A clutter detection at z (2,) reporting covariance R (2, 2)."""
+    x, y = np.asarray(z, dtype=float).tolist()
+    (r_xx, r_xy), (_, r_yy) = np.asarray(R, dtype=float).tolist()
+    return Detection(t, i, x, y, r_xx, r_xy, r_yy, "clutter")
+
+
 def random_stack(rng, n):
     x = rng.normal(0.0, 300.0, (n, 4))
     P = np.array([random_spd(rng, 4, rng.uniform(0.1, 500.0)) for _ in range(n)]).reshape(n, 4, 4)
@@ -80,8 +87,8 @@ def random_frame(rng, m, around):
     """m detections scattered about the given positions, each with its
     own covariance."""
     dets = tuple(
-        Detection(t=0, detection_id=i, z=around[i % len(around)] + rng.normal(0.0, 30.0, 2),
-                  R=random_spd(rng, 2, rng.uniform(0.5, 50.0)), label="clutter")
+        clutter(0, i, around[i % len(around)] + rng.normal(0.0, 30.0, 2),
+                random_spd(rng, 2, rng.uniform(0.5, 50.0)))
         for i in range(m)
     )
     return DetectionFrame(t=0, detections=dets)
@@ -114,7 +121,7 @@ def test_stacked_gate_raises_only_where_per_track_gates_raise():
     rng = np.random.default_rng(11)
     x, P, _, _ = random_stack(rng, 5)
     frame = random_frame(rng, 4, x[:, :2])
-    bad = Detection(t=0, detection_id=9, z=np.zeros(2), R=np.full((2, 2), np.nan), label="clutter")
+    bad = clutter(0, 9, np.zeros(2), np.full((2, 2), np.nan))
     degenerate = DetectionFrame(t=0, detections=frame.detections + (bad,))
     # no track: no pair is scored, whatever R the frame reports
     assert len(gate_stack(degenerate, np.zeros((0, 4)), np.zeros((0, 4, 4)))) == 0
@@ -167,8 +174,7 @@ def crossing_frames(seed, n_steps=30):
         if t in (10, 20):
             zs += list(truth[2] + rng.normal(0.0, 3.0, (12, 2)))
         dets = tuple(
-            Detection(t=t, detection_id=next(ids), z=z, R=random_spd(rng, 2, rng.uniform(1.0, 9.0)),
-                      label="clutter")
+            clutter(t, next(ids), z, random_spd(rng, 2, rng.uniform(1.0, 9.0)))
             for z in zs
         )
         frames.append(DetectionFrame(t=t, detections=dets))
@@ -249,8 +255,7 @@ def test_zero_rows_pass_through_predict_gate_and_update():
 
 def frame_at(t, ids, positions):
     return DetectionFrame(t=t, detections=tuple(
-        Detection(t=t, detection_id=i, z=np.array(z, dtype=float), R=4.0 * np.eye(2),
-                  label="clutter")
+        clutter(t, i, z, 4.0 * np.eye(2))
         for i, z in zip(ids, positions)
     ))
 

@@ -18,6 +18,7 @@ from _oracles import (
     assignment_cost,
     kf_update_by_solve,
     mahalanobis2_by_solve,
+    measurement,
     min_cost_by_enumeration,
 )
 
@@ -205,9 +206,7 @@ def test_matches_scipy_on_dense_frame_sized_arrays():
 
 
 def clutter_det(i, x, y, t=0):
-    return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label="clutter"
-    )
+    return Detection(t, i, float(x), float(y), 25.0, 0.0, 25.0, "clutter")
 
 
 def frame_of(dets, t=0):
@@ -262,7 +261,8 @@ def test_step_miss_spawns_birth():
     assert outcome.detection_id is None
     assert outcome.weights == {}
     assert len(result.births) == 1
-    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0].track_id), :2], far.z)
+    born = bank.ids.index(result.births[0].track_id)
+    np.testing.assert_allclose(bank.x[born, :2], (far.x, far.y))
 
 
 def test_step_cross_ambiguous_matches_brute_force():
@@ -280,7 +280,7 @@ def test_step_cross_ambiguous_matches_brute_force():
         ]
         d2 = np.array(
             [
-                [mahalanobis2_by_solve(d.z, x_i, P_i, d.R) for d in dets]
+                [mahalanobis2_by_solve(z, x_i, P_i, R) for z, R in map(measurement, dets)]
                 for x_i, P_i in zip(x, P)
             ]
         )
@@ -312,17 +312,17 @@ def random_spd(rng, n, scale):
 
 
 def det_with_R(i, z, R, t=0):
-    return Detection(
-        t=t, detection_id=i, z=np.asarray(z, dtype=float), R=np.asarray(R, dtype=float),
-        label="clutter",
-    )
+    x, y = np.asarray(z, dtype=float).tolist()
+    (r_xx, r_xy), (_, r_yy) = np.asarray(R, dtype=float).tolist()
+    return Detection(t, i, x, y, r_xx, r_xy, r_yy, "clutter")
 
 
 def gate_by_solve(frame, est, gamma):
     """(indices, d2) of the pairs inside gamma, one solve per pair."""
     inside = []
     for i, d in enumerate(frame.detections):
-        d2 = mahalanobis2_by_solve(d.z, est.x, est.P, d.R)
+        z, R = measurement(d)
+        d2 = mahalanobis2_by_solve(z, est.x, est.P, R)
         if d2 <= gamma:
             inside.append((i, d2))
     return inside
@@ -360,7 +360,8 @@ def test_gate_matches_solve_oracle_with_heterogeneous_R():
                 got.d2[row, got.inside[row]], [d2 for _, d2 in want], rtol=1e-12, atol=1e-12
             )
             for i, S in enumerate(got.S[row]):
-                np.testing.assert_allclose(S, est.P[:2, :2] + dets[i].R, rtol=0.0, atol=0.0)
+                _, R = measurement(dets[i])
+                np.testing.assert_allclose(S, est.P[:2, :2] + R, rtol=0.0, atol=0.0)
 
 
 def test_gate_empty_frame_visits_no_pair():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import KinematicEstimate, snapshot_json_dict
+from _oracles import KinematicEstimate, measurement, snapshot_json_dict
 from spoofbench.estimation import (
     GateResult,
     gate_stack,
@@ -17,9 +17,7 @@ from spoofbench.tracker_jpda import association_probabilities, jpda_step
 
 
 def det(i, x, y, t=0, sigma2=25.0):
-    return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=sigma2 * np.eye(2), label="clutter"
-    )
+    return Detection(t, i, float(x), float(y), sigma2, 0.0, sigma2, "clutter")
 
 
 def frame_of(dets, t=0):
@@ -85,15 +83,8 @@ def test_likelihood_ratio_example():
     bank = predicted_bank(0.0, 0.0, params)
     bank.x[0] = 0.0
     bank.P[0] = 0.0
-    R = np.eye(2)
     frame = frame_of(
-        [
-            Detection(t=1, detection_id=0, z=np.array([0.0, 0.0]), R=R.copy(), label="clutter"),
-            Detection(
-                t=1, detection_id=1, z=np.array([math.sqrt(2.0), 0.0]), R=R.copy(), label="clutter"
-            ),
-        ],
-        t=1,
+        [det(0, 0.0, 0.0, t=1, sigma2=1.0), det(1, math.sqrt(2.0), 0.0, t=1, sigma2=1.0)], t=1
     )
     gated = gate(frame, row_estimate(bank), gamma=9.21)
     np.testing.assert_allclose(gated.d2[0], [0.0, 2.0], atol=1e-12)
@@ -176,7 +167,8 @@ def test_step_single_detection_reduces_to_kalman():
     # the step predicts before associating, so mirror that by hand
     reference = predict(row_estimate(bank), params)
     result = jpda_step(bank, frame_of([z], t=1), params, id_source=itertools.count(50))
-    want_x, want_P, _, _ = kf_update_stack(reference.x[None], reference.P[None], z.z[None], z.R[None])
+    z_arr, R = measurement(z)
+    want_x, want_P, _, _ = kf_update_stack(reference.x[None], reference.P[None], z_arr[None], R[None])
     got = row_estimate(bank)
     np.testing.assert_allclose(got.x, want_x[0], atol=1e-9)
     np.testing.assert_allclose(got.P, want_P[0], atol=1e-9)
@@ -253,4 +245,5 @@ def test_births_only_from_ungated_detections():
     far = det(2, 500.0, 500.0, t=1)
     result = jpda_step(bank, frame_of([near, far], t=1), params, id_source=itertools.count(70))
     assert len(result.births) == 1
-    np.testing.assert_allclose(bank.x[bank.ids.index(result.births[0].track_id), :2], far.z)
+    born = bank.ids.index(result.births[0].track_id)
+    np.testing.assert_allclose(bank.x[born, :2], (far.x, far.y))

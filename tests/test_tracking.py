@@ -43,9 +43,7 @@ REGION = Region(-600.0, 600.0, -600.0, 600.0)
 
 
 def det(i, x, y, t=0):
-    return Detection(
-        t=t, detection_id=i, z=np.array([x, y]), R=25.0 * np.eye(2), label="clutter"
-    )
+    return Detection(t, i, float(x), float(y), 25.0, 0.0, 25.0, "clutter")
 
 
 def fresh_bank(window=3):
@@ -163,7 +161,7 @@ def test_birth_all_unassigned():
     assert len(rows) == 3
     for row, d in enumerate(dets):
         assert bank.status[row] is TrackStatus.TENTATIVE
-        np.testing.assert_allclose(bank.x[row, :2], d.z)
+        np.testing.assert_allclose(bank.x[row, :2], (d.x, d.y))
 
 
 def test_birth_reads_only_the_marked_columns():
