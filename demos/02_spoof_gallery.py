@@ -11,8 +11,6 @@ clean stream comes back untouched next to the spoofed one.
 import collections
 import math
 
-import numpy as np
-
 from spoofbench import (
     SensorConfig,
     SpoofConfig,
@@ -90,12 +88,12 @@ def main():
     ids_spoof = {d.detection_id for f in mirror.spoofed_frames for d in f.detections
                  if d.label.startswith("spoof")}
     first = mirror.spoofed_frames[WINDOW[0]].detections[0]
-    sample = np.array([first.x, first.y])
+    sample = (first.x, first.y)
     twice = reflect_across_axis(reflect_across_axis(sample, x0), x0)
     print(f"mirror (axis x={x0}):")
     print(f"  appended {n_mirror} reflected copies, ids disjoint from clean: "
           f"{ids_clean.isdisjoint(ids_spoof)}")
-    print(f"  reflecting twice returns the original exactly: {np.array_equal(twice, sample)}")
+    print(f"  reflecting twice returns the original exactly: {twice == sample}")
     print(f"  clean stream untouched: {clean_untouched(mirror, clean)}")
 
 

@@ -75,22 +75,22 @@ class SpoofConfig(Record):
         t_start, t_end = self.injection_window
         if t_start < 0 or t_start > t_end:
             raise ConfigError(f"malformed injection window [{t_start}, {t_end}]")
-        if self.spoof_type is SpoofType.DRIFT:
-            norm = math.hypot(*self.drift_dir)
-            if abs(norm - 1.0) > 1e-9:
-                raise ConfigError(f"drift_dir must be a unit vector, |v|={norm}")
-        if self.spoof_type is SpoofType.GHOST:
-            if self.ghost_mode not in (GHOST_MODE_UNIFORM, GHOST_MODE_NEAR_TRACK):
-                raise ConfigError(f"unknown ghost_mode {self.ghost_mode!r}")
-            if not 0.0 <= self.ghost_inner_m < self.ghost_radius_m:
-                raise ConfigError(
-                    f"ghost_inner_m must lie in [0, ghost_radius_m); got "
-                    f"{self.ghost_inner_m} vs {self.ghost_radius_m}"
-                )
-            if self.ghost_offset_m > 0.0:
-                norm = math.hypot(*self.ghost_offset_dir)
-                if abs(norm - 1.0) > 1e-9:
-                    raise ConfigError(f"ghost_offset_dir must be a unit vector, |v|={norm}")
+        # like the bounds, these rules hold whatever the spoof type
+        for name in ("drift_dir", "ghost_offset_dir"):
+            norm = math.hypot(*getattr(self, name))
+            if not abs(norm - 1.0) <= 1e-9:
+                raise ConfigError(f"{name} must be a unit vector, |v|={norm}")
+        if self.ghost_mode not in (GHOST_MODE_UNIFORM, GHOST_MODE_NEAR_TRACK):
+            raise ConfigError(f"unknown ghost_mode {self.ghost_mode!r}")
+        if not 0.0 <= self.ghost_inner_m < self.ghost_radius_m:
+            raise ConfigError(
+                f"ghost_inner_m must lie in [0, ghost_radius_m); got "
+                f"{self.ghost_inner_m} vs {self.ghost_radius_m}"
+            )
+        # only ghosts draw from a region, and only a ghost entry is given one by default
+        if self.spoof_type is SpoofType.GHOST and self.ghost_mode == GHOST_MODE_UNIFORM:
+            if self.ghost_region is None:
+                raise ConfigError("uniform ghost mode requires ghost_region")
 
     def targets(self, truth_id: Optional[int]) -> bool:
         if truth_id is None:
@@ -124,15 +124,15 @@ class SpoofedRun:
     config: SpoofConfig
 
 
-def reflect_across_axis(position, x0: float) -> np.ndarray:
+def reflect_across_axis(position, x0: float) -> tuple[float, float]:
     """Reflect (x, y) across the vertical axis x = x0: (2*x0 - x, y)."""
-    p = np.asarray(position, dtype=float)
-    return np.array([2.0 * x0 - p[0], p[1]])
+    x, y = position
+    return (2.0 * x0 - x, y)
 
 
 def _ghost_positions(
     frame: DetectionFrame, cfg: SpoofConfig, rng: np.random.Generator
-) -> list[np.ndarray]:
+) -> list[tuple[float, float]]:
     """Positions of the frame's Poisson(ghost_rate) ghosts.
 
     Placement is uniform over ghost_region, or, in near_track mode,
@@ -141,25 +141,27 @@ def _ghost_positions(
     ghost_offset_m along ghost_offset_dir.
     """
     count = int(rng.poisson(cfg.ghost_rate))
-    anchors = [np.array((d.x, d.y)) for d in frame.detections if d.label == LABEL_CLEAN]
-    offset = cfg.ghost_offset_m * np.asarray(cfg.ghost_offset_dir, dtype=float)
+    off_x, off_y = (cfg.ghost_offset_m * u for u in cfg.ghost_offset_dir)
+    centers = [(d.x + off_x, d.y + off_y) for d in frame.detections if d.label == LABEL_CLEAN]
     r2_lo = cfg.ghost_inner_m * cfg.ghost_inner_m
     r2_hi = cfg.ghost_radius_m * cfg.ghost_radius_m
-    positions: list[np.ndarray] = []
+    region = cfg.ghost_region
+    positions: list[tuple[float, float]] = []
     for _ in range(count):
-        if cfg.ghost_mode == GHOST_MODE_NEAR_TRACK and anchors:
-            center = anchors[int(rng.integers(len(anchors)))] + offset
+        if cfg.ghost_mode == GHOST_MODE_NEAR_TRACK and centers:
+            x, y = centers[int(rng.integers(len(centers)))]
             radius = math.sqrt(r2_lo + rng.random() * (r2_hi - r2_lo))
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            positions.append(center + radius * np.array([math.cos(theta), math.sin(theta)]))
-        elif cfg.ghost_region is not None:
-            positions.append(cfg.ghost_region.sample(rng, 1)[0])
+            positions.append((x + radius * math.cos(theta), y + radius * math.sin(theta)))
+        elif region is not None:
+            # the draws of region.sample(rng, 1), as floats
+            x = rng.uniform(region.x_min, region.x_max)
+            positions.append((x, rng.uniform(region.y_min, region.y_max)))
         # near_track with nothing to anchor on and no fallback region
         # skips the draw rather than invent a position
     return positions
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> SpoofedRun:
     """Apply one spoof campaign over its injection window.
 
@@ -171,12 +173,9 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
     keyed by (cfg.seed, timestep). Frames outside the window pass
     through unchanged; a window starting beyond the final frame is a
     no-op. The clean input is returned untouched alongside the spoofed
-    stream. A spoofed position that overflows raises ConfigError, the
-    one report of it: numpy's overflow warnings are off in here.
+    stream. A spoofed position that overflows to a non-finite float
+    raises ConfigError; cfg has passed every other spoof rule when built.
     """
-    if cfg.spoof_type is SpoofType.GHOST and cfg.ghost_mode == GHOST_MODE_UNIFORM:
-        if cfg.ghost_region is None:
-            raise ConfigError("uniform ghost mode requires ghost_region")
     clean_frames = tuple(clean_run)
     if cfg.spoof_type is SpoofType.CLEAN:
         return SpoofedRun(clean_frames, clean_frames, (), cfg)
@@ -199,14 +198,14 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
             ]
             if cfg.spoof_type is SpoofType.DRIFT:
                 t_rel = (frame.t - cfg.injection_window[0]) * cfg.dt_s
-                offset = cfg.alpha * t_rel * np.asarray(cfg.drift_dir, dtype=float)
-                named = [(d, np.array((d.x, d.y)) + offset) for d in targeted]
+                off_x, off_y = (cfg.alpha * t_rel * u for u in cfg.drift_dir)
+                named = [(d, (d.x + off_x, d.y + off_y)) for d in targeted]
             else:
                 named = [(d, reflect_across_axis((d.x, d.y), cfg.mirror_x0)) for d in targeted]
         # by id, so a drifted detection takes its source's place
         detections = {d.detection_id: d for d in frame.detections}
-        for source, z in named:
-            if not np.isfinite(z).all():
+        for source, (x, y) in named:
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ConfigError(
                     f"{kind} spoof puts a detection at a non-finite position at step {frame.t}"
                 )
@@ -214,7 +213,6 @@ def apply_spoof(clean_run: Sequence[DetectionFrame], cfg: SpoofConfig) -> Spoofe
                 det_id = source.detection_id
             else:
                 det_id, next_id = next_id, next_id + 1
-            x, y = z.tolist()
             if source is None:
                 det = Detection(frame.t, det_id, x, y, ghost_var, 0.0, ghost_var, label)
                 orig = (None, None)

@@ -7,7 +7,9 @@ source, and a run under two kernels that must write the same bytes. A
 second static rule keeps randomness to sensing and spoofing, so the
 trackers stay pure functions of their detection streams. A third keeps
 provenance out of the tracking layer: it reads a frame only as its
-columns, so no tracker can see a detection's label or truth.
+columns, so no tracker can see a detection's label or truth. A fourth
+keeps a spoof plain float arithmetic: spoofing reaches nothing through
+numpy but the random Generator it is handed.
 """
 
 import ast
@@ -166,6 +168,58 @@ def test_trackers_read_frames_as_columns(path):
 )
 def test_provenance_rule_catches_each_form(source, want):
     assert [text for _, text in provenance_uses(ast.parse(source))] == want
+
+
+# the one name spoofing.py may reach through numpy: the type of the
+# generator it draws ghosts from, whose methods it calls
+SPOOFING_NUMPY_NAMES = {"np.random.Generator"}
+
+
+def numpy_reaches(tree):
+    """Sorted (line, text) of every name reached through numpy but those
+    in SPOOFING_NUMPY_NAMES: an attribute chain rooted at np or numpy, or
+    an import from numpy. Naming a function counts as calling it."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and id(node) not in inner:
+            root = node
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in ("np", "numpy")):
+                continue
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            name = name.replace("numpy.", "np.", 1)
+            if name not in SPOOFING_NUMPY_NAMES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_spoofs_are_plain_float_arithmetic():
+    path = ROOT / "src" / "spoofbench" / "spoofing.py"
+    assert numpy_reaches(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "source,want",
+    [
+        ("z = np.array((x, y)) + offset\nok = np.isfinite(z).all()", ["np.array", "np.isfinite"]),
+        ("@np.errstate(over='ignore')\ndef f(p):\n    return numpy.asarray(p).tolist()",
+         ["np.errstate", "np.asarray"]),
+        ("from numpy import hypot\nok = all(map(np.isfinite, zs))", ["np.hypot", "np.isfinite"]),
+        ("with np.errstate(invalid='ignore'):\n    c = np.cos(theta)", ["np.errstate", "np.cos"]),
+        # the generator it is handed, its type and its methods
+        ("import numpy as np\ndef g(rng: np.random.Generator):\n"
+         "    return rng.poisson(lam), rng.uniform(a, b)", []),
+    ],
+)
+def test_numpy_rule_catches_each_form(source, want):
+    assert [text for _, text in numpy_reaches(ast.parse(source))] == want
 
 
 def run_grid(out, coretype):

@@ -674,6 +674,36 @@ def long_scenario(duration_s):
     return scenario
 
 
+# the spoof rules SpoofConfig checks when built, each broken on the demo
+# config in a way that used to pass validate: a uniform ghost whose region
+# is null, an entry whose type does not read the field, and a zero offset
+# direction at a zero offset
+SPOOF_RULES = [
+    pytest.param(
+        "spoof_grid[1]",
+        {"spoof_type": "ghost", "ghost_rate": 6.0, "ghost_mode": "uniform", "ghost_region": None},
+        "spoof_grid[1]: uniform ghost mode requires ghost_region", id="ghost-region-null",
+    ),
+    pytest.param(
+        "spoof_grid[2].drift_dir", [2.0, 0.0], "spoof_grid[2]: drift_dir must be a unit vector",
+        id="mirror-drift_dir",
+    ),
+    pytest.param(
+        "spoof_grid[0].ghost_mode", "orbit", "spoof_grid[0]: unknown ghost_mode 'orbit'",
+        id="drift-ghost_mode",
+    ),
+    pytest.param(
+        "spoof_grid[3].ghost_inner_m", 50.0, "spoof_grid[3]: ghost_inner_m must lie in",
+        id="clean-ghost_inner_m",
+    ),
+    pytest.param(
+        "spoof_grid[1]",
+        {"spoof_type": "ghost", "ghost_rate": 6.0, "ghost_mode": "near_track",
+         "ghost_offset_m": 0.0, "ghost_offset_dir": [0.0, 0.0]},
+        "spoof_grid[1]: ghost_offset_dir must be a unit vector", id="ghost-offset_dir-zero",
+    ),
+]
+
 # (config path, bad value, path the error must name) on the demo config
 BAD_VALUES = [
     pytest.param("tracker_params.gamma", float("nan"), "tracker_params.gamma", id="gamma-nan"),
@@ -788,6 +818,7 @@ BAD_VALUES = [
         "scenario.duration_s", 0.5, "scenario: duration_s must be at least dt_s",
         id="duration_s-below-dt_s",
     ),
+    *SPOOF_RULES,
 ]
 
 
@@ -798,6 +829,22 @@ def test_cli_validate_rejects_bad_tracker_params(tmp_path, capsys, path, value, 
     config = write_config_file(tmp_path, payload)
     assert main(["validate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+@pytest.mark.parametrize("path,value,named", SPOOF_RULES)
+def test_a_broken_spoof_rule_exits_2_from_run(tmp_path, capfd, path, value, named):
+    # run checks the config as validate does, before it writes anything;
+    # a null region used to fail the first ghost run and leave the report
+    # folder behind
+    payload = json.loads(DEMO_CONFIG.read_text())
+    set_path(payload, path, value)
+    config = write_config_file(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out), "--seeds", "1"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: {named}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # the config records a benchmark config holds, at a path of each in the

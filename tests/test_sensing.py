@@ -213,12 +213,12 @@ def test_sensor_config_validation():
 
 def test_rates_are_bounded_per_frame():
     SensorConfig(clutter_rate=MAX_RATE_PER_FRAME)
-    SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=MAX_RATE_PER_FRAME)
+    SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=MAX_RATE_PER_FRAME, ghost_mode="near_track")
     above = math.nextafter(MAX_RATE_PER_FRAME, math.inf)
     with pytest.raises(ConfigError, match="clutter_rate"):
         SensorConfig(clutter_rate=above)
     with pytest.raises(ConfigError, match="ghost_rate"):
-        SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=above)
+        SpoofConfig(spoof_type=SpoofType.GHOST, ghost_rate=above, ghost_mode="near_track")
     # bounds hold whatever the spoof type, drawn from or not
     with pytest.raises(ConfigError, match="ghost_rate"):
         SpoofConfig(spoof_type=SpoofType.DRIFT, ghost_rate=above)

@@ -201,12 +201,11 @@ def test_ghost_offset_cloud_center():
 
 
 def test_ghost_uniform_needs_region():
-    frames = clean_run(duration=10.0)
-    cfg = SpoofConfig(
-        spoof_type=SpoofType.GHOST, injection_window=(0, 9), ghost_rate=1.0, ghost_mode="uniform"
-    )
-    with pytest.raises(ConfigError):
-        apply_spoof(frames, cfg)
+    with pytest.raises(ConfigError, match="uniform ghost mode requires ghost_region"):
+        SpoofConfig(
+            spoof_type=SpoofType.GHOST, injection_window=(0, 9), ghost_rate=1.0,
+            ghost_mode="uniform",
+        )
 
 
 def test_ghost_near_track_empty_frame_skips():
@@ -418,6 +417,39 @@ def test_config_validation():
         SpoofConfig(spoof_type=SpoofType.GHOST, ghost_offset_m=5.0, ghost_offset_dir=(2.0, 0.0))
     # unit vector tolerance
     SpoofConfig(spoof_type=SpoofType.DRIFT, alpha=1.0, drift_dir=(math.sqrt(0.5), math.sqrt(0.5)))
+
+
+@pytest.mark.parametrize("spoof_type", list(SpoofType), ids=[t.value for t in SpoofType])
+def test_config_rules_hold_for_every_type(spoof_type):
+    # as the bounds do, whether the type reads the field or not
+    for bad, message in (
+        (dict(drift_dir=(2.0, 0.0)), "drift_dir must be a unit vector"),
+        (dict(drift_dir=(math.nan, 0.0)), "drift_dir must be a unit vector"),
+        (dict(ghost_offset_dir=(0.0, 0.0)), "ghost_offset_dir must be a unit vector"),
+        (dict(ghost_mode="orbit"), "unknown ghost_mode 'orbit'"),
+        (dict(ghost_inner_m=50.0, ghost_radius_m=50.0), "ghost_inner_m must lie in"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            SpoofConfig(spoof_type=spoof_type, ghost_region=REGION, **bad)
+    # the region rule alone is a ghost's: only a ghost draws from a region
+    if spoof_type is not SpoofType.GHOST:
+        assert SpoofConfig(spoof_type=spoof_type, ghost_mode="uniform").ghost_region is None
+
+
+@pytest.mark.parametrize("case", ["drift", "mirror", "ghost-uniform", "ghost-near-track"])
+def test_spoofed_positions_are_plain_floats(case):
+    # plain float arithmetic, so no numpy scalar reaches a detection
+    fields = {
+        "drift": dict(spoof_type=SpoofType.DRIFT, alpha=2.0, drift_dir=(0.6, 0.8)),
+        "mirror": dict(spoof_type=SpoofType.MIRROR, mirror_x0=50.0),
+        "ghost-uniform": dict(spoof_type=SpoofType.GHOST, ghost_rate=5.0, ghost_region=REGION),
+        "ghost-near-track": dict(spoof_type=SpoofType.GHOST, ghost_rate=5.0,
+                                 ghost_mode="near_track", ghost_offset_m=3.0),
+    }[case]
+    run = apply_spoof(clean_run(duration=20.0), SpoofConfig(injection_window=(0, 19), **fields))
+    spoofed = [d for f in run.spoofed_frames for d in f.detections if d.label.startswith("spoof")]
+    assert spoofed
+    assert {(type(d.x), type(d.y)) for d in spoofed} == {(float, float)}
 
 
 
